@@ -111,17 +111,37 @@ def save_mask(path, mask: pruning.SparsityMask, method="", seed=0):
     atomic_write_text(path + ".json", json.dumps(sidecar, indent=2) + "\n")
 
 
+def _tiles(layer_map, n):
+    """True if the entries cover positions 0..n-1 in order, without gaps."""
+    covered = 0
+    for e in layer_map:
+        if e.offset != covered or not isinstance(e.length, int) or e.length < 0:
+            return False
+        covered += e.length
+    return covered == n
+
+
 def load_mask(path) -> pruning.SparsityMask:
     with open(path, "rb") as f:
         blob = f.read()
     if blob[:4] != MASK_MAGIC:
         raise data_mod.FormatError(f"bad magic in {path}")
+    if len(blob) < 8:
+        raise data_mod.FormatError(f"truncated header in {path}")
     n, = struct.unpack("<I", blob[4:8])
+    if len(blob) - 8 != -(-n // 8):
+        raise data_mod.FormatError(
+            f"{path}: {len(blob) - 8} payload bytes for {n} bits")
     bits = np.unpackbits(np.frombuffer(blob[8:], dtype=np.uint8), count=n)
     with open(path + ".json") as f:
         sidecar = json.load(f)
-    layer_map = tuple(nn.LayerEntry(e["name"], e["offset"], e["length"], e["kind"])
-                      for e in sidecar["layer_map"])
+    try:
+        layer_map = tuple(nn.LayerEntry(e["name"], e["offset"], e["length"], e["kind"])
+                          for e in sidecar["layer_map"])
+    except (KeyError, TypeError) as e:
+        raise data_mod.FormatError(f"{path}.json: bad layer_map ({e!r})") from None
+    if not _tiles(layer_map, n):
+        raise data_mod.FormatError(f"{path}.json: layer_map does not cover {n} positions")
     return pruning.SparsityMask(bits.astype(np.float64), layer_map)
 
 
@@ -424,19 +444,26 @@ def rebuild_summary(out_dir):
     path = os.path.join(out_dir, "iterations.csv")
     with open(path) as f:
         lines = f.read().splitlines()
+    if len(lines) < 2:
+        raise data_mod.FormatError(f"{path} has no iteration rows")
     header = lines[0].split(",")
     idx = {name: i for i, name in enumerate(header)}
     by_level = {}
     methods, seeds = set(), set()
-    for line in lines[1:]:
-        cells = line.split(",")
-        methods.add(cells[idx["method"]])
-        seed = int(cells[idx["seed"]])
-        seeds.add(seed)
-        if cells[idx["test_accuracy"]]:
-            level = round(float(cells[idx["sparsity"]]), 12)
-            by_level.setdefault(level, []).append(
-                (seed, float(cells[idx["test_accuracy"]])))
+    try:
+        for line in lines[1:]:
+            cells = line.split(",")
+            if len(cells) != len(header):
+                raise ValueError(f"{len(cells)} cells under {len(header)} columns")
+            methods.add(cells[idx["method"]])
+            seed = int(cells[idx["seed"]])
+            seeds.add(seed)
+            if cells[idx["test_accuracy"]]:
+                level = round(float(cells[idx["sparsity"]]), 12)
+                by_level.setdefault(level, []).append(
+                    (seed, float(cells[idx["test_accuracy"]])))
+    except (KeyError, ValueError) as e:
+        raise data_mod.FormatError(f"{path}: {e!r}") from None
     levels = []
     for level in sorted(by_level):
         accs = np.array([a for _, a in by_level[level]])
@@ -478,7 +505,7 @@ def main(argv=None):
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
-    except (nn.TrainingDiverged, engines.SparsityUnreachable) as e:
+    except (nn.TrainingDiverged, engines.SparsityUnreachable, FloatingPointError) as e:
         print(f"runtime failure: {e}", file=sys.stderr)
         return EXIT_RUNTIME
     except (OSError, data_mod.FormatError) as e:

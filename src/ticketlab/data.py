@@ -106,7 +106,10 @@ def load_idx(images_path, labels_path, num_classes=None) -> LabeledDataset:
 
 
 def write_idx(data: LabeledDataset, images_path, labels_path):
-    """Inverse of load_idx; values are rounded back to bytes."""
+    """Inverse of load_idx; values are rounded back to bytes.  The image
+    magic declares three dimensions, so the images must be (N, H, W)."""
+    if data.examples.ndim != 3:
+        raise ValueError(f"IDX images must be (N, H, W), got shape {data.examples.shape}")
     images = np.clip(np.round(data.examples * 255.0), 0, 255).astype(np.uint8)
     with open(images_path, "wb") as f:
         f.write(struct.pack(">I", IMAGE_MAGIC))

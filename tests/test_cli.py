@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import ticketlab as tl
-from ticketlab import cli
+from ticketlab import cli, nn
 
 
 BASE_CONFIG = {
@@ -144,6 +144,43 @@ class TestMaskFiles:
         with pytest.raises(tl.FormatError):
             cli.load_mask(str(path))
 
+    def saved_mask(self, tmp_path):
+        spec = tl.ModelSpec("mlp", (6,), 2, hidden=(8,))  # 66 positions
+        params = tl.init_params(spec, 0)
+        mask = tl.magnitude_prune(params, tl.SparsityMask.ones(params.layer_map), 0.4)
+        path = tmp_path / "m.mask"
+        cli.save_mask(str(path), mask)
+        return path
+
+    @pytest.mark.parametrize("keep", [6, 10, 16])
+    def test_truncated_payload_rejected(self, tmp_path, keep):
+        # 66 bits need 9 payload bytes after the 8-byte header
+        path = self.saved_mask(tmp_path)
+        path.write_bytes(path.read_bytes()[:keep])
+        with pytest.raises(tl.FormatError):
+            cli.load_mask(str(path))
+
+    def test_trailing_payload_rejected(self, tmp_path):
+        path = self.saved_mask(tmp_path)
+        path.write_bytes(path.read_bytes() + b"\x00")
+        with pytest.raises(tl.FormatError):
+            cli.load_mask(str(path))
+
+    @pytest.mark.parametrize("edit", ["drop_last", "shift_offset", "no_length"])
+    def test_sidecar_must_cover_mask(self, tmp_path, edit):
+        path = self.saved_mask(tmp_path)
+        sidecar_path = tmp_path / "m.mask.json"
+        sidecar = json.loads(sidecar_path.read_text())
+        if edit == "drop_last":
+            sidecar["layer_map"].pop()
+        elif edit == "shift_offset":
+            sidecar["layer_map"][1]["offset"] += 1
+        else:
+            del sidecar["layer_map"][0]["length"]
+        sidecar_path.write_text(json.dumps(sidecar))
+        with pytest.raises(tl.FormatError):
+            cli.load_mask(str(path))
+
 
 class TestSubcommands:
     def test_prune_emits_summary_line(self, tmp_path, capsys):
@@ -205,3 +242,32 @@ class TestSubcommands:
                             **{"iteration_cap": 2})
         assert cli.main(["prune", "--config", str(path), "--out",
                          str(tmp_path / "out")]) == cli.EXIT_RUNTIME
+
+    @pytest.mark.parametrize("body", [
+        "",
+        ",".join(cli.ITERATIONS_HEADER) + "\n",
+        ",".join(cli.ITERATIONS_HEADER) + "\nimp,zero,1,0.2,0.9,0.1,0.1\n",
+        ",".join(cli.ITERATIONS_HEADER) + "\nimp,0,1,0.2\n",
+    ], ids=["empty", "header_only", "bad_seed", "short_row"])
+    def test_report_on_bad_iterations_is_io_error(self, tmp_path, capsys, body):
+        (tmp_path / "iterations.csv").write_text(body)
+        assert cli.main(["report", "--out", str(tmp_path)]) == cli.EXIT_IO
+        assert capsys.readouterr().err.startswith("i/o failure:")
+        assert not (tmp_path / "summary.json").exists()
+
+    @pytest.mark.parametrize("command", ["prune", "lmc"])
+    def test_non_finite_logits_are_runtime_error(self, tmp_path, capsys, monkeypatch,
+                                                 command):
+        # evaluation inputs that overflow the network: the real forward
+        # raises FloatingPointError on the non-finite logits
+        forward = nn.forward
+        monkeypatch.setattr(nn, "forward", lambda spec, params, mask, batch:
+                            forward(spec, params, mask, np.asarray(batch) * np.inf))
+        path = write_config(tmp_path)
+        with np.errstate(all="ignore"):
+            code = cli.main([command, "--config", str(path), "--out",
+                             str(tmp_path / "out")])
+        assert code == cli.EXIT_RUNTIME
+        err = capsys.readouterr().err
+        assert err.startswith("runtime failure: non-finite logits")
+        assert err.count("\n") == 1

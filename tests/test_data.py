@@ -56,6 +56,13 @@ class TestIdx:
         assert ip2.read_bytes() == ip.read_bytes()
         assert lp2.read_bytes() == lp.read_bytes()
 
+    def test_write_rejects_non_3d_images(self, tmp_path):
+        ds = tl.LabeledDataset(np.zeros((2, 1, 3, 3)), np.array([0, 1]), 2)
+        ip, lp = tmp_path / "images.idx", tmp_path / "labels.idx"
+        with pytest.raises(ValueError, match=r"\(N, H, W\)"):
+            tl.write_idx(ds, ip, lp)
+        assert not ip.exists() and not lp.exists()
+
 
 class TestSynth:
     def test_noise_zero_collapses_to_means(self):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import ticketlab as tl
+from ticketlab import autodiff as ad
 from conftest import finite_difference_gradient, max_relative_error, reference_loss
 
 
@@ -117,6 +118,100 @@ class TestBackward:
         with pytest.raises(ValueError):
             tl.backward(tiny_mlp_spec, params, ones_mask(params),
                         np.zeros((1, 5)), np.array([5]))
+
+
+def tape_gradient(spec, params, mask, x, y):
+    """Gradient of the mean cross-entropy built on the autodiff tape, one
+    primitive per layer operation; the independent oracle for nn.backward."""
+    effective = params.values * mask.bits
+    seg = {(e.name, e.kind): effective[e.offset:e.offset + e.length]
+           for e in params.layer_map}
+    weights = []  # (name, Var, transposed)
+    h = ad.Var(x)
+    for name, kind, shape in spec.layer_shapes():
+        if kind == "bias":
+            continue
+        b = ad.Var(seg[(name, "bias")])
+        w = seg[(name, "weight")].reshape(shape)
+        if len(shape) == 4:
+            wv = ad.Var(w)
+            h = ad.avgpool2x2(ad.relu(ad.conv2d(h, wv, b)))
+            weights.append((name, wv, b, False))
+        else:
+            wv = ad.Var(w.T)
+            h = ad.add(ad.matmul(ad.reshape(h, (x.shape[0], -1)), wv), b)
+            weights.append((name, wv, b, True))
+            if name != spec.layer_shapes()[-1][0]:
+                h = ad.relu(h)
+    loss = ad.cross_entropy_mean(h, y)
+    loss.backward()
+    flat = np.concatenate([np.concatenate([(w.grad.T if t else w.grad).ravel(), b.grad])
+                           for _, w, b, t in weights])
+    return flat * mask.bits
+
+
+def loop_forward(spec, params, mask, x):
+    """Logits by explicit loops over every output position: 3x3 same conv,
+    ReLU, 2x2 average pool, then the dense layers."""
+    effective = params.values * mask.bits
+    seg = {(e.name, e.kind): effective[e.offset:e.offset + e.length]
+           for e in params.layer_map}
+    h = x
+    for i, oc in enumerate(spec.channels):
+        n, c, hh, ww = h.shape
+        w = seg[(f"conv{i + 1}", "weight")].reshape(oc, c, 3, 3)
+        b = seg[(f"conv{i + 1}", "bias")]
+        hp = np.pad(h, ((0, 0), (0, 0), (1, 1), (1, 1)))
+        out = np.zeros((n, oc, hh // 2, ww // 2))
+        for s in range(n):
+            for o in range(oc):
+                z = np.zeros((hh, ww))
+                for r in range(hh):
+                    for q in range(ww):
+                        z[r, q] = max(0.0, float(np.sum(hp[s, :, r:r + 3, q:q + 3] * w[o]))
+                                      + b[o])
+                for r in range(hh // 2):
+                    for q in range(ww // 2):
+                        out[s, o, r, q] = z[2 * r:2 * r + 2, 2 * q:2 * q + 2].sum() / 4
+        h = out
+    h = h.reshape(h.shape[0], -1)
+    w = seg[("fc", "weight")].reshape(spec.num_classes, -1)
+    return h @ w.T + seg[("fc", "bias")]
+
+
+CHAIN_SPECS = [
+    tl.ModelSpec("mlp", (6,), 4, hidden=()),
+    tl.ModelSpec("mlp", (6,), 4, hidden=(8,)),
+    tl.ModelSpec("mlp", (3, 4), 4, hidden=(9, 5)),
+    tl.ModelSpec("convnet", (3, 4, 4), 3, channels=(4,)),
+    tl.ModelSpec("convnet", (2, 8, 8), 3, channels=(4, 5)),
+]
+
+
+class TestChainOracle:
+    @pytest.mark.parametrize("spec", CHAIN_SPECS,
+                             ids=lambda s: f"{s.architecture}{s.hidden or s.channels}")
+    @pytest.mark.parametrize("seed", range(2))
+    def test_backward_matches_tape(self, spec, seed):
+        params = tl.init_params(spec, seed)
+        rng = np.random.default_rng(seed)
+        params.values += 0.1 * rng.standard_normal(len(params))
+        mask = ones_mask(params)
+        mask.bits[rng.random(len(params)) < 0.3] = 0.0
+        x = rng.standard_normal((7,) + spec.input_shape)
+        y = rng.integers(0, spec.num_classes, 7)
+        grad = tl.backward(spec, params, mask, x, y)
+        assert max_relative_error(grad.values, tape_gradient(spec, params, mask, x, y)) <= 1e-12
+
+    def test_forward_matches_explicit_loops(self):
+        spec = tl.ModelSpec("convnet", (2, 8, 8), 3, channels=(4, 5))
+        params = tl.init_params(spec, 0)
+        rng = np.random.default_rng(0)
+        mask = ones_mask(params)
+        mask.bits[rng.random(len(params)) < 0.3] = 0.0
+        x = rng.standard_normal((3, 2, 8, 8))
+        assert np.allclose(tl.forward(spec, params, mask, x),
+                           loop_forward(spec, params, mask, x))
 
 
 class TestTrain:
