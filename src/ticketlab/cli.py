@@ -154,9 +154,7 @@ class ExperimentConfig:
 
     @classmethod
     def load(cls, path):
-        with open(path) as f:
-            raw = json.load(f)
-        diagnostics = validate_config_dict(raw, base_dir=os.path.dirname(path))
+        raw, diagnostics = _read_config(path)
         if diagnostics:
             raise ConfigError("; ".join(diagnostics))
         return cls(raw)
@@ -247,6 +245,59 @@ class ExperimentConfig:
         }
 
 
+_TRAIN_FIELDS = {"learning_rate": False, "momentum": False, "weight_decay": False,
+                 "batch_size": True, "gamma": False, "shuffle_seed": True}
+
+# Every object section ExperimentConfig reads, parents before children, with
+# its numeric fields; True marks the fields that must be integers.
+_SECTIONS = {
+    "dataset": {"num_classes": True, "per_class": True, "test_per_class": True,
+                "noise": False, "seed": True},
+    "model": {"num_classes": True},
+    "prune": {"amount": False, "desired_sparsity": False, "rewind_epoch": True,
+              "mask_train_epochs": True, "finetune_epochs": True,
+              "iteration_cap": True},
+    "prune.mask_train": _TRAIN_FIELDS,
+    "prune.finetune": _TRAIN_FIELDS,
+    "distiller": {"ipc": True, "iterations": True, "seed": True},
+    "report": {"lmc_points": True, "threshold": False, "num_bins": True},
+}
+
+
+def _is_number(value, integer=False):
+    """A JSON number (an integer if asked); bool does not count."""
+    if isinstance(value, bool):
+        return False
+    return isinstance(value, int) or (not integer and isinstance(value, float))
+
+
+def _typed_sections(raw, out):
+    """Each object section by dotted name ({} where absent or not an
+    object), appending a diagnostic to `out` for every section that is not
+    an object and every numeric field of the wrong type."""
+    sections = {}
+    for name, fields in _SECTIONS.items():
+        parent, _, key = name.rpartition(".")
+        sec = (sections[parent] if parent else raw).get(key, {})
+        if not isinstance(sec, dict):
+            out.append(f"{name} must be an object")
+            sec = {}
+        for field, integer in fields.items():
+            if field in sec and not _is_number(sec[field], integer):
+                out.append(f"{name}.{field} must be {'an integer' if integer else 'a number'}")
+        sections[name] = sec
+    return sections
+
+
+def _check_path(out, name, path, base_dir=""):
+    if path is None:
+        out.append(f"{name} missing")
+    elif not isinstance(path, str):
+        out.append(f"{name} must be a path string")
+    elif not os.path.exists(os.path.join(base_dir, path)) and not os.path.exists(path):
+        out.append(f"{name} file not found: {path}")
+
+
 def validate_config_dict(raw, base_dir=""):
     """All violations, not fail-fast; empty list means valid."""
     out = []
@@ -255,58 +306,60 @@ def validate_config_dict(raw, base_dir=""):
     for key in ("dataset", "model"):
         if key not in raw:
             out.append(f"missing section '{key}'")
+    sections = _typed_sections(raw, out)
     method = raw.get("method", "imp")
     if method not in ("imp", "distilled", "random"):
         out.append(f"unknown method '{method}'")
-    p = raw.get("prune", {})
+    p = sections["prune"]
     amount = p.get("amount", 0.2)
-    if not 0 < amount < 1:
+    if _is_number(amount) and not 0 < amount < 1:
         out.append("amount must be in (0,1)")
     ds = p.get("desired_sparsity", 0.5)
-    if not 0 < ds < 1:
+    if _is_number(ds) and not 0 < ds < 1:
         out.append("desired_sparsity must be in (0,1)")
     k = p.get("rewind_epoch", 0)
     t = p.get("mask_train_epochs", 3)
-    if k < 0:
-        out.append("rewind_epoch must be >= 0")
-    elif k > 0 and k >= t:
-        out.append("rewind_epoch must be < mask_train_epochs")
+    if _is_number(k) and _is_number(t):
+        if k < 0:
+            out.append("rewind_epoch must be >= 0")
+        elif k > 0 and k >= t:
+            out.append("rewind_epoch must be < mask_train_epochs")
     if p.get("scope", "global") not in ("global", "layerwise"):
         out.append("scope must be global or layerwise")
     seeds = raw.get("seeds", [0, 1, 2, 3, 4])
-    if not seeds or not all(isinstance(s, int) for s in seeds):
+    if not isinstance(seeds, list) or not seeds \
+            or not all(_is_number(s, integer=True) for s in seeds):
         out.append("seeds must be a non-empty list of integers")
-    d = raw.get("dataset", {})
+    d = sections["dataset"]
     if d.get("source") == "idx":
         for key in ("images", "labels"):
-            path = d.get(key)
-            if path is None:
-                out.append(f"dataset.{key} missing")
-            elif not os.path.exists(os.path.join(base_dir, path)) \
-                    and not os.path.exists(path):
-                out.append(f"dataset.{key} file not found: {path}")
+            _check_path(out, f"dataset.{key}", d.get(key), base_dir)
     elif d.get("source") == "synth":
         if d.get("kind") not in ("gaussianBlobs", "spirals"):
             out.append("dataset.kind must be gaussianBlobs or spirals")
+        for key in ("num_classes", "per_class"):
+            if key not in d:
+                out.append(f"dataset.{key} missing")
     elif "source" in d:
         out.append(f"unknown dataset source '{d.get('source')}'")
-    dist = raw.get("distiller", {})
+    dist = sections["distiller"]
     if dist.get("kind") == "external":
-        path = dist.get("path")
-        if path is None or not os.path.exists(path):
-            out.append(f"distiller.path file not found: {path}")
+        _check_path(out, "distiller.path", dist.get("path"))
     return out
 
 
-def validate_config(path):
+def _read_config(path):
+    """(parsed config or None, diagnostics); OSError propagates."""
     try:
         with open(path) as f:
             raw = json.load(f)
-    except OSError as e:
-        raise
-    except json.JSONDecodeError as e:
-        return [f"invalid JSON: {e}"]
-    return validate_config_dict(raw, base_dir=os.path.dirname(path))
+    except (json.JSONDecodeError, UnicodeDecodeError) as e:
+        return None, [f"invalid JSON: {e}"]
+    return raw, validate_config_dict(raw, base_dir=os.path.dirname(path))
+
+
+def validate_config(path):
+    return _read_config(path)[1]
 
 
 # ---------------------------------------------------------------------------

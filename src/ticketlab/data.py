@@ -66,6 +66,9 @@ class DistilledDataset(LabeledDataset):
         super().__post_init__()
         if self.provenance not in PROVENANCE_CODES:
             raise ValueError(f"unknown provenance {self.provenance!r}")
+        if self.ipc < 1 or self.size != self.num_classes * self.ipc:
+            raise ValueError(f"{self.size} examples do not make ipc={self.ipc} "
+                             f"for {self.num_classes} classes")
         if not np.all(np.isfinite(self.examples)):
             raise ValueError("distilled examples must be finite")
 
@@ -196,11 +199,28 @@ def distill_class_mean(data: LabeledDataset) -> DistilledDataset:
                             provenance="classMean", ipc=1)
 
 
+def _sq_dist(points, center, out=None):
+    """Squared distance from every point to one center."""
+    return ((points - center) ** 2).sum(axis=1, out=out)
+
+
+def _sq_dists(points, centers, out=None):
+    """(n, k) squared distances, written one center column at a time.  Each
+    sum runs in the same order as in an (n, k, d) broadcast, so near-ties
+    in argmin resolve as they would there."""
+    if out is None:
+        out = np.empty((points.shape[0], centers.shape[0]))
+    for j in range(centers.shape[0]):
+        _sq_dist(points, centers[j], out=out[:, j])
+    return out
+
+
 def _kmeans_plus_plus(points, k, rng):
     """k-means++ style seeding; deterministic given the rng state."""
     centers = [points[rng.integers(points.shape[0])]]
+    d2 = np.full(points.shape[0], np.inf)  # to the nearest chosen center
     for _ in range(1, k):
-        d2 = np.min([np.sum((points - c) ** 2, axis=1) for c in centers], axis=0)
+        d2 = np.minimum(d2, _sq_dist(points, centers[-1]))
         total = d2.sum()
         if total == 0.0:
             centers.append(points[int(np.argmin(d2))])
@@ -211,9 +231,15 @@ def _kmeans_plus_plus(points, k, rng):
 
 
 def _kmeans(points, k, iterations, rng):
+    """Lloyd's algorithm from k-means++ seeds, for at most `iterations`
+    rounds.  A round maps centers to centers without touching the rng, so
+    once a round leaves the centers unchanged every later round would too,
+    and the loop stops there."""
     centers = _kmeans_plus_plus(points, k, rng)
+    d2 = np.empty((points.shape[0], k))
     for _ in range(iterations):
-        d2 = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+        previous = centers.copy()
+        _sq_dists(points, centers, out=d2)
         assign = np.argmin(d2, axis=1)  # ties go to the lowest center index
         for j in range(k):
             members = points[assign == j]
@@ -223,18 +249,23 @@ def _kmeans(points, k, iterations, rng):
                 centers[j] = points[far]
             else:
                 centers[j] = members.mean(axis=0)
+        if np.array_equal(centers, previous):
+            break
     return centers
 
 
 def kmeans_objective(points, centers):
     """Total within-cluster squared distance; herding quality measure."""
-    d2 = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-    return float(np.min(d2, axis=1).sum())
+    return float(np.min(_sq_dists(points, centers), axis=1).sum())
 
 
 def distill_kmeans_herding(data: LabeledDataset, ipc: int, iterations: int = 50,
                            seed: int = 0) -> DistilledDataset:
-    """Per-class k-means centroids (k = ipc) as synthetic images."""
+    """Per-class k-means centroids (k = ipc) as synthetic images.
+
+    `iterations` caps the Lloyd rounds per class; a class stops at the
+    first round whose centers equal the previous ones, where every later
+    round would return the same centers."""
     shape = data.examples.shape[1:]
     images, labels = [], []
     for c, idx in enumerate(_class_indices(data)):

@@ -1,7 +1,10 @@
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import ticketlab as tl
 from ticketlab import cli, nn
@@ -69,6 +72,100 @@ class TestValidate:
     def test_missing_config_file_is_io_error(self, tmp_path):
         assert cli.main(["validate", "--config",
                          str(tmp_path / "nope.json")]) == cli.EXIT_IO
+
+
+def write_raw(tmp_path, raw):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(raw))
+    return path
+
+
+def with_section(key, value):
+    raw = json.loads(json.dumps(BASE_CONFIG))
+    raw[key] = value
+    return raw
+
+
+WRONG_TYPES = [
+    ("seeds", with_section("seeds", 5)),
+    ("seeds", with_section("seeds", [0, True])),
+    ("prune", with_section("prune", [])),
+    ("dataset", with_section("dataset", [])),
+    ("distiller", with_section("distiller", "x")),
+    ("report", with_section("report", 3)),
+    ("prune.amount", with_section("prune", {"amount": "0.2"})),
+    ("prune.amount", with_section("prune", {"amount": True})),
+    ("prune.mask_train_epochs", with_section("prune", {"mask_train_epochs": 2.5})),
+    ("prune.rewind_epoch", with_section("prune", {"rewind_epoch": None})),
+    ("prune.finetune", with_section("prune", {"finetune": [0.1]})),
+    ("prune.mask_train.batch_size",
+     with_section("prune", {"mask_train": {"batch_size": "32"}})),
+    ("dataset.per_class", with_section("dataset", {**BASE_CONFIG["dataset"],
+                                                   "per_class": "60"})),
+    ("dataset.images", with_section("dataset", {"source": "idx", "images": 7,
+                                                "labels": ["a"]})),
+    ("distiller.path", with_section("distiller", {"kind": "external", "path": {}})),
+    ("distiller.ipc", with_section("distiller", {"ipc": 2.0})),
+]
+WRONG_TYPE_IDS = [f"{field}-{i}" for i, (field, _) in enumerate(WRONG_TYPES)]
+
+
+class TestValidateTypes:
+    @pytest.mark.parametrize("field,raw", WRONG_TYPES, ids=WRONG_TYPE_IDS)
+    def test_wrong_type_is_a_diagnostic(self, tmp_path, capsys, field, raw):
+        path = write_raw(tmp_path, raw)
+        assert cli.main(["validate", "--config", str(path)]) == cli.EXIT_CONFIG
+        diags = json.loads(capsys.readouterr().out)["diagnostics"]
+        assert any(field in d for d in diags), diags
+
+    @pytest.mark.parametrize("field,raw", WRONG_TYPES[:7], ids=WRONG_TYPE_IDS[:7])
+    def test_prune_rejects_wrong_type_before_running(self, tmp_path, field, raw):
+        path = write_raw(tmp_path, raw)
+        assert cli.main(["prune", "--config", str(path),
+                         "--out", str(tmp_path / "out")]) == cli.EXIT_CONFIG
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("missing", ["num_classes", "per_class"])
+    def test_synth_fields_required(self, tmp_path, missing):
+        dataset = {k: v for k, v in BASE_CONFIG["dataset"].items() if k != missing}
+        path = write_raw(tmp_path, with_section("dataset", dataset))
+        assert f"dataset.{missing} missing" in cli.validate_config(path)
+        assert cli.main(["prune", "--config", str(path),
+                         "--out", str(tmp_path / "out")]) == cli.EXIT_CONFIG
+
+    def test_prune_on_invalid_json_is_config_error(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text('{"dataset": ')
+        assert cli.main(["prune", "--config", str(path)]) == cli.EXIT_CONFIG
+
+    def test_non_utf8_config_is_config_error(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_bytes(b'{"seeds": "\xff"}')
+        assert cli.main(["validate", "--config", str(path)]) == cli.EXIT_CONFIG
+
+
+CONFIG_KEYS = sorted({"dataset", "model", "prune", "distiller", "report", "seeds",
+                      "method", "mask_train", "finetune", "source", "kind", "path",
+                      "images", "labels"}
+                     | {k for fields in cli._SECTIONS.values() for k in fields})
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8)
+    | st.sampled_from(["idx", "synth", "external", "gaussianBlobs", "imp"]),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(CONFIG_KEYS) | st.text(max_size=6), inner,
+                      max_size=6),
+    max_leaves=20)
+
+
+@settings(max_examples=300, deadline=None)
+@given(value=json_values)
+def test_validate_is_total_on_json(value):
+    """Any JSON value as the config gives a documented exit code."""
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "config.json"
+        path.write_text(json.dumps(value))
+        assert cli.main(["validate", "--config", str(path)]) in (0, 2, 3, 4)
 
 
 class TestRunExperiment:

@@ -174,10 +174,99 @@ class TestDistillers:
                 assert obj <= prev + 1e-9
             prev = obj
 
+    def test_ipc_must_match_example_count(self):
+        x, labels = np.zeros((4, 2)), np.array([0, 0, 1, 1])
+        assert tl.DistilledDataset(x, labels, 2, ipc=2).ipc == 2
+        for ipc in (0, 1, 3):
+            with pytest.raises(ValueError, match="ipc"):
+                tl.DistilledDataset(x, labels, 2, ipc=ipc)
+
     def test_herding_deterministic(self, dataset):
         a = tl.distill_kmeans_herding(dataset, ipc=3, seed=5)
         b = tl.distill_kmeans_herding(dataset, ipc=3, seed=5)
         assert np.array_equal(a.examples, b.examples)
+
+
+def _reference_herding(data, ipc, iterations=50, seed=0):
+    """distill_kmeans_herding as first written: seeding re-stacks the
+    distances to every chosen center, and Lloyd always runs all
+    `iterations` rounds on an (n, k, d) broadcast."""
+    images = []
+    for c in range(data.num_classes):
+        points = data.examples[data.labels == c].reshape(-1, data.examples[0].size)
+        rng = np.random.default_rng([seed, c])
+        centers = [points[rng.integers(points.shape[0])]]
+        for _ in range(1, ipc):
+            d2 = np.min([np.sum((points - x) ** 2, axis=1) for x in centers], axis=0)
+            total = d2.sum()
+            if total == 0.0:
+                centers.append(points[int(np.argmin(d2))])
+                continue
+            r = rng.random() * total
+            centers.append(points[int(np.searchsorted(np.cumsum(d2), r))])
+        centers = np.stack(centers)
+        for _ in range(iterations):
+            d2 = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+            assign = np.argmin(d2, axis=1)
+            for j in range(ipc):
+                members = points[assign == j]
+                if members.shape[0] == 0:
+                    centers[j] = points[int(np.argmax(np.min(d2, axis=1)))]
+                else:
+                    centers[j] = members.mean(axis=0)
+        images.append(centers.reshape((ipc,) + data.examples.shape[1:]))
+    return np.concatenate(images)
+
+
+class TestHerdingOracle:
+    """The early stop and the per-center distances change the work done,
+    never a bit of the result."""
+
+    @pytest.mark.parametrize("seed", [0, 3, 11])
+    @pytest.mark.parametrize("ipc", [1, 2, 5])
+    def test_matches_reference(self, seed, ipc):
+        ds = tl.synth_dataset("gaussianBlobs", 3, 40, 0.7, seed=seed,
+                              input_shape=(4,))
+        got = tl.distill_kmeans_herding(ds, ipc=ipc, seed=seed)
+        assert got.examples.tobytes() == _reference_herding(ds, ipc, seed=seed).tobytes()
+
+    def test_image_input(self):
+        ds = tl.synth_dataset("gaussianBlobs", 2, 60, 1.0, seed=4,
+                              input_shape=(1, 8, 8))
+        got = tl.distill_kmeans_herding(ds, ipc=6, seed=2)
+        assert got.examples.shape == (12, 1, 8, 8)
+        assert got.examples.tobytes() == _reference_herding(ds, 6, seed=2).tobytes()
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_duplicate_points_reseed_empty_clusters(self, seed):
+        # three distinct points for four centers: a cluster must go empty
+        x = np.repeat(np.array([[0.0, 0.0], [1.0, 1.0], [5.0, 5.0]]), 6, axis=0)
+        ds = tl.LabeledDataset(x, np.zeros(18, dtype=int), 1)
+        got = tl.distill_kmeans_herding(ds, ipc=4, seed=seed)
+        assert got.examples.tobytes() == _reference_herding(ds, 4, seed=seed).tobytes()
+
+    @pytest.mark.parametrize("dim,grid_seed", [(1, 5), (1, 6), (2, 0), (3, 1)])
+    def test_grid_points_with_distance_ties(self, dim, grid_seed):
+        # on a 0.1 grid many points sit (nearly) halfway between two
+        # centers, so argmin follows the last bit of each squared distance
+        x = np.random.default_rng(grid_seed).integers(0, 7, size=(24, dim)) * 0.1 + 0.3
+        ds = tl.LabeledDataset(x, np.zeros(24, dtype=int), 1)
+        for ipc in (3, 5):
+            got = tl.distill_kmeans_herding(ds, ipc=ipc, seed=0)
+            assert got.examples.tobytes() == _reference_herding(ds, ipc).tobytes()
+
+    @pytest.mark.parametrize("iterations", [1, 3])
+    def test_few_iterations(self, iterations):
+        ds = tl.synth_dataset("gaussianBlobs", 3, 50, 1.5, seed=8, input_shape=(6,))
+        got = tl.distill_kmeans_herding(ds, ipc=7, iterations=iterations, seed=1)
+        want = _reference_herding(ds, 7, iterations=iterations, seed=1)
+        assert got.examples.tobytes() == want.tobytes()
+
+    def test_objective_matches_broadcast(self):
+        ds = tl.synth_dataset("gaussianBlobs", 1, 30, 0.9, seed=5, input_shape=(3,))
+        centers = ds.examples[:4] + 0.1
+        d2 = ((ds.examples[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+        assert kmeans_objective(ds.examples, centers) == float(d2.min(axis=1).sum())
 
 
 class TestDstlFormat:
