@@ -11,7 +11,7 @@ from .data import (DistilledDataset, FormatError, LabeledDataset,
                    distill_class_mean, distill_kmeans_herding, distill_random,
                    load_distilled, load_idx, save_distilled, synth_dataset,
                    write_idx)
-from .engines import (IterationRecord, PruneRunConfig, RewindStore, RunRecord,
+from .engines import (IterationRecord, PruneRunConfig, RunRecord,
                       SparsityUnreachable, distilled_prune_run, imp_run,
                       random_prune_run, time_to_mask)
 from .analysis import (InstabilityReport, InterpolationCurve, WeightHistogram,

@@ -39,21 +39,7 @@ class ConfigError(ValueError):
 # ---------------------------------------------------------------------------
 # Atomic file output
 
-def atomic_write_text(path, text):
-    d = os.path.dirname(os.path.abspath(path))
-    os.makedirs(d, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", newline="\n") as f:
-            f.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
-def atomic_write_bytes(path, blob):
+def _atomic_write(path, blob):
     d = os.path.dirname(os.path.abspath(path))
     os.makedirs(d, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
@@ -65,6 +51,15 @@ def atomic_write_bytes(path, blob):
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def atomic_write_text(path, text):
+    """UTF-8 with the text's own line endings."""
+    _atomic_write(path, text.encode("utf-8"))
+
+
+def atomic_write_bytes(path, blob):
+    _atomic_write(path, blob)
 
 
 def _fmt(value):
@@ -151,13 +146,19 @@ def load_mask(path) -> pruning.SparsityMask:
 @dataclass
 class ExperimentConfig:
     raw: dict
+    base_dir: str = ""      # directory of the config file
 
     @classmethod
     def load(cls, path):
         raw, diagnostics = _read_config(path)
         if diagnostics:
             raise ConfigError("; ".join(diagnostics))
-        return cls(raw)
+        return cls(raw, os.path.dirname(path))
+
+    def path(self, name):
+        """A path named in the config; relative ones are taken from the
+        directory of the config file."""
+        return os.path.join(self.base_dir, name)
 
     def model_spec(self) -> nn.ModelSpec:
         m = self.raw["model"]
@@ -203,13 +204,12 @@ class ExperimentConfig:
         """(train dataset, eval dataset) from the configured source."""
         d = self.raw["dataset"]
         if d["source"] == "idx":
-            train = data_mod.load_idx(d["images"], d["labels"])
-            if "test_images" in d:
-                test = data_mod.load_idx(d["test_images"], d["test_labels"],
-                                         num_classes=train.num_classes)
-            else:
-                test = train
-            return train, test
+            train = data_mod.load_idx(self.path(d["images"]), self.path(d["labels"]))
+            if "test_images" not in d:
+                return train, train
+            return train, data_mod.load_idx(self.path(d["test_images"]),
+                                            self.path(d["test_labels"]),
+                                            num_classes=train.num_classes)
         shape = tuple(d.get("input_shape", (2,)))
         train = data_mod.synth_dataset(d["kind"], d["num_classes"], d["per_class"],
                                        d.get("noise", 0.5), d.get("seed", 0), shape)
@@ -223,7 +223,7 @@ class ExperimentConfig:
         d = self.raw.get("distiller", {"kind": "kmeansHerding", "ipc": 10})
         kind = d.get("kind", "kmeansHerding")
         if kind == "external":
-            return data_mod.load_distilled(d["path"])
+            return data_mod.load_distilled(self.path(d["path"]))
         if kind == "classMean":
             return data_mod.distill_class_mean(train_set)
         if kind == "random":
@@ -289,13 +289,33 @@ def _typed_sections(raw, out):
     return sections
 
 
-def _check_path(out, name, path, base_dir=""):
+def _check_path(out, name, path, config):
     if path is None:
         out.append(f"{name} missing")
     elif not isinstance(path, str):
         out.append(f"{name} must be a path string")
-    elif not os.path.exists(os.path.join(base_dir, path)) and not os.path.exists(path):
+    elif not os.path.exists(config.path(path)):
         out.append(f"{name} file not found: {path}")
+
+
+def _check_model(config, out):
+    """The ModelSpec a run would build from the model section, or None,
+    appending a diagnostic for whatever stops it."""
+    m = config.raw.get("model")
+    if not isinstance(m, dict):
+        return None
+    for key in ("architecture", "input_shape", "num_classes"):
+        if key not in m:
+            out.append(f"model.{key} missing")
+    for key in ("input_shape", "hidden", "channels"):
+        if not isinstance(m.get(key, []), list):
+            out.append(f"model.{key} must be a list")
+    if any(d.startswith("model.") for d in out):
+        return None
+    try:
+        return config.model_spec()
+    except ValueError as e:
+        out.append(f"model: {e}")
 
 
 def validate_config_dict(raw, base_dir=""):
@@ -330,21 +350,33 @@ def validate_config_dict(raw, base_dir=""):
     if not isinstance(seeds, list) or not seeds \
             or not all(_is_number(s, integer=True) for s in seeds):
         out.append("seeds must be a non-empty list of integers")
+    config = ExperimentConfig(raw, base_dir)
+    spec = _check_model(config, out)
     d = sections["dataset"]
     if d.get("source") == "idx":
-        for key in ("images", "labels"):
-            _check_path(out, f"dataset.{key}", d.get(key), base_dir)
+        for key in ("images", "labels") + (("test_images", "test_labels")
+                                           if "test_images" in d else ()):
+            _check_path(out, f"dataset.{key}", d.get(key), config)
     elif d.get("source") == "synth":
         if d.get("kind") not in ("gaussianBlobs", "spirals"):
             out.append("dataset.kind must be gaussianBlobs or spirals")
         for key in ("num_classes", "per_class"):
             if key not in d:
                 out.append(f"dataset.{key} missing")
+        if spec is not None:
+            shape = d.get("input_shape", [2])
+            if "num_classes" in d and d["num_classes"] != spec.num_classes:
+                out.append("dataset.num_classes must equal model.num_classes")
+            if not (isinstance(shape, list) and all(_is_number(v, True) for v in shape)
+                    and tuple(shape) == spec.input_shape):
+                out.append("dataset.input_shape must equal model.input_shape")
     elif "source" in d:
         out.append(f"unknown dataset source '{d.get('source')}'")
+    elif isinstance(raw.get("dataset"), dict):
+        out.append("dataset.source missing")
     dist = sections["distiller"]
     if dist.get("kind") == "external":
-        _check_path(out, "distiller.path", dist.get("path"))
+        _check_path(out, "distiller.path", dist.get("path"), config)
     return out
 
 
@@ -371,56 +403,49 @@ class ReportBundle:
     csv_paths: dict
 
 
-def _run_one(method, spec, theta, d_real, d_syn, cfg, eval_data, finetune_each, seed):
-    if method == "imp":
-        return engines.imp_run(spec, theta, d_real, cfg, eval_data=eval_data,
-                               finetune_each=finetune_each, seed=seed)
-    if method == "random":
-        return engines.random_prune_run(spec, theta, d_real, cfg,
-                                        eval_data=eval_data,
-                                        finetune_each=finetune_each, seed=seed)
-    _, _, rec = engines.distilled_prune_run(spec, theta, d_syn, d_real, cfg,
-                                            eval_data=eval_data,
-                                            finetune_each=finetune_each, seed=seed)
-    return rec
+def _run_seeds(config, method, seeds, finetune_each, count=None):
+    """(spec, cfg, train set, eval set, one RunRecord per seed) for the
+    given seeds, else the configured ones; only the first `count` run."""
+    spec, cfg = config.model_spec(), config.prune_config()
+    d_real, d_test = config.datasets()
+    d_syn = config.distilled(d_real) if method == "distilled" else None
+    records = []
+    for seed in (tuple(seeds) if seeds else cfg.seeds)[:count]:
+        theta = nn.init_params(spec, seed)
+        kw = dict(eval_data=d_test, finetune_each=finetune_each, seed=seed)
+        # engines.<name> is looked up per call, so a rebound engine is the one run
+        if method == "distilled":
+            records.append(engines.distilled_prune_run(spec, theta, d_syn, d_real,
+                                                       cfg, **kw)[2])
+        else:
+            run = engines.imp_run if method == "imp" else engines.random_prune_run
+            records.append(run(spec, theta, d_real, cfg, **kw))
+    return spec, cfg, d_real, d_test, records
 
 
 def run_experiment(config: ExperimentConfig, out_dir, method=None,
                    seeds=None) -> ReportBundle:
     """Execute the configured engine over all seeds and emit the report."""
-    spec = config.model_spec()
-    cfg = config.prune_config()
     opts = config.report_options()
     method = method or config.raw.get("method", "imp")
-    seeds = tuple(seeds) if seeds else cfg.seeds
-    d_real, d_test = config.datasets()
-    d_syn = config.distilled(d_real) if method == "distilled" else None
+    spec, cfg, d_real, d_test, records = _run_seeds(config, method, seeds,
+                                                    opts["finetune_each"])
 
-    records = []
-    for seed in seeds:
-        theta = nn.init_params(spec, seed)
-        records.append(_run_one(method, spec, theta, d_real, d_syn, cfg,
-                                d_test, opts["finetune_each"], seed))
-
-    rows = []
-    for rec in records:
-        for it in rec.iterations:
-            rows.append((rec.method, rec.seed, it.index, it.sparsity,
-                         it.finetune_accuracy, it.mask_phase_seconds,
-                         it.finetune_seconds))
-    iterations_csv = csv_text(ITERATIONS_HEADER, rows)
+    rows = [(rec.method, rec.seed, it.index, it.sparsity, it.finetune_accuracy,
+             it.mask_phase_seconds, it.finetune_seconds)
+            for rec in records for it in rec.iterations]
     paths = {"iterations": os.path.join(out_dir, "iterations.csv")}
-    atomic_write_text(paths["iterations"], iterations_csv)
+    atomic_write_text(paths["iterations"], csv_text(ITERATIONS_HEADER, rows))
 
     for rec in records:
         mask_path = os.path.join(out_dir, f"mask_{rec.method}_seed{rec.seed}.mask")
         save_mask(mask_path, rec.final_mask, rec.method, rec.seed)
 
-    summary = summarize(records, seeds)
+    summary = summarize(records)
     if opts["lmc"]:
         paths["lmc"] = os.path.join(out_dir, "lmc.csv")
-        summary["lmc"] = _emit_lmc(config, spec, cfg, d_real, d_test, records[0],
-                                   opts, paths["lmc"])
+        summary["lmc"] = _emit_lmc(spec, cfg, d_real, d_test, records[0], opts,
+                                   paths["lmc"])
     if opts["histograms"]:
         _emit_histograms(spec, records[0], opts, out_dir, paths)
 
@@ -429,32 +454,33 @@ def run_experiment(config: ExperimentConfig, out_dir, method=None,
     return ReportBundle(summary, paths)
 
 
-def summarize(records, seeds):
-    """Best-seed and mean/std accuracy per sparsity level; timing totals."""
+def _levels(rows):
+    """Best-seed and mean/std accuracy per sparsity level from
+    (sparsity, seed, accuracy or None) rows."""
     by_level = {}
-    for rec in records:
-        for it in rec.iterations:
-            if it.finetune_accuracy is not None:
-                by_level.setdefault(round(it.sparsity, 12), []).append(
-                    (rec.seed, it.finetune_accuracy))
+    for level, seed, acc in rows:
+        if acc is not None:
+            by_level.setdefault(round(level, 12), []).append((seed, acc))
     levels = []
     for level in sorted(by_level):
         pairs = by_level[level]
         accs = np.array([a for _, a in pairs])
         best_seed, best_acc = max(pairs, key=lambda p: (p[1], -p[0]))
-        levels.append({
-            "sparsity": level,
-            "mean_accuracy": float(accs.mean()),
-            "std_accuracy": float(accs.std()),
-            "best_seed": int(best_seed),
-            "best_accuracy": float(best_acc),
-        })
+        levels.append({"sparsity": level, "mean_accuracy": float(accs.mean()),
+                       "std_accuracy": float(accs.std()), "best_seed": int(best_seed),
+                       "best_accuracy": float(best_acc)})
+    return levels
+
+
+def summarize(records):
+    """Best-seed and mean/std accuracy per sparsity level; timing totals."""
     return {
         "schema_version": SCHEMA_VERSION,
         "method": records[0].method,
-        "seeds": list(seeds),
+        "seeds": [rec.seed for rec in records],
         "final_sparsity": records[0].final_sparsity,
-        "levels": levels,
+        "levels": _levels((it.sparsity, rec.seed, it.finetune_accuracy)
+                          for rec in records for it in rec.iterations),
         "time_to_mask_seconds": {
             str(rec.seed): {
                 "mask_only": engines.time_to_mask(rec, False),
@@ -464,7 +490,7 @@ def summarize(records, seeds):
     }
 
 
-def _emit_lmc(config, spec, cfg, d_real, d_test, record, opts, path):
+def _emit_lmc(spec, cfg, d_real, d_test, record, opts, path):
     seed_a, seed_b = 1, 2
     theta = nn.init_params(spec, record.seed)
     mask = record.final_mask
@@ -501,8 +527,7 @@ def rebuild_summary(out_dir):
         raise data_mod.FormatError(f"{path} has no iteration rows")
     header = lines[0].split(",")
     idx = {name: i for i, name in enumerate(header)}
-    by_level = {}
-    methods, seeds = set(), set()
+    methods, seeds, rows = set(), set(), []
     try:
         for line in lines[1:]:
             cells = line.split(",")
@@ -512,21 +537,12 @@ def rebuild_summary(out_dir):
             seed = int(cells[idx["seed"]])
             seeds.add(seed)
             if cells[idx["test_accuracy"]]:
-                level = round(float(cells[idx["sparsity"]]), 12)
-                by_level.setdefault(level, []).append(
-                    (seed, float(cells[idx["test_accuracy"]])))
+                rows.append((float(cells[idx["sparsity"]]), seed,
+                             float(cells[idx["test_accuracy"]])))
     except (KeyError, ValueError) as e:
         raise data_mod.FormatError(f"{path}: {e!r}") from None
-    levels = []
-    for level in sorted(by_level):
-        accs = np.array([a for _, a in by_level[level]])
-        best_seed, best_acc = max(by_level[level], key=lambda p: (p[1], -p[0]))
-        levels.append({"sparsity": level, "mean_accuracy": float(accs.mean()),
-                       "std_accuracy": float(accs.std()),
-                       "best_seed": int(best_seed),
-                       "best_accuracy": float(best_acc)})
     return {"schema_version": SCHEMA_VERSION, "method": ",".join(sorted(methods)),
-            "seeds": sorted(seeds), "levels": levels}
+            "seeds": sorted(seeds), "levels": _levels(rows)}
 
 
 # ---------------------------------------------------------------------------
@@ -568,11 +584,7 @@ def main(argv=None):
 
 def _dispatch(args):
     if args.command == "validate":
-        try:
-            diagnostics = validate_config(args.config)
-        except OSError as e:
-            print(f"i/o failure: {e}", file=sys.stderr)
-            return EXIT_IO
+        diagnostics = validate_config(args.config)
         print(json.dumps({"diagnostics": diagnostics}))
         return 0 if not diagnostics else EXIT_CONFIG
 
@@ -602,41 +614,21 @@ def _dispatch(args):
         print(json.dumps(bundle.summary, sort_keys=True))
         return 0
 
+    # lmc and weights: one engine run of the first seed, without finetune_each
+    spec, cfg, d_real, d_test, (rec,) = _run_seeds(
+        config, config.raw.get("method", "imp"), args.seed, False, count=1)
+    opts = config.report_options()
     if args.command == "lmc":
-        opts = config.report_options()
-        opts["lmc"] = True
-        spec = config.model_spec()
-        cfg = config.prune_config()
-        d_real, d_test = config.datasets()
-        seeds = tuple(args.seed) if args.seed else cfg.seeds[:1]
-        method = config.raw.get("method", "imp")
-        d_syn = config.distilled(d_real) if method == "distilled" else None
-        rec = _run_one(method, spec, nn.init_params(spec, seeds[0]), d_real,
-                       d_syn, cfg, d_test, False, seeds[0])
-        result = _emit_lmc(config, spec, cfg, d_real, d_test, rec, opts,
+        result = _emit_lmc(spec, cfg, d_real, d_test, rec, opts,
                            os.path.join(out_dir, "lmc.csv"))
-        print(json.dumps(result, sort_keys=True))
-        return 0
-
-    if args.command == "weights":
-        opts = config.report_options()
-        spec = config.model_spec()
-        cfg = config.prune_config()
-        d_real, d_test = config.datasets()
-        seeds = tuple(args.seed) if args.seed else cfg.seeds[:1]
-        method = config.raw.get("method", "imp")
-        d_syn = config.distilled(d_real) if method == "distilled" else None
-        rec = _run_one(method, spec, nn.init_params(spec, seeds[0]), d_real,
-                       d_syn, cfg, d_test, False, seeds[0])
+    else:
         paths = {}
         _emit_histograms(spec, rec, opts, out_dir, paths)
-        theta = nn.init_params(spec, seeds[0])
-        ratio = analysis.survivor_magnitude_ratio(theta, rec.final_mask)
-        print(json.dumps({"survivor_magnitude_ratio": ratio,
-                          "files": sorted(paths.values())}, sort_keys=True))
-        return 0
-
-    raise ConfigError(f"unknown command {args.command}")
+        ratio = analysis.survivor_magnitude_ratio(nn.init_params(spec, rec.seed),
+                                                  rec.final_mask)
+        result = {"survivor_magnitude_ratio": ratio, "files": sorted(paths.values())}
+    print(json.dumps(result, sort_keys=True))
+    return 0
 
 
 if __name__ == "__main__":

@@ -51,9 +51,6 @@ class LabeledDataset:
     def class_counts(self) -> np.ndarray:
         return np.bincount(self.labels, minlength=self.num_classes)
 
-    def subset(self, idx) -> "LabeledDataset":
-        return LabeledDataset(self.examples[idx], self.labels[idx], self.num_classes)
-
 
 @dataclass
 class DistilledDataset(LabeledDataset):
@@ -322,5 +319,8 @@ def load_distilled(path) -> DistilledDataset:
     labels = np.frombuffer(label_bytes, dtype="<u2").astype(np.int64)
     if np.any(np.diff(labels) < 0):
         raise FormatError("labels must be class-major ascending")
-    return DistilledDataset(examples.reshape((n,) + dims), labels, num_classes,
-                            provenance=_CODE_TO_PROVENANCE[code], ipc=ipc)
+    try:
+        return DistilledDataset(examples.reshape((n,) + dims), labels, num_classes,
+                                provenance=_CODE_TO_PROVENANCE[code], ipc=ipc)
+    except ValueError as e:
+        raise FormatError(f"{path}: {e}") from None

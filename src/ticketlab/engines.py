@@ -1,11 +1,13 @@
 """Iterative pruning engines.
 
-imp_run: train -> prune lowest-magnitude survivors -> rewind, until the
-desired sparsity.  distilled_prune_run: the same loop but trained on a
-small synthetic summary of the data, rewinding to initialization, with a
-single final finetune on real data.  random_prune_run: the data-blind
-baseline.  Wall-clock time around the train/prune calls is recorded per
-iteration so time-to-mask can be reported with or without the final
+One loop runs all three: train a mask, prune, rewind, until the desired
+sparsity.  The engines differ only in its choices.  imp_run trains the
+mask on the real data and rewinds to epoch k of the first training pass.
+distilled_prune_run trains it on a small synthetic summary of the data
+and rewinds to initialization.  random_prune_run, the data-blind
+baseline, trains no mask and prunes at random.  Finetunes always train
+on real data.  Wall-clock time around the train/prune calls is recorded
+per iteration so time-to-mask can be reported with or without the final
 retrain.
 """
 
@@ -17,8 +19,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .nn import ModelSpec, ParameterVector, TrainConfig, train, train_with_snapshots, evaluate
-from .pruning import (GLOBAL, PruneScope, SparsityMask, apply_mask,
-                      magnitude_prune, random_prune, sparsity)
+from .pruning import (GLOBAL, PruneScope, SparsityMask, magnitude_prune,
+                      random_prune, sparsity)
 
 DEFAULT_ITERATION_CAP = 40
 
@@ -55,20 +57,6 @@ class PruneRunConfig:
         if self.train_config_finetune is None:
             object.__setattr__(self, "train_config_finetune",
                                TrainConfig(epochs=self.finetune_epochs))
-
-
-@dataclass
-class RewindStore:
-    """Snapshots from the first training pass: epoch index -> parameters."""
-
-    snapshots: dict[int, ParameterVector]
-
-    def __post_init__(self):
-        if 0 not in self.snapshots:
-            raise ValueError("rewind store must contain epoch 0")
-
-    def get(self, epoch: int) -> ParameterVector:
-        return self.snapshots[epoch]
 
 
 @dataclass
@@ -109,97 +97,69 @@ def time_to_mask(record: RunRecord, include_final_retrain: bool) -> float:
     finetune.  Distillation cost is never part of this number."""
     total = sum(it.mask_phase_seconds for it in record.iterations)
     if include_final_retrain and record.iterations:
-        final = record.iterations[-1].finetune_seconds
-        if final:
-            total += final
+        total += record.iterations[-1].finetune_seconds or 0.0
     return total
 
 
-def _finetune_and_eval(spec, rewind_params, mask, d_real, cfg, eval_data):
-    t0 = time.monotonic()
-    theta = train(spec, rewind_params, mask, d_real, cfg.train_config_finetune)
-    dt = time.monotonic() - t0
-    acc, _ = evaluate(spec, theta, mask, eval_data if eval_data is not None else d_real)
-    return theta, acc, dt
-
-
-def imp_run(spec: ModelSpec, theta_init: ParameterVector, d_real, cfg: PruneRunConfig,
-            eval_data=None, finetune_each=False, method="imp",
-            seed=0) -> RunRecord:
-    """Classic IMP with weight rewinding to epoch k of the first training pass."""
+def _prune_loop(spec, theta_init, mask_data, d_real, cfg, rewind_epoch, eval_data,
+                finetune_each, method, seed):
+    """Prune until the desired sparsity: magnitude pruning after training
+    on `mask_data` from the rewind point (epoch `rewind_epoch` of the first
+    pass), or random pruning if it is None.  Finetunes from the rewind point
+    on real data if `finetune_each` or the target is reached.  Returns (last
+    finetuned params, RunRecord)."""
     record = RunRecord(method=method, seed=seed, config=cfg)
     mask = SparsityMask.ones(theta_init.layer_map)
-    store = None
-    theta = theta_init
-    iteration = 0
+    rewind = theta_init
     while sparsity(mask, cfg.prune_scope) < cfg.desired_sparsity:
-        iteration += 1
+        iteration = len(record.iterations) + 1
         if iteration > cfg.iteration_cap:
             raise SparsityUnreachable(
                 f"sparsity {sparsity(mask):.4f} after {cfg.iteration_cap} iterations")
         t0 = time.monotonic()
-        if store is None:
-            trained, snaps = train_with_snapshots(
-                spec, theta, mask, d_real, cfg.train_config_mask,
-                snapshot_epochs=(cfg.rewind_epoch,) if cfg.rewind_epoch else ())
-            store = RewindStore(snaps)
+        if mask_data is None:
+            mask = random_prune(mask, cfg.amount, seed=_iteration_seed(seed, iteration),
+                                scope=cfg.prune_scope)
         else:
-            trained = train(spec, apply_mask(theta, mask), mask, d_real,
-                            cfg.train_config_mask)
-        mask = magnitude_prune(trained, mask, cfg.amount, cfg.prune_scope)
-        theta = store.get(cfg.rewind_epoch)
+            if iteration == 1:
+                trained, snaps = train_with_snapshots(
+                    spec, theta_init, mask, mask_data, cfg.train_config_mask,
+                    snapshot_epochs=(rewind_epoch,))
+                rewind = snaps[rewind_epoch]
+            else:
+                trained = train(spec, rewind, mask, mask_data, cfg.train_config_mask)
+            mask = magnitude_prune(trained, mask, cfg.amount, cfg.prune_scope)
         seconds = time.monotonic() - t0
         rec = IterationRecord(iteration, mask, sparsity(mask, cfg.prune_scope), seconds)
-        done = rec.sparsity >= cfg.desired_sparsity
-        if finetune_each or done:
-            _, rec.finetune_accuracy, rec.finetune_seconds = _finetune_and_eval(
-                spec, theta, mask, d_real, cfg, eval_data)
+        if finetune_each or rec.sparsity >= cfg.desired_sparsity:
+            t0 = time.monotonic()
+            theta = train(spec, rewind, mask, d_real, cfg.train_config_finetune)
+            rec.finetune_seconds = time.monotonic() - t0
+            rec.finetune_accuracy, _ = evaluate(
+                spec, theta, mask, eval_data if eval_data is not None else d_real)
         record.iterations.append(rec)
     record.validate()
-    return record
+    return theta, record
+
+
+def imp_run(spec: ModelSpec, theta_init: ParameterVector, d_real, cfg: PruneRunConfig,
+            eval_data=None, finetune_each=False, seed=0) -> RunRecord:
+    """Classic IMP with weight rewinding to epoch k of the first training pass."""
+    return _prune_loop(spec, theta_init, d_real, d_real, cfg, cfg.rewind_epoch,
+                       eval_data, finetune_each, "imp", seed)[1]
 
 
 def distilled_prune_run(spec: ModelSpec, theta_init: ParameterVector, d_syn,
                         d_real, cfg: PruneRunConfig, eval_data=None,
                         finetune_each=False, seed=0):
     """Distilled pruning: the mask loop trains only on the synthetic summary
-    and always rewinds to initialization; one final finetune on real data.
+    and always rewinds to initialization; the finetunes train on real data.
 
     Returns (finetuned params, mask, RunRecord).
     """
-    if d_syn.size == 0:
-        raise ValueError("empty distilled dataset")
-    record = RunRecord(method="distilled", seed=seed, config=cfg)
-    mask = SparsityMask.ones(theta_init.layer_map)
-    theta = theta_init
-    iteration = 0
-    while sparsity(mask, cfg.prune_scope) < cfg.desired_sparsity:
-        iteration += 1
-        if iteration > cfg.iteration_cap:
-            raise SparsityUnreachable(
-                f"sparsity {sparsity(mask):.4f} after {cfg.iteration_cap} iterations")
-        t0 = time.monotonic()
-        trained = train(spec, apply_mask(theta, mask), mask, d_syn,
-                        cfg.train_config_mask)
-        mask = magnitude_prune(trained, mask, cfg.amount, cfg.prune_scope)
-        theta = theta_init
-        seconds = time.monotonic() - t0
-        rec = IterationRecord(iteration, mask, sparsity(mask, cfg.prune_scope), seconds)
-        if finetune_each and rec.sparsity < cfg.desired_sparsity:
-            _, rec.finetune_accuracy, rec.finetune_seconds = _finetune_and_eval(
-                spec, theta, mask, d_real, cfg, eval_data)
-        record.iterations.append(rec)
-    t0 = time.monotonic()
-    theta_finetune = train(spec, apply_mask(theta_init, mask), mask, d_real,
-                           cfg.train_config_finetune)
-    final_seconds = time.monotonic() - t0
-    acc, _ = evaluate(spec, theta_finetune, mask,
-                      eval_data if eval_data is not None else d_real)
-    last = record.iterations[-1]
-    last.finetune_accuracy = acc
-    last.finetune_seconds = final_seconds
-    record.validate()
-    return theta_finetune, mask, record
+    theta, record = _prune_loop(spec, theta_init, d_syn, d_real, cfg, 0, eval_data,
+                                finetune_each, "distilled", seed)
+    return theta, record.final_mask, record
 
 
 def random_prune_run(spec: ModelSpec, theta_init: ParameterVector, d_real,
@@ -207,27 +167,8 @@ def random_prune_run(spec: ModelSpec, theta_init: ParameterVector, d_real,
                      seed=0) -> RunRecord:
     """Random-mask baseline: masks depend only on (seed, amount, iteration);
     training happens only to evaluate accuracy at retained sparsities."""
-    record = RunRecord(method="random", seed=seed, config=cfg)
-    mask = SparsityMask.ones(theta_init.layer_map)
-    iteration = 0
-    while sparsity(mask, cfg.prune_scope) < cfg.desired_sparsity:
-        iteration += 1
-        if iteration > cfg.iteration_cap:
-            raise SparsityUnreachable(
-                f"sparsity {sparsity(mask):.4f} after {cfg.iteration_cap} iterations")
-        t0 = time.monotonic()
-        mask = random_prune(mask, cfg.amount,
-                            seed=_iteration_seed(seed, iteration),
-                            scope=cfg.prune_scope)
-        seconds = time.monotonic() - t0
-        rec = IterationRecord(iteration, mask, sparsity(mask, cfg.prune_scope), seconds)
-        done = rec.sparsity >= cfg.desired_sparsity
-        if finetune_each or done:
-            _, rec.finetune_accuracy, rec.finetune_seconds = _finetune_and_eval(
-                spec, theta_init, mask, d_real, cfg, eval_data)
-        record.iterations.append(rec)
-    record.validate()
-    return record
+    return _prune_loop(spec, theta_init, None, d_real, cfg, 0, eval_data,
+                       finetune_each, "random", seed)[1]
 
 
 def _iteration_seed(seed, iteration):

@@ -110,6 +110,11 @@ class ModelSpec:
             raise ValueError(f"unknown architecture {self.architecture!r}")
         if self.num_classes < 2:
             raise ValueError("need at least 2 classes")
+        if not self.input_shape or not all(
+                isinstance(d, (int, np.integer)) and not isinstance(d, bool) and d >= 1
+                for d in (*self.input_shape, *self.hidden, *self.channels)):
+            raise ValueError("input_shape (non-empty), hidden and channels must be "
+                             "positive integers")
         if self.architecture == "convnet":
             if len(self.input_shape) != 3:
                 raise ValueError("convnet input_shape must be (C, H, W)")

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import ticketlab as tl
-from ticketlab import cli, nn
+from ticketlab import cli, engines, nn
 
 
 BASE_CONFIG = {
@@ -107,18 +107,50 @@ WRONG_TYPES = [
     ("distiller.path", with_section("distiller", {"kind": "external", "path": {}})),
     ("distiller.ipc", with_section("distiller", {"ipc": 2.0})),
 ]
-WRONG_TYPE_IDS = [f"{field}-{i}" for i, (field, _) in enumerate(WRONG_TYPES)]
+
+
+def with_model(**fields):
+    """BASE_CONFIG with model fields changed; a field set to None is removed."""
+    model = {**BASE_CONFIG["model"], **fields}
+    return with_section("model", {k: v for k, v in model.items() if v is not None})
+
+
+# well-typed sections from which no model can be built, or one the data
+# does not fit
+MODEL_CASES = [
+    ("model.input_shape", with_model(input_shape=None)),
+    ("model.architecture", with_model(architecture=None)),
+    ("model.num_classes", with_model(num_classes=None)),
+    ("unknown architecture", with_model(architecture="resnet")),
+    ("at least 2 classes", with_model(num_classes=1)),
+    ("model.hidden", with_model(hidden="abc")),
+    ("positive integers", with_model(hidden=["a"])),
+    ("positive integers", with_model(input_shape=[])),
+    ("halve evenly", with_model(architecture="convnet", input_shape=[1, 3, 3],
+                                channels=[2])),
+    ("dataset.num_classes", with_section("dataset", {**BASE_CONFIG["dataset"],
+                                                     "num_classes": 4})),
+    ("dataset.input_shape", with_section("dataset", {**BASE_CONFIG["dataset"],
+                                                     "input_shape": [3]})),
+    ("dataset.source", with_section("dataset", {k: v for k, v in
+                                                BASE_CONFIG["dataset"].items()
+                                                if k != "source"})),
+]
+INVALID = WRONG_TYPES + MODEL_CASES
+INVALID_IDS = [f"{field}-{i}" for i, (field, _) in enumerate(INVALID)]
+PRUNE_CASES = INVALID[:7] + MODEL_CASES
+PRUNE_CASE_IDS = INVALID_IDS[:7] + INVALID_IDS[len(WRONG_TYPES):]
 
 
 class TestValidateTypes:
-    @pytest.mark.parametrize("field,raw", WRONG_TYPES, ids=WRONG_TYPE_IDS)
+    @pytest.mark.parametrize("field,raw", INVALID, ids=INVALID_IDS)
     def test_wrong_type_is_a_diagnostic(self, tmp_path, capsys, field, raw):
         path = write_raw(tmp_path, raw)
         assert cli.main(["validate", "--config", str(path)]) == cli.EXIT_CONFIG
         diags = json.loads(capsys.readouterr().out)["diagnostics"]
         assert any(field in d for d in diags), diags
 
-    @pytest.mark.parametrize("field,raw", WRONG_TYPES[:7], ids=WRONG_TYPE_IDS[:7])
+    @pytest.mark.parametrize("field,raw", PRUNE_CASES, ids=PRUNE_CASE_IDS)
     def test_prune_rejects_wrong_type_before_running(self, tmp_path, field, raw):
         path = write_raw(tmp_path, raw)
         assert cli.main(["prune", "--config", str(path),
@@ -368,3 +400,82 @@ class TestSubcommands:
         err = capsys.readouterr().err
         assert err.startswith("runtime failure: non-finite logits")
         assert err.count("\n") == 1
+
+
+class TestConfigPaths:
+    """Relative data paths are taken from the config file's directory,
+    whatever the working directory."""
+
+    def config_dir(self, tmp_path, monkeypatch, **sections):
+        cfg_dir, elsewhere = tmp_path / "cfg", tmp_path / "elsewhere"
+        cfg_dir.mkdir()
+        elsewhere.mkdir()
+        ds = tl.synth_dataset("gaussianBlobs", 3, 20, 0.6, seed=0, input_shape=(3, 3))
+        tl.write_idx(tl.LabeledDataset(np.clip(ds.examples / 3 + 0.5, 0, 1),
+                                       ds.labels, 3), cfg_dir / "im.idx", cfg_dir / "lb.idx")
+        raw = with_model(input_shape=[3, 3])
+        raw["dataset"] = {"source": "idx", "images": "im.idx", "labels": "lb.idx",
+                          "test_images": "im.idx", "test_labels": "lb.idx"}
+        raw["seeds"] = [0]
+        raw.update(sections)
+        (cfg_dir / "config.json").write_text(json.dumps(raw))
+        monkeypatch.chdir(elsewhere)
+        return cfg_dir
+
+    def test_idx_paths(self, tmp_path, monkeypatch):
+        cfg_dir = self.config_dir(tmp_path, monkeypatch)
+        config = str(cfg_dir / "config.json")
+        assert cli.main(["validate", "--config", config]) == 0
+        assert cli.main(["prune", "--config", config, "--out", "out"]) == 0
+        assert (tmp_path / "elsewhere" / "out" / "iterations.csv").exists()
+
+    def test_cwd_relative_path_is_not_found(self, tmp_path, monkeypatch):
+        cfg_dir = self.config_dir(tmp_path, monkeypatch)
+        (tmp_path / "elsewhere" / "cfg").symlink_to(cfg_dir)
+        raw = json.loads((cfg_dir / "config.json").read_text())
+        raw["dataset"]["images"] = "cfg/im.idx"
+        (cfg_dir / "config.json").write_text(json.dumps(raw))
+        diags = cli.validate_config(cfg_dir / "config.json")
+        assert diags == ["dataset.images file not found: cfg/im.idx"]
+
+    def test_external_distiller_path(self, tmp_path, monkeypatch, capsys):
+        cfg_dir = self.config_dir(tmp_path, monkeypatch, method="distilled",
+                                  distiller={"kind": "external", "path": "d.dstl"})
+        train = tl.load_idx(cfg_dir / "im.idx", cfg_dir / "lb.idx")
+        tl.save_distilled(tl.distill_class_mean(train), cfg_dir / "d.dstl")
+        config = str(cfg_dir / "config.json")
+        assert cli.main(["validate", "--config", config]) == 0
+        assert cli.main(["prune", "--config", config, "--out", "out"]) == 0
+        assert json.loads(capsys.readouterr().out.splitlines()[-1])["method"] == "distilled"
+
+    @pytest.mark.parametrize("name", ["ipc_zero", "label_out_of_range", "non_finite"])
+    def test_rejected_external_contents_are_io_errors(self, tmp_path, monkeypatch,
+                                                      capsys, name):
+        from test_data import BAD_DSTL_CONTENTS
+        cfg_dir = self.config_dir(tmp_path, monkeypatch, method="distilled",
+                                  distiller={"kind": "external", "path": "d.dstl"})
+        (cfg_dir / "d.dstl").write_bytes(BAD_DSTL_CONTENTS[name])
+        assert cli.main(["prune", "--config", str(cfg_dir / "config.json"),
+                         "--out", "out"]) == cli.EXIT_IO
+        assert capsys.readouterr().err.startswith("i/o failure:")
+
+
+class TestEngineCalls:
+    """The CLI reaches each engine through its module attribute at call
+    time, so a function bound there in its place is the one that runs."""
+
+    @pytest.mark.parametrize("command,seeds", [("prune", [0, 1]), ("lmc", [0]),
+                                               ("weights", [0])])
+    def test_imp_run_called_per_seed(self, tmp_path, monkeypatch, command, seeds):
+        calls = []
+        imp_run = engines.imp_run
+
+        def counting(*args, seed, **kwargs):
+            calls.append(seed)
+            return imp_run(*args, seed=seed, **kwargs)
+
+        monkeypatch.setattr(engines, "imp_run", counting)
+        path = write_config(tmp_path)
+        assert cli.main([command, "--config", str(path),
+                         "--out", str(tmp_path / "out")]) == 0
+        assert calls == seeds

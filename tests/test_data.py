@@ -336,3 +336,28 @@ class TestDstlFormat:
         out = tmp_path / "ours.dstl"
         tl.save_distilled(loaded, out)
         assert out.read_bytes() == blob
+
+
+def dstl_blob(num_classes, ipc, images, labels, dims=(3,)):
+    """DSTL bytes following the published layout, whatever the contents."""
+    blob = DSTL_MAGIC + struct.pack("<IIII", 1, num_classes, ipc, len(dims))
+    blob += struct.pack(f"<{len(dims)}I", *dims) + struct.pack("<B", 3)
+    return (blob + np.asarray(images, dtype="<f4").tobytes()
+            + np.asarray(labels, dtype="<u2").tobytes())
+
+
+# well-formed files whose contents DistilledDataset rejects
+BAD_DSTL_CONTENTS = {
+    "ipc_zero": dstl_blob(2, 0, np.zeros((0, 3)), []),
+    "label_out_of_range": dstl_blob(2, 1, np.zeros((2, 3)), [0, 2]),
+    "non_finite": dstl_blob(2, 1, [[0.0, np.nan, 0.0], [1.0, 1.0, np.inf]], [0, 1]),
+}
+
+
+class TestDstlContents:
+    @pytest.mark.parametrize("name", sorted(BAD_DSTL_CONTENTS))
+    def test_rejected_contents_are_format_errors(self, tmp_path, name):
+        path = tmp_path / "bad.dstl"
+        path.write_bytes(BAD_DSTL_CONTENTS[name])
+        with pytest.raises(FormatError, match="bad.dstl"):
+            tl.load_distilled(path)

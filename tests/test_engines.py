@@ -15,14 +15,15 @@ def spec():
     return tl.ModelSpec("mlp", (2,), 2, hidden=(16,))
 
 
-def make_cfg(desired, amount=0.2, t=2, n=2, k=0, batch_syn=None, cap=40):
+def make_cfg(desired, amount=0.2, t=2, n=2, k=0, batch_syn=None, cap=40,
+             scope=tl.GLOBAL):
     tc = tl.TrainConfig(epochs=t, learning_rate=0.1, momentum=0.9, batch_size=32,
                         shuffle_seed=3)
     tcf = tl.TrainConfig(epochs=n, learning_rate=0.1, momentum=0.9, batch_size=32,
                          shuffle_seed=3)
     return tl.PruneRunConfig(desired_sparsity=desired, amount=amount,
                              mask_train_epochs=t, finetune_epochs=n,
-                             rewind_epoch=k, train_config_mask=tc,
+                             rewind_epoch=k, prune_scope=scope, train_config_mask=tc,
                              train_config_finetune=tcf, iteration_cap=cap)
 
 
@@ -88,17 +89,36 @@ class TestImpRun:
 
 
 class TestDistilledRun:
-    def test_engine_equivalence_degenerate(self, spec, blobs):
+    @pytest.mark.parametrize("finetune_each", [False, True])
+    @pytest.mark.parametrize("scope", ["global", "layerwise"])
+    def test_engine_equivalence_degenerate(self, spec, blobs, scope, finetune_each):
         """D_syn = D_real, t = n, k = 0 must reproduce IMP bit for bit."""
-        cfg = make_cfg(0.6)
+        cfg = make_cfg(0.6, scope=tl.PruneScope(scope))
         for seed in range(3):
             theta = tl.init_params(spec, seed)
-            imp = tl.imp_run(spec, theta, blobs, cfg, seed=seed)
+            imp = tl.imp_run(spec, theta, blobs, cfg, finetune_each=finetune_each,
+                             seed=seed)
             _, mask, rec = tl.distilled_prune_run(spec, theta, blobs, blobs, cfg,
+                                                  finetune_each=finetune_each,
                                                   seed=seed)
             assert len(imp.iterations) == len(rec.iterations)
             for a, b in zip(imp.iterations, rec.iterations):
                 assert np.array_equal(a.mask.bits, b.mask.bits)
+                assert a.finetune_accuracy == b.finetune_accuracy
+            assert (imp.iterations[0].finetune_accuracy is not None) == finetune_each
+
+    def test_ignores_rewind_epoch(self, spec, blobs):
+        """Distilled pruning always rewinds to initialization, whatever k."""
+        theta = tl.init_params(spec, 0)
+        dsyn = tl.distill_kmeans_herding(blobs, ipc=5, seed=0)
+        runs = [tl.distilled_prune_run(spec, theta, dsyn, blobs,
+                                       make_cfg(0.5, t=3, k=k), finetune_each=True,
+                                       seed=0) for k in (0, 1)]
+        (theta0, mask0, rec0), (theta1, mask1, rec1) = runs
+        assert np.array_equal(theta0.values, theta1.values)
+        assert np.array_equal(mask0.bits, mask1.bits)
+        assert [it.finetune_accuracy for it in rec0.iterations] == \
+               [it.finetune_accuracy for it in rec1.iterations]
 
     def test_stop_iteration_count_for_half_sparsity(self, spec, blobs):
         # 1 - 0.8^j >= 0.5 first at j = 4 (0.5904)
