@@ -170,10 +170,13 @@ class ExperimentConfig:
             channels=tuple(m.get("channels", ())),
         )
 
-    def _train_config(self, key, epochs):
-        sub = self.raw.get("prune", {}).get(key, {})
+    def _train_config(self, key):
+        """The TrainConfig of prune.`key` ("mask_train" or "finetune"), whose
+        epochs are prune.`key`_epochs."""
+        p = self.raw.get("prune", {})
+        sub = p.get(key, {})
         return nn.TrainConfig(
-            epochs=epochs,
+            epochs=p.get(f"{key}_epochs", 3),
             learning_rate=sub.get("learning_rate", 0.1),
             momentum=sub.get("momentum", 0.9),
             weight_decay=sub.get("weight_decay", 0.0),
@@ -185,17 +188,16 @@ class ExperimentConfig:
 
     def prune_config(self) -> engines.PruneRunConfig:
         p = self.raw.get("prune", {})
-        t = p.get("mask_train_epochs", 3)
-        n = p.get("finetune_epochs", 3)
+        mask_train, finetune = self._train_config("mask_train"), self._train_config("finetune")
         return engines.PruneRunConfig(
             desired_sparsity=p.get("desired_sparsity", 0.5),
             amount=p.get("amount", 0.2),
-            mask_train_epochs=t,
-            finetune_epochs=n,
+            mask_train_epochs=mask_train.epochs,
+            finetune_epochs=finetune.epochs,
             rewind_epoch=p.get("rewind_epoch", 0),
             prune_scope=pruning.PruneScope(p.get("scope", "global")),
-            train_config_mask=self._train_config("mask_train", t),
-            train_config_finetune=self._train_config("finetune", n),
+            train_config_mask=mask_train,
+            train_config_finetune=finetune,
             iteration_cap=p.get("iteration_cap", engines.DEFAULT_ITERATION_CAP),
             seeds=tuple(self.raw.get("seeds", (0, 1, 2, 3, 4))),
         )
@@ -263,6 +265,13 @@ _SECTIONS = {
     "report": {"lmc_points": True, "threshold": False, "num_bins": True},
 }
 
+# Lower bounds of numeric fields that a run would otherwise reject mid-way.
+_MINIMUMS = {
+    "dataset": {"per_class": 1, "test_per_class": 1, "seed": 0},
+    "distiller": {"ipc": 1, "seed": 0},
+    "report": {"lmc_points": 2, "num_bins": 1},
+}
+
 
 def _is_number(value, integer=False):
     """A JSON number (an integer if asked); bool does not count."""
@@ -318,6 +327,18 @@ def _check_model(config, out):
         out.append(f"model: {e}")
 
 
+def _check_train_configs(config, out):
+    """Build both TrainConfigs a run would build, appending a diagnostic for
+    whatever stops one; skipped where a type diagnostic already covers it."""
+    for key in ("mask_train", "finetune"):
+        if any(d.startswith(("prune must", f"prune.{key}")) for d in out):
+            continue
+        try:
+            config._train_config(key)
+        except (ValueError, TypeError) as e:
+            out.append(f"prune.{key}: {e}")
+
+
 def validate_config_dict(raw, base_dir=""):
     """All violations, not fail-fast; empty list means valid."""
     out = []
@@ -348,9 +369,14 @@ def validate_config_dict(raw, base_dir=""):
         out.append("scope must be global or layerwise")
     seeds = raw.get("seeds", [0, 1, 2, 3, 4])
     if not isinstance(seeds, list) or not seeds \
-            or not all(_is_number(s, integer=True) for s in seeds):
-        out.append("seeds must be a non-empty list of integers")
+            or not all(_is_number(s, integer=True) and s >= 0 for s in seeds):
+        out.append("seeds must be a non-empty list of non-negative integers")
+    for name, bounds in _MINIMUMS.items():
+        for key, low in bounds.items():
+            if _is_number(sections[name].get(key)) and sections[name][key] < low:
+                out.append(f"{name}.{key} must be >= {low}")
     config = ExperimentConfig(raw, base_dir)
+    _check_train_configs(config, out)
     spec = _check_model(config, out)
     d = sections["dataset"]
     if d.get("source") == "idx":
@@ -370,6 +396,10 @@ def validate_config_dict(raw, base_dir=""):
             if not (isinstance(shape, list) and all(_is_number(v, True) for v in shape)
                     and tuple(shape) == spec.input_shape):
                 out.append("dataset.input_shape must equal model.input_shape")
+            elif d.get("kind") == "spirals" and int(np.prod(shape)) != 2:
+                out.append("dataset.input_shape must be 2-D for spirals")
+            elif int(np.prod(shape)) < 2:
+                out.append("dataset.input_shape must hold at least 2 values")
     elif "source" in d:
         out.append(f"unknown dataset source '{d.get('source')}'")
     elif isinstance(raw.get("dataset"), dict):
@@ -377,6 +407,10 @@ def validate_config_dict(raw, base_dir=""):
     dist = sections["distiller"]
     if dist.get("kind") == "external":
         _check_path(out, "distiller.path", dist.get("path"), config)
+    if (d.get("source") == "synth" and dist.get("kind") not in ("external", "classMean")
+            and _is_number(dist.get("ipc")) and _is_number(d.get("per_class"))
+            and dist["ipc"] > d["per_class"]):
+        out.append("distiller.ipc must be <= dataset.per_class")
     return out
 
 

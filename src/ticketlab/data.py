@@ -142,6 +142,8 @@ def synth_dataset(kind, num_classes, per_class, noise, seed,
     labels = np.repeat(np.arange(num_classes), per_class)
 
     if kind == "gaussianBlobs":
+        if dim < 2:
+            raise ValueError("gaussianBlobs requires at least 2-D inputs")
         if dim == 2:
             basis = np.eye(2)
         else:

@@ -18,12 +18,19 @@ KSIZE = 3  # convolution kernel size used by the convnet architecture
 
 
 class TrainingDiverged(RuntimeError):
-    """Raised when the training loss becomes non-finite."""
+    """Raised when the training loss becomes non-finite.  Carries where it
+    happened, the learning rate in effect (after milestone decay) and the
+    last finite batch loss (None if the first batch diverged)."""
 
-    def __init__(self, epoch, batch, loss):
-        super().__init__(f"non-finite loss {loss!r} at epoch {epoch}, batch {batch}")
+    def __init__(self, epoch, batch, loss, learning_rate, last_finite_loss):
+        super().__init__(f"non-finite loss {loss!r} at epoch {epoch}, batch {batch} "
+                         f"(learning rate {learning_rate!r}, "
+                         f"last finite loss {last_finite_loss!r})")
         self.epoch = epoch
         self.batch = batch
+        self.loss = loss
+        self.learning_rate = learning_rate
+        self.last_finite_loss = last_finite_loss
 
 
 @dataclass(frozen=True)
@@ -88,6 +95,8 @@ class TrainConfig:
             raise ValueError("batch size must be positive")
         if not 0 < self.gamma <= 1:
             raise ValueError("gamma must be in (0, 1]")
+        if self.shuffle_seed < 0:
+            raise ValueError("shuffle_seed must be >= 0")
         ms = tuple(self.milestones)
         if list(ms) != sorted(set(ms)) or any(m >= self.epochs for m in ms):
             raise ValueError("milestones must be strictly increasing and < epochs")
@@ -364,6 +373,7 @@ def train(spec, params, mask, data, cfg: TrainConfig,
     velocity = np.zeros_like(theta.values)
     decay_sel = mask.bits.astype(bool) & _weight_positions(params.layer_map)
     lr = cfg.learning_rate
+    last_loss = None
     for epoch in range(cfg.epochs):
         if epoch in cfg.milestones:
             lr *= cfg.gamma
@@ -373,7 +383,8 @@ def train(spec, params, mask, data, cfg: TrainConfig,
             loss = _loss_and_grad(layers, theta.values, examples[idx],
                                   data.labels[idx], grad)
             if not np.isfinite(loss):
-                raise TrainingDiverged(epoch, bi, loss)
+                raise TrainingDiverged(epoch, bi, loss, lr, last_loss)
+            last_loss = loss
             grad *= mask.bits
             g = grad
             if cfg.weight_decay:

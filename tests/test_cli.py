@@ -136,9 +136,49 @@ MODEL_CASES = [
                                                 BASE_CONFIG["dataset"].items()
                                                 if k != "source"})),
 ]
-INVALID = WRONG_TYPES + MODEL_CASES
+
+
+def with_prune(key, **fields):
+    """BASE_CONFIG with fields of prune.`key` changed."""
+    prune = json.loads(json.dumps(BASE_CONFIG["prune"]))
+    prune[key].update(fields)
+    return with_section("prune", prune)
+
+
+def with_dataset(**fields):
+    return with_section("dataset", {**BASE_CONFIG["dataset"], **fields})
+
+
+# well-typed values out of the range the run accepts
+RANGE_CASES = [
+    ("prune.mask_train", with_prune("mask_train", learning_rate=-1)),
+    ("prune.mask_train", with_prune("mask_train", milestones="ab")),
+    ("prune.mask_train", with_prune("mask_train", milestones=5)),
+    ("prune.mask_train", with_prune("mask_train", milestones=[2])),
+    ("prune.finetune", with_prune("finetune", batch_size=0)),
+    ("prune.finetune", with_prune("finetune", momentum=1.0)),
+    ("prune.finetune", with_prune("finetune", gamma=2)),
+    ("prune.finetune", with_prune("finetune", shuffle_seed=-1)),
+    ("prune.finetune", with_section("prune", {**BASE_CONFIG["prune"],
+                                              "finetune_epochs": -1})),
+    ("dataset.per_class", with_dataset(per_class=0)),
+    ("dataset.test_per_class", with_dataset(test_per_class=0)),
+    ("dataset.seed", with_dataset(seed=-1)),
+    ("seeds", with_section("seeds", [0, -1])),
+    ("spirals", {**with_dataset(kind="spirals", input_shape=[3]),
+                 "model": {**BASE_CONFIG["model"], "input_shape": [3]}}),
+    ("at least 2 values", {**with_dataset(input_shape=[1]),
+                           "model": {**BASE_CONFIG["model"], "input_shape": [1]}}),
+    ("report.lmc_points", with_section("report", {"lmc": True, "lmc_points": 1})),
+    ("report.num_bins", with_section("report", {"histograms": True, "num_bins": -2})),
+    ("distiller.ipc", {**with_section("distiller", {"ipc": 0}), "method": "distilled"}),
+    ("distiller.ipc", {**with_section("distiller", {"ipc": 61}), "method": "distilled"}),
+    ("distiller.seed", {**with_section("distiller", {"seed": -1}),
+                        "method": "distilled"}),
+]
+INVALID = WRONG_TYPES + MODEL_CASES + RANGE_CASES
 INVALID_IDS = [f"{field}-{i}" for i, (field, _) in enumerate(INVALID)]
-PRUNE_CASES = INVALID[:7] + MODEL_CASES
+PRUNE_CASES = INVALID[:7] + MODEL_CASES + RANGE_CASES
 PRUNE_CASE_IDS = INVALID_IDS[:7] + INVALID_IDS[len(WRONG_TYPES):]
 
 
@@ -383,6 +423,17 @@ class TestSubcommands:
         assert cli.main(["report", "--out", str(tmp_path)]) == cli.EXIT_IO
         assert capsys.readouterr().err.startswith("i/o failure:")
         assert not (tmp_path / "summary.json").exists()
+
+    def test_divergence_names_learning_rate(self, tmp_path, capsys):
+        path = write_config(tmp_path, mask_train={"learning_rate": 1e20, "batch_size": 32,
+                                                  "milestones": [1], "gamma": 0.5})
+        with np.errstate(all="ignore"):
+            code = cli.main(["prune", "--config", str(path), "--out",
+                             str(tmp_path / "out")])
+        assert code == cli.EXIT_RUNTIME
+        err = capsys.readouterr().err
+        assert err.startswith("runtime failure: non-finite loss")
+        assert "learning rate 5e+19" in err and "last finite loss" in err
 
     @pytest.mark.parametrize("command", ["prune", "lmc"])
     def test_non_finite_logits_are_runtime_error(self, tmp_path, capsys, monkeypatch,

@@ -1,7 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import ticketlab as tl
+from ticketlab import engines
 from ticketlab.engines import IterationRecord, RunRecord, SparsityUnreachable
 
 
@@ -86,6 +89,106 @@ class TestImpRun:
     def test_rewind_validation(self):
         with pytest.raises(ValueError):
             make_cfg(0.5, t=2, k=2)
+
+
+def reference_imp(spec, theta, data, cfg, finetune_each):
+    """IMP with every training run afresh: (mask bytes, finetune accuracy or
+    None) per iteration."""
+    mask = tl.SparsityMask.ones(theta.layer_map)
+    rewind, out = theta, []
+    while tl.sparsity(mask, cfg.prune_scope) < cfg.desired_sparsity:
+        if not out:
+            trained, snaps = tl.train_with_snapshots(spec, theta, mask, data,
+                                                     cfg.train_config_mask,
+                                                     (cfg.rewind_epoch,))
+            rewind = snaps[cfg.rewind_epoch]
+        else:
+            trained = tl.train(spec, rewind, mask, data, cfg.train_config_mask)
+        mask = tl.magnitude_prune(trained, mask, cfg.amount, cfg.prune_scope)
+        acc = None
+        if finetune_each or tl.sparsity(mask, cfg.prune_scope) >= cfg.desired_sparsity:
+            theta_ft = tl.train(spec, rewind, mask, data, cfg.train_config_finetune)
+            acc, _ = tl.evaluate(spec, theta_ft, mask, data)
+        out.append((mask.bits.tobytes(), acc))
+    return out
+
+
+def count_trainings(monkeypatch):
+    """Counts the engine's calls of train and train_with_snapshots."""
+    calls = []
+    for name in ("train", "train_with_snapshots"):
+        def counted(*args, _name=name, _real=getattr(engines, name), **kw):
+            calls.append(_name)
+            return _real(*args, **kw)
+        monkeypatch.setattr(engines, name, counted)
+    return calls
+
+
+class TestFinetuneReuse:
+    """With mask data = finetune data and equal TrainConfigs, each finetune
+    is the next iteration's mask training."""
+
+    @pytest.mark.parametrize("k", [0, 1])
+    @pytest.mark.parametrize("scope", ["global", "layerwise"])
+    def test_masks_independent_of_finetune_each(self, spec, blobs, k, scope):
+        cfg = make_cfg(0.6, k=k, scope=tl.PruneScope(scope))
+        theta = tl.init_params(spec, 0)
+        a, b = (tl.imp_run(spec, theta, blobs, cfg, finetune_each=each, seed=0)
+                for each in (False, True))
+        assert len(a.iterations) == len(b.iterations) > 2
+        for x, y in zip(a.iterations, b.iterations):
+            assert np.array_equal(x.mask.bits, y.mask.bits)
+            assert x.sparsity == y.sparsity
+
+    @pytest.mark.parametrize("finetune_each", [False, True])
+    @pytest.mark.parametrize("k", [0, 1])
+    def test_matches_reference_loop(self, spec, blobs, k, finetune_each):
+        cfg = make_cfg(0.6, k=k)
+        theta = tl.init_params(spec, 1)
+        rec = tl.imp_run(spec, theta, blobs, cfg, finetune_each=finetune_each, seed=1)
+        got = [(it.mask.bits.tobytes(), it.finetune_accuracy) for it in rec.iterations]
+        assert got == reference_imp(spec, theta, blobs, cfg, finetune_each)
+
+    def test_imp_trains_once_per_iteration(self, spec, blobs, monkeypatch):
+        calls = count_trainings(monkeypatch)
+        rec = tl.imp_run(spec, tl.init_params(spec, 0), blobs, make_cfg(0.6),
+                         finetune_each=True, seed=0)
+        n = len(rec.iterations)
+        assert n > 2 and len(calls) == n + 1
+        assert calls.count("train_with_snapshots") == 1
+
+    @pytest.mark.parametrize("finetune_each", [False, True])
+    def test_unequal_configs_train_twice(self, spec, blobs, monkeypatch, finetune_each):
+        cfg = make_cfg(0.6)
+        cfg = tl.PruneRunConfig(
+            desired_sparsity=0.6, train_config_mask=cfg.train_config_mask,
+            train_config_finetune=replace(cfg.train_config_finetune, shuffle_seed=4))
+        calls = count_trainings(monkeypatch)
+        rec = tl.imp_run(spec, tl.init_params(spec, 0), blobs, cfg,
+                         finetune_each=finetune_each, seed=0)
+        n = len(rec.iterations)
+        assert len(calls) == (2 * n if finetune_each else n + 1)
+
+    @pytest.mark.parametrize("finetune_each", [False, True])
+    def test_distilled_and_random_counts_unchanged(self, spec, blobs, monkeypatch,
+                                                   finetune_each):
+        theta, cfg = tl.init_params(spec, 0), make_cfg(0.6)
+        dsyn = tl.distill_kmeans_herding(blobs, ipc=5, seed=0)
+        calls = count_trainings(monkeypatch)
+        _, _, rec = tl.distilled_prune_run(spec, theta, dsyn, blobs, cfg,
+                                           finetune_each=finetune_each, seed=0)
+        n = len(rec.iterations)
+        assert len(calls) == (2 * n if finetune_each else n + 1)
+        calls.clear()
+        rec = tl.random_prune_run(spec, theta, blobs, cfg, finetune_each=finetune_each,
+                                  seed=0)
+        assert calls == ["train"] * (len(rec.iterations) if finetune_each else 1)
+
+    def test_reused_training_is_charged_to_the_mask_phase(self, spec, blobs):
+        rec = tl.imp_run(spec, tl.init_params(spec, 0), blobs, make_cfg(0.6),
+                         finetune_each=True, seed=0)
+        for prev, it in zip(rec.iterations, rec.iterations[1:]):
+            assert it.mask_phase_seconds >= prev.finetune_seconds > 0
 
 
 class TestDistilledRun:

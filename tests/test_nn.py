@@ -286,6 +286,21 @@ class TestTrain:
         with pytest.raises(ValueError):
             tl.TrainConfig(epochs=3, milestones=(5,))
 
+    def test_divergence_reports_decayed_rate_and_last_finite_loss(self, blob_mlp_spec,
+                                                                  blobs_2d):
+        params = tl.init_params(blob_mlp_spec, 0)
+        cfg = self.cfg(epochs=3, learning_rate=1e8, milestones=(1,), gamma=0.5)
+        with np.errstate(all="ignore"), pytest.raises(tl.TrainingDiverged) as info:
+            tl.train(blob_mlp_spec, params, ones_mask(params), blobs_2d, cfg)
+        e = info.value
+        # it survives the first epoch, so the milestone has halved the rate
+        assert e.epoch >= 1
+        assert e.learning_rate == 5e7
+        assert not np.isfinite(e.loss)
+        assert np.isfinite(e.last_finite_loss)
+        assert f"learning rate {5e7!r}" in str(e)
+        assert f"last finite loss {e.last_finite_loss!r}" in str(e)
+
 
 class TestEvaluate:
     def test_separable_linear_model(self):
