@@ -12,7 +12,6 @@ import json
 import os
 import struct
 import sys
-import tempfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,33 +32,23 @@ EXIT_IO = 4
 
 
 class ConfigError(ValueError):
-    pass
+    """Every diagnostic of a config, joined by "; " in the message."""
+
+    def __init__(self, diagnostics):
+        super().__init__("; ".join(diagnostics))
+        self.diagnostics = diagnostics
 
 
 # ---------------------------------------------------------------------------
 # Atomic file output
 
-def _atomic_write(path, blob):
-    d = os.path.dirname(os.path.abspath(path))
-    os.makedirs(d, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as f:
-            f.write(blob)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
 def atomic_write_text(path, text):
     """UTF-8 with the text's own line endings."""
-    _atomic_write(path, text.encode("utf-8"))
+    data_mod.atomic_write(path, text.encode("utf-8"))
 
 
 def atomic_write_bytes(path, blob):
-    _atomic_write(path, blob)
+    data_mod.atomic_write(path, blob)
 
 
 def _fmt(value):
@@ -143,289 +132,227 @@ def load_mask(path) -> pruning.SparsityMask:
 # ---------------------------------------------------------------------------
 # Experiment configuration
 
-@dataclass
+METHODS = ("imp", "distilled", "random")
+DISTILLERS = ("kmeansHerding", "classMean", "random", "external")
+_KINDS = {dict: "an object", list: "a list", str: "a string", bool: "a boolean",
+          int: "an integer", float: "a finite number"}
+
+
+def _is_kind(value, kind):
+    """A JSON value of `kind`: bool is no number, and a number is a finite float."""
+    if isinstance(value, bool):
+        return kind is bool
+    if kind is float:
+        return isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
+    return isinstance(value, kind)
+
+
 class ExperimentConfig:
-    raw: dict
-    base_dir: str = ""      # directory of the config file
+    """A JSON config and every object a command builds from it, before any
+    training: the --method and --seed overrides applied, each field read once
+    through `get`, the model, training, pruning, report and distiller
+    settings constructed and the IDX data loaded.  Whatever would stop the
+    run is a diagnostic, and all of them are raised as one ConfigError.
+    Synthetic data is checked from its fields; a dry build never makes it."""
+
+    def __init__(self, raw, base_dir="", method=None, seeds=None, distills=False,
+                 dry=False):
+        self.raw, self.base_dir = raw, base_dir
+        self.diagnostics, self._synth = [], None
+        if not isinstance(raw, dict):
+            raise ConfigError(["config root must be a JSON object"])
+        self._build(method, seeds, distills)
+        if self.diagnostics:
+            raise ConfigError(self.diagnostics)
+        if self._synth and not dry:
+            self.train, self.test = (data_mod.synth_dataset(*a) for a in self._synth)
 
     @classmethod
-    def load(cls, path):
-        raw, diagnostics = _read_config(path)
-        if diagnostics:
-            raise ConfigError("; ".join(diagnostics))
-        return cls(raw, os.path.dirname(path))
+    def load(cls, path, method=None, seeds=None, distills=False, dry=False):
+        try:
+            with open(path) as f:
+                raw = json.load(f)
+        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as e:
+            raise ConfigError([f"invalid JSON: {e}"]) from None
+        return cls(raw, os.path.dirname(path), method, seeds, distills, dry)
 
-    def path(self, name):
-        """A path named in the config; relative ones are taken from the
-        directory of the config file."""
-        return os.path.join(self.base_dir, name)
+    def get(self, name, default=None, kind=float, minimum=None, choices=None):
+        """The field at dotted `name`, or `default` (None: required) if absent.
+        A missing required field or a value not of `kind`, below `minimum` or
+        not among `choices` adds a diagnostic and gives `default`, as does,
+        without one, any field under a section that is not an object."""
+        *parents, key = name.split(".")
+        section = self.raw
+        for parent in parents:
+            section = section.get(parent) if isinstance(section, dict) else None
+        if not isinstance(section, dict) or key not in section:
+            if default is None and isinstance(section, dict):
+                self.diagnostics.append(f"{name} missing")
+            return default
+        value = section[key]
+        if not _is_kind(value, kind):
+            problem = f"must be {_KINDS[kind]}"
+        elif minimum is not None and value < minimum:
+            problem = f"must be >= {minimum}"
+        elif choices is not None and value not in choices:
+            problem = f"must be one of {', '.join(choices)}"
+        else:
+            return value
+        self.diagnostics.append(f"{name} {problem}")
+        return default
 
-    def model_spec(self) -> nn.ModelSpec:
-        m = self.raw["model"]
-        return nn.ModelSpec(
-            architecture=m["architecture"],
-            input_shape=tuple(m["input_shape"]),
-            num_classes=m["num_classes"],
-            hidden=tuple(m.get("hidden", ())),
-            channels=tuple(m.get("channels", ())),
-        )
+    def _file(self, name):
+        """The path of the existing file named at `name`, else None; a
+        relative path is taken from the directory of the config file."""
+        value = self.get(name, kind=str)
+        if value is not None and not os.path.exists(os.path.join(self.base_dir, value)):
+            self.diagnostics.append(f"{name} file not found: {value}")
+            value = None
+        return value if value is None else os.path.join(self.base_dir, value)
+
+    def _make(self, since, prefix, build):
+        """build(), else None: untried if a field it reads has a diagnostic
+        (made after `since`), and a diagnostic per rule it reports broken."""
+        if len(self.diagnostics) > since:
+            return None
+        try:
+            return build()
+        except (ValueError, TypeError) as e:
+            self.diagnostics.extend(prefix + rule for rule in str(e).split("; "))
+
+    def _build(self, method, seeds, distills):
+        get = self.get
+        self.out_dir = get("out_dir", "ticketlab_out", str)
+        self.method = method or get("method", "imp", str, choices=METHODS)
+
+        n = len(self.diagnostics)
+        get("model", kind=dict)
+        arch, shape = get("model.architecture", kind=str), get("model.input_shape", kind=list)
+        classes = get("model.num_classes", kind=int)
+        hidden, channels = get("model.hidden", [], list), get("model.channels", [], list)
+        self.spec = self._make(n, "model: ", lambda: nn.ModelSpec(
+            arch, tuple(shape), classes, tuple(hidden), tuple(channels)))
+
+        n = len(self.diagnostics)
+        get("prune", {}, dict)
+        train = {key: self._train_config(key) for key in ("mask_train", "finetune")}
+        fields = dict(desired_sparsity=get("prune.desired_sparsity", 0.5),
+                      amount=get("prune.amount", 0.2),
+                      rewind_epoch=get("prune.rewind_epoch", 0, int),
+                      iteration_cap=get("prune.iteration_cap",
+                                        engines.DEFAULT_ITERATION_CAP, int),
+                      seeds=tuple(seeds or get("seeds", [0, 1, 2, 3, 4], list)))
+        scope = get("prune.scope", "global", str)
+        self.cfg = self._make(n, "prune: ", lambda: engines.PruneRunConfig(
+            mask_train_epochs=train["mask_train"].epochs,
+            finetune_epochs=train["finetune"].epochs,
+            prune_scope=pruning.PruneScope(scope), train_config_mask=train["mask_train"],
+            train_config_finetune=train["finetune"], **fields))
+
+        get("report", {}, dict)
+        self.report = {key: get(f"report.{key}", default, kind, minimum)
+                       for key, default, kind, minimum in (
+                           ("finetune_each", True, bool, None), ("lmc", False, bool, None),
+                           ("histograms", False, bool, None), ("lmc_points", 21, int, 2),
+                           ("threshold", 0.02, float, None), ("num_bins", 30, int, 1))}
+        self._distiller(distills or self.method == "distilled", self._data())
 
     def _train_config(self, key):
-        """The TrainConfig of prune.`key` ("mask_train" or "finetune"), whose
-        epochs are prune.`key`_epochs."""
-        p = self.raw.get("prune", {})
-        sub = p.get(key, {})
-        return nn.TrainConfig(
-            epochs=p.get(f"{key}_epochs", 3),
-            learning_rate=sub.get("learning_rate", 0.1),
-            momentum=sub.get("momentum", 0.9),
-            weight_decay=sub.get("weight_decay", 0.0),
-            batch_size=sub.get("batch_size", 32),
-            milestones=tuple(sub.get("milestones", ())),
-            gamma=sub.get("gamma", 1.0),
-            shuffle_seed=sub.get("shuffle_seed", 0),
-        )
+        """The TrainConfig of prune.`key`, whose epochs are prune.`key`_epochs."""
+        get, name = self.get, f"prune.{key}"
+        n = len(self.diagnostics)
+        get(name, {}, dict)
+        epochs = get(f"{name}_epochs", 3, int)
+        fields = {field: get(f"{name}.{field}", default, kind) for field, default, kind in (
+            ("learning_rate", 0.1, float), ("momentum", 0.9, float),
+            ("weight_decay", 0.0, float), ("batch_size", 32, int),
+            ("milestones", [], list), ("gamma", 1.0, float), ("shuffle_seed", 0, int))}
+        fields["milestones"] = tuple(fields["milestones"])
+        return self._make(n, f"{name}: ", lambda: nn.TrainConfig(epochs, **fields))
 
-    def prune_config(self) -> engines.PruneRunConfig:
-        p = self.raw.get("prune", {})
-        mask_train, finetune = self._train_config("mask_train"), self._train_config("finetune")
-        return engines.PruneRunConfig(
-            desired_sparsity=p.get("desired_sparsity", 0.5),
-            amount=p.get("amount", 0.2),
-            mask_train_epochs=mask_train.epochs,
-            finetune_epochs=finetune.epochs,
-            rewind_epoch=p.get("rewind_epoch", 0),
-            prune_scope=pruning.PruneScope(p.get("scope", "global")),
-            train_config_mask=mask_train,
-            train_config_finetune=finetune,
-            iteration_cap=p.get("iteration_cap", engines.DEFAULT_ITERATION_CAP),
-            seeds=tuple(self.raw.get("seeds", (0, 1, 2, 3, 4))),
-        )
+    def _data(self):
+        """Check the dataset against the model, loading IDX files into
+        self.train and self.test; the smallest class size, or None if unusable."""
+        get = self.get
+        n = len(self.diagnostics)
+        get("dataset", kind=dict)
+        source = get("dataset.source", kind=str, choices=("idx", "synth"))
+        if source == "idx":
+            test = ["test_images", "test_labels"] if "test_images" in self.raw["dataset"] else []
+            files = [self._file(f"dataset.{key}") for key in ["images", "labels"] + test]
+            if len(self.diagnostics) > n:
+                return None
+            self.train = self.test = data_mod.load_idx(*files[:2])
+            if test:
+                self.test = data_mod.load_idx(*files[2:], num_classes=self.train.num_classes)
+            self._fit("dataset", {d.examples.shape[1:] for d in (self.train, self.test)},
+                      self.train.num_classes)
+            return int(self.train.class_counts().min())
+        if source == "synth":
+            kind, classes = get("dataset.kind", kind=str), get("dataset.num_classes", kind=int)
+            per_class = get("dataset.per_class", kind=int)
+            test_per_class = get("dataset.test_per_class", (per_class or 0) // 4 or 1, int,
+                                 minimum=1)
+            noise, seed = get("dataset.noise", 0.5), get("dataset.seed", 0, int)
+            shape = tuple(get("dataset.input_shape", [2], list))
+            self._make(n, "dataset.", lambda: data_mod.check_synth(
+                kind, classes, per_class, noise, seed, shape))
+            if len(self.diagnostics) > n:
+                return None
+            self._synth = ((kind, classes, per_class, noise, seed, shape),
+                           (kind, classes, test_per_class, noise, seed + 10_000, shape))
+            self._fit("dataset", {shape}, classes, exact=True)
+            return per_class
 
-    def datasets(self):
-        """(train dataset, eval dataset) from the configured source."""
-        d = self.raw["dataset"]
-        if d["source"] == "idx":
-            train = data_mod.load_idx(self.path(d["images"]), self.path(d["labels"]))
-            if "test_images" not in d:
-                return train, train
-            return train, data_mod.load_idx(self.path(d["test_images"]),
-                                            self.path(d["test_labels"]),
-                                            num_classes=train.num_classes)
-        shape = tuple(d.get("input_shape", (2,)))
-        train = data_mod.synth_dataset(d["kind"], d["num_classes"], d["per_class"],
-                                       d.get("noise", 0.5), d.get("seed", 0), shape)
-        test = data_mod.synth_dataset(d["kind"], d["num_classes"],
-                                      d.get("test_per_class", d["per_class"] // 4 or 1),
-                                      d.get("noise", 0.5), d.get("seed", 0) + 10_000,
-                                      shape)
-        return train, test
+    def _fit(self, name, shapes, classes, exact=False):
+        """Diagnose data with these example shapes and this many classes
+        (exactly this many, if `exact`) that the model cannot take."""
+        spec = self.spec
+        if spec and (classes > spec.num_classes or exact and classes != spec.num_classes):
+            self.diagnostics.append(f"{name}.num_classes {classes} does not fit "
+                                    f"model.num_classes {spec.num_classes}")
+        for shape in sorted(shapes - {spec.input_shape}) if spec else ():
+            self.diagnostics.append(f"{name}.input_shape {list(shape)} must equal "
+                                    f"model.input_shape {list(spec.input_shape)}")
 
-    def distilled(self, train_set) -> data_mod.DistilledDataset:
-        d = self.raw.get("distiller", {"kind": "kmeansHerding", "ipc": 10})
-        kind = d.get("kind", "kmeansHerding")
+    def _distiller(self, distills, smallest):
+        """Read the distiller settings; if the run distills, check them
+        against the data, loading an external distilled set."""
+        get = self.get
+        n = len(self.diagnostics)
+        get("distiller", {}, dict)
+        kind = get("distiller.kind", "kmeansHerding", str, choices=DISTILLERS)
+        ipc = get("distiller.ipc", 10, int, minimum=1)
+        iterations = get("distiller.iterations", 50, int)
+        seed = get("distiller.seed", 0, int, minimum=0)
+        path = self._file("distiller.path") if kind == "external" else None
+        # distilled(): the set the mask trains on, made from self.train
+        self.distilled = {
+            "classMean": lambda: data_mod.distill_class_mean(self.train),
+            "random": lambda: data_mod.distill_random(self.train, ipc, seed),
+            "kmeansHerding": lambda: data_mod.distill_kmeans_herding(self.train, ipc,
+                                                                     iterations, seed),
+        }.get(kind)
+        if not distills or len(self.diagnostics) > n:
+            return
         if kind == "external":
-            return data_mod.load_distilled(self.path(d["path"]))
-        if kind == "classMean":
-            return data_mod.distill_class_mean(train_set)
-        if kind == "random":
-            return data_mod.distill_random(train_set, d.get("ipc", 10),
-                                           d.get("seed", 0))
-        return data_mod.distill_kmeans_herding(train_set, d.get("ipc", 10),
-                                               d.get("iterations", 50),
-                                               d.get("seed", 0))
-
-    def report_options(self):
-        r = self.raw.get("report", {})
-        return {
-            "finetune_each": r.get("finetune_each", True),
-            "lmc": r.get("lmc", False),
-            "histograms": r.get("histograms", False),
-            "lmc_points": r.get("lmc_points", 21),
-            "threshold": r.get("threshold", 0.02),
-            "num_bins": r.get("num_bins", 30),
-        }
-
-
-_TRAIN_FIELDS = {"learning_rate": False, "momentum": False, "weight_decay": False,
-                 "batch_size": True, "gamma": False, "shuffle_seed": True}
-
-# Every object section ExperimentConfig reads, parents before children, with
-# its numeric fields; True marks the fields that must be integers.
-_SECTIONS = {
-    "dataset": {"num_classes": True, "per_class": True, "test_per_class": True,
-                "noise": False, "seed": True},
-    "model": {"num_classes": True},
-    "prune": {"amount": False, "desired_sparsity": False, "rewind_epoch": True,
-              "mask_train_epochs": True, "finetune_epochs": True,
-              "iteration_cap": True},
-    "prune.mask_train": _TRAIN_FIELDS,
-    "prune.finetune": _TRAIN_FIELDS,
-    "distiller": {"ipc": True, "iterations": True, "seed": True},
-    "report": {"lmc_points": True, "threshold": False, "num_bins": True},
-}
-
-# Lower bounds of numeric fields that a run would otherwise reject mid-way.
-_MINIMUMS = {
-    "dataset": {"per_class": 1, "test_per_class": 1, "seed": 0},
-    "distiller": {"ipc": 1, "seed": 0},
-    "report": {"lmc_points": 2, "num_bins": 1},
-}
-
-
-def _is_number(value, integer=False):
-    """A JSON number (an integer if asked); bool does not count."""
-    if isinstance(value, bool):
-        return False
-    return isinstance(value, int) or (not integer and isinstance(value, float))
-
-
-def _typed_sections(raw, out):
-    """Each object section by dotted name ({} where absent or not an
-    object), appending a diagnostic to `out` for every section that is not
-    an object and every numeric field of the wrong type."""
-    sections = {}
-    for name, fields in _SECTIONS.items():
-        parent, _, key = name.rpartition(".")
-        sec = (sections[parent] if parent else raw).get(key, {})
-        if not isinstance(sec, dict):
-            out.append(f"{name} must be an object")
-            sec = {}
-        for field, integer in fields.items():
-            if field in sec and not _is_number(sec[field], integer):
-                out.append(f"{name}.{field} must be {'an integer' if integer else 'a number'}")
-        sections[name] = sec
-    return sections
-
-
-def _check_path(out, name, path, config):
-    if path is None:
-        out.append(f"{name} missing")
-    elif not isinstance(path, str):
-        out.append(f"{name} must be a path string")
-    elif not os.path.exists(config.path(path)):
-        out.append(f"{name} file not found: {path}")
-
-
-def _check_model(config, out):
-    """The ModelSpec a run would build from the model section, or None,
-    appending a diagnostic for whatever stops it."""
-    m = config.raw.get("model")
-    if not isinstance(m, dict):
-        return None
-    for key in ("architecture", "input_shape", "num_classes"):
-        if key not in m:
-            out.append(f"model.{key} missing")
-    for key in ("input_shape", "hidden", "channels"):
-        if not isinstance(m.get(key, []), list):
-            out.append(f"model.{key} must be a list")
-    if any(d.startswith("model.") for d in out):
-        return None
-    try:
-        return config.model_spec()
-    except ValueError as e:
-        out.append(f"model: {e}")
-
-
-def _check_train_configs(config, out):
-    """Build both TrainConfigs a run would build, appending a diagnostic for
-    whatever stops one; skipped where a type diagnostic already covers it."""
-    for key in ("mask_train", "finetune"):
-        if any(d.startswith(("prune must", f"prune.{key}")) for d in out):
-            continue
-        try:
-            config._train_config(key)
-        except (ValueError, TypeError) as e:
-            out.append(f"prune.{key}: {e}")
-
-
-def validate_config_dict(raw, base_dir=""):
-    """All violations, not fail-fast; empty list means valid."""
-    out = []
-    if not isinstance(raw, dict):
-        return ["config root must be a JSON object"]
-    for key in ("dataset", "model"):
-        if key not in raw:
-            out.append(f"missing section '{key}'")
-    sections = _typed_sections(raw, out)
-    method = raw.get("method", "imp")
-    if method not in ("imp", "distilled", "random"):
-        out.append(f"unknown method '{method}'")
-    p = sections["prune"]
-    amount = p.get("amount", 0.2)
-    if _is_number(amount) and not 0 < amount < 1:
-        out.append("amount must be in (0,1)")
-    ds = p.get("desired_sparsity", 0.5)
-    if _is_number(ds) and not 0 < ds < 1:
-        out.append("desired_sparsity must be in (0,1)")
-    k = p.get("rewind_epoch", 0)
-    t = p.get("mask_train_epochs", 3)
-    if _is_number(k) and _is_number(t):
-        if k < 0:
-            out.append("rewind_epoch must be >= 0")
-        elif k > 0 and k >= t:
-            out.append("rewind_epoch must be < mask_train_epochs")
-    if p.get("scope", "global") not in ("global", "layerwise"):
-        out.append("scope must be global or layerwise")
-    seeds = raw.get("seeds", [0, 1, 2, 3, 4])
-    if not isinstance(seeds, list) or not seeds \
-            or not all(_is_number(s, integer=True) and s >= 0 for s in seeds):
-        out.append("seeds must be a non-empty list of non-negative integers")
-    for name, bounds in _MINIMUMS.items():
-        for key, low in bounds.items():
-            if _is_number(sections[name].get(key)) and sections[name][key] < low:
-                out.append(f"{name}.{key} must be >= {low}")
-    config = ExperimentConfig(raw, base_dir)
-    _check_train_configs(config, out)
-    spec = _check_model(config, out)
-    d = sections["dataset"]
-    if d.get("source") == "idx":
-        for key in ("images", "labels") + (("test_images", "test_labels")
-                                           if "test_images" in d else ()):
-            _check_path(out, f"dataset.{key}", d.get(key), config)
-    elif d.get("source") == "synth":
-        if d.get("kind") not in ("gaussianBlobs", "spirals"):
-            out.append("dataset.kind must be gaussianBlobs or spirals")
-        for key in ("num_classes", "per_class"):
-            if key not in d:
-                out.append(f"dataset.{key} missing")
-        if spec is not None:
-            shape = d.get("input_shape", [2])
-            if "num_classes" in d and d["num_classes"] != spec.num_classes:
-                out.append("dataset.num_classes must equal model.num_classes")
-            if not (isinstance(shape, list) and all(_is_number(v, True) for v in shape)
-                    and tuple(shape) == spec.input_shape):
-                out.append("dataset.input_shape must equal model.input_shape")
-            elif d.get("kind") == "spirals" and int(np.prod(shape)) != 2:
-                out.append("dataset.input_shape must be 2-D for spirals")
-            elif int(np.prod(shape)) < 2:
-                out.append("dataset.input_shape must hold at least 2 values")
-    elif "source" in d:
-        out.append(f"unknown dataset source '{d.get('source')}'")
-    elif isinstance(raw.get("dataset"), dict):
-        out.append("dataset.source missing")
-    dist = sections["distiller"]
-    if dist.get("kind") == "external":
-        _check_path(out, "distiller.path", dist.get("path"), config)
-    if (d.get("source") == "synth" and dist.get("kind") not in ("external", "classMean")
-            and _is_number(dist.get("ipc")) and _is_number(d.get("per_class"))
-            and dist["ipc"] > d["per_class"]):
-        out.append("distiller.ipc must be <= dataset.per_class")
-    return out
-
-
-def _read_config(path):
-    """(parsed config or None, diagnostics); OSError propagates."""
-    try:
-        with open(path) as f:
-            raw = json.load(f)
-    except (json.JSONDecodeError, UnicodeDecodeError) as e:
-        return None, [f"invalid JSON: {e}"]
-    return raw, validate_config_dict(raw, base_dir=os.path.dirname(path))
+            dsyn = data_mod.load_distilled(path)
+            self.distilled = lambda: dsyn
+            self._fit("distiller", {dsyn.examples.shape[1:]}, dsyn.num_classes)
+            return
+        need = 1 if kind == "classMean" else ipc
+        if smallest is not None and need > smallest:
+            self.diagnostics.append(f"distiller.ipc {need} exceeds the smallest class, "
+                                    f"of {smallest} examples")
 
 
 def validate_config(path):
-    return _read_config(path)[1]
+    """Every diagnostic of a dry build of the config at `path`; [] if valid."""
+    try:
+        ExperimentConfig.load(path, dry=True)
+    except ConfigError as e:
+        return e.diagnostics
+    return []
 
 
 # ---------------------------------------------------------------------------
@@ -437,33 +364,32 @@ class ReportBundle:
     csv_paths: dict
 
 
-def _run_seeds(config, method, seeds, finetune_each, count=None):
-    """(spec, cfg, train set, eval set, one RunRecord per seed) for the
-    given seeds, else the configured ones; only the first `count` run."""
-    spec, cfg = config.model_spec(), config.prune_config()
-    d_real, d_test = config.datasets()
-    d_syn = config.distilled(d_real) if method == "distilled" else None
+def _run_seeds(config, finetune_each, count=None):
+    """One RunRecord per configured seed; only the first `count` run."""
+    spec, cfg, method = config.spec, config.cfg, config.method
+    d_syn = config.distilled() if method == "distilled" else None
     records = []
-    for seed in (tuple(seeds) if seeds else cfg.seeds)[:count]:
+    for seed in cfg.seeds[:count]:
         theta = nn.init_params(spec, seed)
-        kw = dict(eval_data=d_test, finetune_each=finetune_each, seed=seed)
+        kw = dict(eval_data=config.test, finetune_each=finetune_each, seed=seed)
         # engines.<name> is looked up per call, so a rebound engine is the one run
         if method == "distilled":
-            records.append(engines.distilled_prune_run(spec, theta, d_syn, d_real,
+            records.append(engines.distilled_prune_run(spec, theta, d_syn, config.train,
                                                        cfg, **kw)[2])
         else:
             run = engines.imp_run if method == "imp" else engines.random_prune_run
-            records.append(run(spec, theta, d_real, cfg, **kw))
-    return spec, cfg, d_real, d_test, records
+            records.append(run(spec, theta, config.train, cfg, **kw))
+    return records
 
 
 def run_experiment(config: ExperimentConfig, out_dir, method=None,
                    seeds=None) -> ReportBundle:
-    """Execute the configured engine over all seeds and emit the report."""
-    opts = config.report_options()
-    method = method or config.raw.get("method", "imp")
-    spec, cfg, d_real, d_test, records = _run_seeds(config, method, seeds,
-                                                    opts["finetune_each"])
+    """Execute the configured engine over all seeds and emit the report.
+    Overrides given here rebuild the config with them."""
+    if method or seeds:
+        config = ExperimentConfig(config.raw, config.base_dir, method, seeds)
+    opts = config.report
+    records = _run_seeds(config, opts["finetune_each"])
 
     rows = [(rec.method, rec.seed, it.index, it.sparsity, it.finetune_accuracy,
              it.mask_phase_seconds, it.finetune_seconds)
@@ -478,10 +404,9 @@ def run_experiment(config: ExperimentConfig, out_dir, method=None,
     summary = summarize(records)
     if opts["lmc"]:
         paths["lmc"] = os.path.join(out_dir, "lmc.csv")
-        summary["lmc"] = _emit_lmc(spec, cfg, d_real, d_test, records[0], opts,
-                                   paths["lmc"])
+        summary["lmc"] = _emit_lmc(config, records[0], paths["lmc"])
     if opts["histograms"]:
-        _emit_histograms(spec, records[0], opts, out_dir, paths)
+        _emit_histograms(config, records[0], out_dir, paths)
 
     atomic_write_text(os.path.join(out_dir, "summary.json"),
                       json.dumps(summary, indent=2, sort_keys=True) + "\n")
@@ -524,13 +449,14 @@ def summarize(records):
     }
 
 
-def _emit_lmc(spec, cfg, d_real, d_test, record, opts, path):
+def _emit_lmc(config, record, path):
     seed_a, seed_b = 1, 2
+    spec, opts = config.spec, config.report
     theta = nn.init_params(spec, record.seed)
     mask = record.final_mask
-    ta, tb = analysis.train_twin(spec, theta, mask, d_real,
-                                 cfg.train_config_finetune, seed_a, seed_b)
-    curve = analysis.interpolate_curve(spec, ta, tb, mask, d_test,
+    ta, tb = analysis.train_twin(spec, theta, mask, config.train,
+                                 config.cfg.train_config_finetune, seed_a, seed_b)
+    curve = analysis.interpolate_curve(spec, ta, tb, mask, config.test,
                                        opts["lmc_points"], (seed_a, seed_b))
     rows = [(a, acc, loss, curve.mask_sparsity, seed_a, seed_b)
             for a, acc, loss in zip(curve.alphas, curve.accuracies, curve.losses)]
@@ -540,11 +466,11 @@ def _emit_lmc(spec, cfg, d_real, d_test, record, opts, path):
             "threshold": rep.threshold}
 
 
-def _emit_histograms(spec, record, opts, out_dir, paths):
-    theta = nn.init_params(spec, record.seed)
+def _emit_histograms(config, record, out_dir, paths):
+    theta = nn.init_params(config.spec, record.seed)
     mask = record.final_mask
     for name in dict.fromkeys(e.name for e in theta.layer_map):
-        hist = analysis.weight_histogram(theta, mask, name, opts["num_bins"])
+        hist = analysis.weight_histogram(theta, mask, name, config.report["num_bins"])
         rows = [(hist.bin_edges[i], hist.bin_edges[i + 1], int(hist.counts[i]),
                  hist.sparsity) for i in range(len(hist.counts))]
         path = os.path.join(out_dir, f"hist_{name}.csv")
@@ -592,8 +518,7 @@ def _parser():
         sp.add_argument("--seed", type=int, action="append", default=None)
         sp.add_argument("--out", default=None)
         if name == "prune":
-            sp.add_argument("--method", choices=("imp", "distilled", "random"),
-                            default=None)
+            sp.add_argument("--method", choices=METHODS, default=None)
     sp = sub.add_parser("report")
     sp.add_argument("--out", required=True)
     sp = sub.add_parser("validate")
@@ -629,36 +554,31 @@ def _dispatch(args):
         print(json.dumps(summary, sort_keys=True))
         return 0
 
-    config = ExperimentConfig.load(args.config)
-    out_dir = args.out or config.raw.get("out_dir", "ticketlab_out")
+    config = ExperimentConfig.load(args.config, getattr(args, "method", None), args.seed,
+                                   distills=args.command == "distill")
+    out_dir = args.out or config.out_dir
 
     if args.command == "distill":
-        d_real, _ = config.datasets()
-        dsyn = config.distilled(d_real)
+        dsyn = config.distilled()
         path = os.path.join(out_dir, "dsyn.dstl")
-        os.makedirs(out_dir, exist_ok=True)
         data_mod.save_distilled(dsyn, path)
         print(json.dumps({"path": path, "ipc": dsyn.ipc, "size": dsyn.size,
                           "provenance": dsyn.provenance}))
         return 0
 
     if args.command == "prune":
-        bundle = run_experiment(config, out_dir, method=args.method,
-                                seeds=args.seed)
+        bundle = run_experiment(config, out_dir)
         print(json.dumps(bundle.summary, sort_keys=True))
         return 0
 
     # lmc and weights: one engine run of the first seed, without finetune_each
-    spec, cfg, d_real, d_test, (rec,) = _run_seeds(
-        config, config.raw.get("method", "imp"), args.seed, False, count=1)
-    opts = config.report_options()
+    rec, = _run_seeds(config, False, count=1)
     if args.command == "lmc":
-        result = _emit_lmc(spec, cfg, d_real, d_test, rec, opts,
-                           os.path.join(out_dir, "lmc.csv"))
+        result = _emit_lmc(config, rec, os.path.join(out_dir, "lmc.csv"))
     else:
         paths = {}
-        _emit_histograms(spec, rec, opts, out_dir, paths)
-        ratio = analysis.survivor_magnitude_ratio(nn.init_params(spec, rec.seed),
+        _emit_histograms(config, rec, out_dir, paths)
+        ratio = analysis.survivor_magnitude_ratio(nn.init_params(config.spec, rec.seed),
                                                   rec.final_mask)
         result = {"survivor_magnitude_ratio": ratio, "files": sorted(paths.values())}
     print(json.dumps(result, sort_keys=True))

@@ -8,10 +8,14 @@ DSTL file format (save_distilled / load_distilled).
 
 from __future__ import annotations
 
+import os
 import struct
+import tempfile
 from dataclasses import dataclass
 
 import numpy as np
+
+from .nn import is_whole, require
 
 IMAGE_MAGIC = 0x00000803
 LABEL_MAGIC = 0x00000801
@@ -24,6 +28,22 @@ _CODE_TO_PROVENANCE = {v: k for k, v in PROVENANCE_CODES.items()}
 
 class FormatError(ValueError):
     """Malformed IDX or DSTL file."""
+
+
+def atomic_write(path, blob):
+    """Write bytes through a temporary file in the same directory and a
+    rename, creating the directory; on failure no file is left behind."""
+    d = os.path.dirname(os.path.abspath(path))
+    os.makedirs(d, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as f:
+            f.write(blob)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
 
 
 @dataclass
@@ -100,9 +120,12 @@ def load_idx(images_path, labels_path, num_classes=None) -> LabeledDataset:
     if images.shape[0] != labels.shape[0]:
         raise FormatError("image/label counts differ")
     if num_classes is None:
-        num_classes = int(labels.max()) + 1
-    return LabeledDataset(images.astype(np.float64) / 255.0,
-                          labels.astype(np.int64), num_classes)
+        num_classes = int(labels.max(initial=0)) + 1
+    try:
+        return LabeledDataset(images.astype(np.float64) / 255.0,
+                              labels.astype(np.int64), num_classes)
+    except ValueError as e:
+        raise FormatError(f"{labels_path}: {e}") from None
 
 
 def write_idx(data: LabeledDataset, images_path, labels_path):
@@ -134,16 +157,13 @@ def synth_dataset(kind, num_classes, per_class, noise, seed,
     geometry depends only on geometry_seed, so draws with different sample
     seeds share the same underlying distribution.
     """
-    if per_class < 1:
-        raise ValueError("per_class must be >= 1")
+    check_synth(kind, num_classes, per_class, noise, seed, input_shape)
     rng = np.random.default_rng(seed)
     dim = int(np.prod(input_shape))
     n = num_classes * per_class
     labels = np.repeat(np.arange(num_classes), per_class)
 
     if kind == "gaussianBlobs":
-        if dim < 2:
-            raise ValueError("gaussianBlobs requires at least 2-D inputs")
         if dim == 2:
             basis = np.eye(2)
         else:
@@ -153,17 +173,32 @@ def synth_dataset(kind, num_classes, per_class, noise, seed,
         angles = 2.0 * np.pi * np.arange(num_classes) / num_classes
         means = 3.0 * (np.stack([np.cos(angles), np.sin(angles)], axis=1) @ basis)
         x = means[labels] + noise * rng.standard_normal((n, dim))
-    elif kind == "spirals":
-        if dim != 2:
-            raise ValueError("spirals requires 2-D inputs")
+    else:
         t = np.tile(np.linspace(0.25, 1.0, per_class), num_classes)
         theta = 3.0 * np.pi * t + 2.0 * np.pi * labels / num_classes
         r = 3.0 * t
         x = np.stack([r * np.cos(theta), r * np.sin(theta)], axis=1)
         x += noise * rng.standard_normal((n, 2))
-    else:
-        raise ValueError(f"unknown synthetic kind {kind!r}")
     return LabeledDataset(x.reshape((n,) + tuple(input_shape)), labels, num_classes)
+
+
+def check_synth(kind, num_classes, per_class, noise, seed, input_shape=(2,)):
+    """Raise one ValueError naming every rule the synth_dataset arguments
+    break; each message starts with the argument's name."""
+    whole = all(is_whole(d, 1) for d in input_shape)
+    dim = int(np.prod(input_shape)) if whole else None
+    require([
+        (kind in ("gaussianBlobs", "spirals"), "kind must be gaussianBlobs or spirals"),
+        (num_classes >= 1, "num_classes must be >= 1"),
+        (per_class >= 1, "per_class must be >= 1"),
+        (np.isfinite(noise), "noise must be finite"),
+        (seed >= 0, "seed must be >= 0"),
+        (whole, "input_shape must be positive integers"),
+        (kind != "spirals" or not whole or dim == 2,
+         "input_shape must hold 2 values for spirals"),
+        (kind != "gaussianBlobs" or not whole or dim >= 2,
+         "input_shape must hold at least 2 values for gaussianBlobs"),
+    ])
 
 
 # ---------------------------------------------------------------------------
@@ -289,14 +324,13 @@ def save_distilled(dsyn: DistilledDataset, path):
     examples = dsyn.examples[order]
     labels = dsyn.labels[order]
     dims = examples.shape[1:]
-    with open(path, "wb") as f:
-        f.write(DSTL_MAGIC)
-        f.write(struct.pack("<IIII", DSTL_VERSION, dsyn.num_classes, dsyn.ipc,
-                            len(dims)))
-        f.write(struct.pack(f"<{len(dims)}I", *dims))
-        f.write(struct.pack("<B", PROVENANCE_CODES[dsyn.provenance]))
-        f.write(examples.astype("<f4").tobytes())
-        f.write(labels.astype("<u2").tobytes())
+    atomic_write(path, b"".join([
+        DSTL_MAGIC,
+        struct.pack("<IIII", DSTL_VERSION, dsyn.num_classes, dsyn.ipc, len(dims)),
+        struct.pack(f"<{len(dims)}I", *dims),
+        struct.pack("<B", PROVENANCE_CODES[dsyn.provenance]),
+        examples.astype("<f4").tobytes(),
+        labels.astype("<u2").tobytes()]))
 
 
 def load_distilled(path) -> DistilledDataset:

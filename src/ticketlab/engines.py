@@ -25,7 +25,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .nn import ModelSpec, ParameterVector, TrainConfig, train, train_with_snapshots, evaluate
+from .nn import (ModelSpec, ParameterVector, TrainConfig, evaluate, is_whole, require,
+                 train, train_with_snapshots)
 from .pruning import (GLOBAL, PruneScope, SparsityMask, magnitude_prune,
                       random_prune, sparsity)
 
@@ -50,14 +51,15 @@ class PruneRunConfig:
     seeds: tuple[int, ...] = (0, 1, 2, 3, 4)
 
     def __post_init__(self):
-        if not 0.0 < self.amount < 1.0:
-            raise ValueError("amount must be in (0, 1)")
-        if not 0.0 < self.desired_sparsity < 1.0:
-            raise ValueError("desired_sparsity must be in (0, 1)")
-        if self.rewind_epoch < 0:
-            raise ValueError("rewind_epoch must be >= 0")
-        if self.rewind_epoch > 0 and self.rewind_epoch >= self.mask_train_epochs:
-            raise ValueError("rewind_epoch must be < mask_train_epochs")
+        require([
+            (0.0 < self.amount < 1.0, "amount must be in (0, 1)"),
+            (0.0 < self.desired_sparsity < 1.0, "desired_sparsity must be in (0, 1)"),
+            (self.rewind_epoch >= 0, "rewind_epoch must be >= 0"),
+            (self.rewind_epoch <= 0 or self.rewind_epoch < self.mask_train_epochs,
+             "rewind_epoch must be < mask_train_epochs"),
+            (len(self.seeds) > 0 and all(is_whole(s, 0) for s in self.seeds),
+             "seeds must be a non-empty list of non-negative integers"),
+        ])
         if self.train_config_mask is None:
             object.__setattr__(self, "train_config_mask",
                                TrainConfig(epochs=self.mask_train_epochs))

@@ -18,12 +18,14 @@ KSIZE = 3  # convolution kernel size used by the convnet architecture
 
 
 class TrainingDiverged(RuntimeError):
-    """Raised when the training loss becomes non-finite.  Carries where it
+    """Raised when the training loss becomes non-finite, or (loss None) when
+    the parameters do after the last batch's finite loss.  Carries where it
     happened, the learning rate in effect (after milestone decay) and the
     last finite batch loss (None if the first batch diverged)."""
 
     def __init__(self, epoch, batch, loss, learning_rate, last_finite_loss):
-        super().__init__(f"non-finite loss {loss!r} at epoch {epoch}, batch {batch} "
+        what = "parameters" if loss is None else f"loss {loss!r}"
+        super().__init__(f"non-finite {what} at epoch {epoch}, batch {batch} "
                          f"(learning rate {learning_rate!r}, "
                          f"last finite loss {last_finite_loss!r})")
         self.epoch = epoch
@@ -71,6 +73,21 @@ class ParameterVector:
         raise KeyError(f"no segment {name}.{kind}")
 
 
+def is_whole(value, minimum):
+    """An integer (a bool is not one) of at least `minimum`."""
+    return (isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+            and value >= minimum)
+
+
+def require(rules):
+    """Raise one ValueError naming, joined by "; ", every (holds, message)
+    rule that does not hold.  A rule written as a comparison that must be
+    true fails on NaN."""
+    broken = [message for holds, message in rules if not holds]
+    if broken:
+        raise ValueError("; ".join(broken))
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     epochs: int
@@ -83,23 +100,18 @@ class TrainConfig:
     shuffle_seed: int = 0
 
     def __post_init__(self):
-        if self.epochs < 0:
-            raise ValueError("epochs must be >= 0")
-        if self.learning_rate <= 0:
-            raise ValueError("learning rate must be positive")
-        if not 0 <= self.momentum < 1:
-            raise ValueError("momentum must be in [0, 1)")
-        if self.weight_decay < 0:
-            raise ValueError("weight decay must be non-negative")
-        if self.batch_size < 1:
-            raise ValueError("batch size must be positive")
-        if not 0 < self.gamma <= 1:
-            raise ValueError("gamma must be in (0, 1]")
-        if self.shuffle_seed < 0:
-            raise ValueError("shuffle_seed must be >= 0")
-        ms = tuple(self.milestones)
-        if list(ms) != sorted(set(ms)) or any(m >= self.epochs for m in ms):
-            raise ValueError("milestones must be strictly increasing and < epochs")
+        ms = list(self.milestones)
+        require([
+            (self.epochs >= 0, "epochs must be >= 0"),
+            (0 < self.learning_rate < np.inf, "learning rate must be positive and finite"),
+            (0 <= self.momentum < 1, "momentum must be in [0, 1)"),
+            (0 <= self.weight_decay < np.inf, "weight decay must be non-negative and finite"),
+            (self.batch_size >= 1, "batch size must be positive"),
+            (0 < self.gamma <= 1, "gamma must be in (0, 1]"),
+            (self.shuffle_seed >= 0, "shuffle_seed must be >= 0"),
+            (ms == sorted(set(ms)) and all(m < self.epochs for m in ms),
+             "milestones must be strictly increasing and < epochs"),
+        ])
 
 
 @dataclass(frozen=True)
@@ -120,8 +132,7 @@ class ModelSpec:
         if self.num_classes < 2:
             raise ValueError("need at least 2 classes")
         if not self.input_shape or not all(
-                isinstance(d, (int, np.integer)) and not isinstance(d, bool) and d >= 1
-                for d in (*self.input_shape, *self.hidden, *self.channels)):
+                is_whole(d, 1) for d in (*self.input_shape, *self.hidden, *self.channels)):
             raise ValueError("input_shape (non-empty), hidden and channels must be "
                              "positive integers")
         if self.architecture == "convnet":
@@ -395,6 +406,8 @@ def train(spec, params, mask, data, cfg: TrainConfig,
             theta.values *= mask.bits
         if _snapshots is not None and epoch + 1 in snapshot_epochs:
             _snapshots[epoch + 1] = theta.copy()
+    if not np.all(np.isfinite(theta.values)):
+        raise TrainingDiverged(cfg.epochs - 1, bi, None, lr, last_loss)
     return theta
 
 

@@ -110,6 +110,8 @@ def magnitude_prune(params: ParameterVector, mask: SparsityMask, amount: float,
     _check_aligned(params, mask)
     if not 0.0 < amount < 1.0:
         raise ValueError("amount must be in (0, 1)")
+    if not np.all(np.isfinite(params.values)):
+        raise ValueError("parameters must be finite to rank by magnitude")
     key = np.abs(params.values * mask.bits)
     return _prune_by_key(mask, amount, scope, lambda cand: key)
 

@@ -1,4 +1,5 @@
 import json
+import os
 import tempfile
 from pathlib import Path
 
@@ -176,9 +177,21 @@ RANGE_CASES = [
     ("distiller.seed", {**with_section("distiller", {"seed": -1}),
                         "method": "distilled"}),
 ]
-INVALID = WRONG_TYPES + MODEL_CASES + RANGE_CASES
+NAN, INF = float("nan"), float("inf")
+
+# report flags that are not booleans, and numbers that are not finite
+FLAG_AND_FINITE_CASES = [
+    ("report.lmc", with_section("report", {"lmc": "no"})),
+    ("report.finetune_each", with_section("report", {"finetune_each": "no"})),
+    ("prune.mask_train.learning_rate", with_section("prune", {
+        **BASE_CONFIG["prune"], "mask_train_epochs": 1,
+        "mask_train": {"learning_rate": NAN, "batch_size": 512}})),
+    ("prune.finetune.weight_decay", with_prune("finetune", weight_decay=INF)),
+    ("dataset.noise", with_dataset(noise=NAN)),
+]
+INVALID = WRONG_TYPES + MODEL_CASES + RANGE_CASES + FLAG_AND_FINITE_CASES
 INVALID_IDS = [f"{field}-{i}" for i, (field, _) in enumerate(INVALID)]
-PRUNE_CASES = INVALID[:7] + MODEL_CASES + RANGE_CASES
+PRUNE_CASES = INVALID[:7] + MODEL_CASES + RANGE_CASES + FLAG_AND_FINITE_CASES
 PRUNE_CASE_IDS = INVALID_IDS[:7] + INVALID_IDS[len(WRONG_TYPES):]
 
 
@@ -215,19 +228,43 @@ class TestValidateTypes:
         path.write_bytes(b'{"seeds": "\xff"}')
         assert cli.main(["validate", "--config", str(path)]) == cli.EXIT_CONFIG
 
+    def test_deeply_nested_config_is_config_error(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        assert cli.main(["validate", "--config", str(path)]) == cli.EXIT_CONFIG
+
+    def test_validate_never_generates_synth_data(self, tmp_path, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("validate generated the synthetic data")
+
+        monkeypatch.setattr(tl.data, "synth_dataset", refuse)
+        assert cli.main(["validate", "--config", str(write_config(tmp_path))]) == 0
+
 
 CONFIG_KEYS = sorted({"dataset", "model", "prune", "distiller", "report", "seeds",
                       "method", "mask_train", "finetune", "source", "kind", "path",
-                      "images", "labels"}
-                     | {k for fields in cli._SECTIONS.values() for k in fields})
+                      "images", "labels",
+                      # numeric fields
+                      "num_classes", "per_class", "test_per_class", "noise", "seed",
+                      "amount", "desired_sparsity", "rewind_epoch", "mask_train_epochs",
+                      "finetune_epochs", "iteration_cap", "learning_rate", "momentum",
+                      "weight_decay", "batch_size", "gamma", "shuffle_seed", "ipc",
+                      "iterations", "lmc_points", "threshold", "num_bins"})
 
-json_values = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8)
-    | st.sampled_from(["idx", "synth", "external", "gaussianBlobs", "imp"]),
-    lambda inner: st.lists(inner, max_size=4)
-    | st.dictionaries(st.sampled_from(CONFIG_KEYS) | st.text(max_size=6), inner,
-                      max_size=6),
-    max_leaves=20)
+
+def json_of(integers):
+    """Any JSON value, with integers drawn from `integers`."""
+    return st.recursive(
+        st.none() | st.booleans() | integers | st.floats() | st.text(max_size=8)
+        | st.sampled_from(["idx", "synth", "external", "gaussianBlobs", "imp",
+                           "distilled", "random", "classMean", "spirals", "layerwise"]),
+        lambda inner: st.lists(inner, max_size=4)
+        | st.dictionaries(st.sampled_from(CONFIG_KEYS) | st.text(max_size=6), inner,
+                          max_size=6),
+        max_leaves=20)
+
+
+json_values = json_of(st.integers())
 
 
 @settings(max_examples=300, deadline=None)
@@ -238,6 +275,62 @@ def test_validate_is_total_on_json(value):
         path = Path(d) / "config.json"
         path.write_text(json.dumps(value))
         assert cli.main(["validate", "--config", str(path)]) in (0, 2, 3, 4)
+
+
+TRAIN = {"learning_rate": 0.1, "momentum": 0.9, "weight_decay": 0.0, "batch_size": 8,
+         "milestones": [], "gamma": 1.0, "shuffle_seed": 0}
+TINY_CONFIG = {
+    "dataset": {"source": "synth", "kind": "gaussianBlobs", "num_classes": 3,
+                "per_class": 8, "test_per_class": 4, "noise": 0.6, "seed": 0,
+                "input_shape": [2]},
+    "model": {"architecture": "mlp", "input_shape": [2], "num_classes": 3, "hidden": [4],
+              "channels": []},
+    "method": "imp",
+    "prune": {"desired_sparsity": 0.5, "amount": 0.2, "mask_train_epochs": 1,
+              "finetune_epochs": 1, "rewind_epoch": 0, "scope": "global",
+              "iteration_cap": 40, "mask_train": TRAIN, "finetune": TRAIN},
+    "seeds": [0],
+    "distiller": {"kind": "kmeansHerding", "ipc": 2, "iterations": 5, "seed": 0},
+    "report": {"finetune_each": False, "lmc": False, "histograms": False,
+               "lmc_points": 3, "threshold": 0.02, "num_bins": 4},
+}
+
+
+def field_paths(section, prefix=()):
+    for key, value in section.items():
+        yield prefix + (key,)
+        if isinstance(value, dict):
+            yield from field_paths(value, prefix + (key,))
+
+
+# fields whose value sets the size of the work (epochs, example counts, widths
+# and point counts) and the sections that hold them draw only small integers;
+# so do all top-level fields
+SIZE_FIELDS = {"mask_train_epochs", "finetune_epochs", "per_class", "test_per_class",
+               "num_classes", "input_shape", "hidden", "channels", "lmc_points",
+               "num_bins", "ipc", "iterations", "mask_train", "finetune"}
+MUTATIONS = st.sampled_from(sorted(field_paths(TINY_CONFIG))).flatmap(
+    lambda path: st.tuples(st.just(path), json_of(st.integers(-2, 6))
+                           if len(path) == 1 or path[-1] in SIZE_FIELDS else json_values))
+
+
+@settings(max_examples=100, deadline=None)
+@given(mutation=MUTATIONS)
+def test_prune_is_total_on_one_mutated_field(mutation):
+    """A tiny valid config with any one field set to any JSON value: prune
+    returns a documented exit code and raises nothing."""
+    path, value = mutation
+    raw = json.loads(json.dumps(TINY_CONFIG))
+    section = raw
+    for key in path[:-1]:
+        section = section[key]
+    section[path[-1]] = value
+    with tempfile.TemporaryDirectory() as d:
+        config = Path(d) / "config.json"
+        config.write_text(json.dumps(raw))
+        with np.errstate(all="ignore"):
+            code = cli.main(["prune", "--config", str(config), "--out", str(Path(d) / "out")])
+    assert code in (0, 2, 3, 4)
 
 
 class TestRunExperiment:
@@ -360,6 +453,17 @@ class TestSubcommands:
         summary = json.loads(capsys.readouterr().out.strip())
         assert summary["seeds"] == [0]
         assert (tmp_path / "out" / "summary.json").exists()
+
+    def test_distill_write_failure_leaves_no_file(self, tmp_path, monkeypatch):
+        def full_disk(src, dst):
+            raise OSError("no space left on device")
+
+        monkeypatch.setattr(os, "replace", full_disk)
+        path = write_config(tmp_path, overrides={
+            "distiller": {"kind": "kmeansHerding", "ipc": 3, "seed": 0}})
+        out = tmp_path / "out"
+        assert cli.main(["distill", "--config", str(path), "--out", str(out)]) == cli.EXIT_IO
+        assert list(out.iterdir()) == []
 
     def test_distill_writes_dstl(self, tmp_path, capsys):
         path = write_config(tmp_path, overrides={
@@ -498,6 +602,44 @@ class TestConfigPaths:
         assert cli.main(["validate", "--config", config]) == 0
         assert cli.main(["prune", "--config", config, "--out", "out"]) == 0
         assert json.loads(capsys.readouterr().out.splitlines()[-1])["method"] == "distilled"
+
+    def assert_config_error(self, capsys, argv, out_dir):
+        assert cli.main(argv) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1, err
+        assert not out_dir.exists()
+        return err
+
+    @pytest.mark.parametrize("model,field", [
+        ({"num_classes": 2}, "dataset.num_classes"),        # labels reach class 2
+        ({"input_shape": [4, 4]}, "dataset.input_shape"),   # images are 3x3
+    ])
+    def test_idx_data_must_fit_model(self, tmp_path, monkeypatch, capsys, model, field):
+        cfg_dir = self.config_dir(tmp_path, monkeypatch, model={
+            **with_model(input_shape=[3, 3])["model"], **model})
+        config = str(cfg_dir / "config.json")
+        assert field in self.assert_config_error(
+            capsys, ["prune", "--config", config, "--out", "out"],
+            tmp_path / "elsewhere" / "out")
+        assert any(field in d for d in cli.validate_config(config))
+
+    def test_idx_ipc_checked_against_smallest_class(self, tmp_path, monkeypatch, capsys):
+        # 20 examples per class
+        cfg_dir = self.config_dir(tmp_path, monkeypatch, distiller={"ipc": 21})
+        config = str(cfg_dir / "config.json")
+        assert cli.main(["validate", "--config", config]) == 0
+        assert "distiller.ipc" in self.assert_config_error(
+            capsys, ["prune", "--config", config, "--method", "distilled", "--out", "out"],
+            tmp_path / "elsewhere" / "out")
+
+    @pytest.mark.parametrize("command", ["prune", "distill"])
+    def test_distilling_run_checks_ipc(self, tmp_path, capsys, command):
+        # method imp, no distiller section: the default ipc 10 is more than 5
+        path = write_raw(tmp_path, with_dataset(per_class=5))
+        assert cli.validate_config(path) == []
+        argv = [command, "--config", str(path), "--out", str(tmp_path / "out")]
+        argv += ["--method", "distilled"] if command == "prune" else []
+        assert "distiller.ipc" in self.assert_config_error(capsys, argv, tmp_path / "out")
 
     @pytest.mark.parametrize("name", ["ipc_zero", "label_out_of_range", "non_finite"])
     def test_rejected_external_contents_are_io_errors(self, tmp_path, monkeypatch,

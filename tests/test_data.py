@@ -63,8 +63,29 @@ class TestIdx:
             tl.write_idx(ds, ip, lp)
         assert not ip.exists() and not lp.exists()
 
+    def test_empty_file_is_format_error(self, tmp_path):
+        images = tmp_path / "images.idx"
+        labels = tmp_path / "labels.idx"
+        images.write_bytes(struct.pack(">IIII", 0x00000803, 0, 3, 3))
+        labels.write_bytes(struct.pack(">II", 0x00000801, 0))
+        with pytest.raises(FormatError, match="non-empty"):
+            tl.load_idx(images, labels)
+
 
 class TestSynth:
+    @pytest.mark.parametrize("args,broken", [
+        (("circles", 2, 5, 0.1, 0, (2,)), ["kind"]),
+        (("gaussianBlobs", 2, 0, 0.1, -1, (2,)), ["per_class", "seed"]),
+        (("gaussianBlobs", 2, 5, float("nan"), 0, (2,)), ["noise"]),
+        (("gaussianBlobs", 2, 5, 0.1, 0, (1,)), ["input_shape"]),
+        (("spirals", 2, 5, 0.1, 0, (1, 2, 2)), ["input_shape"]),
+        (("gaussianBlobs", 2, 5, 0.1, 0, (2, True)), ["input_shape"]),
+    ])
+    def test_check_names_each_broken_argument(self, args, broken):
+        with pytest.raises(ValueError) as info:
+            tl.synth_dataset(*args)
+        rules = str(info.value).split("; ")
+        assert [rule.split()[0] for rule in rules] == broken
     def test_noise_zero_collapses_to_means(self):
         ds = tl.synth_dataset("gaussianBlobs", 3, 5, 0.0, seed=0)
         for c in range(3):

@@ -286,6 +286,30 @@ class TestTrain:
         with pytest.raises(ValueError):
             tl.TrainConfig(epochs=3, milestones=(5,))
 
+    @pytest.mark.parametrize("field,value", [
+        ("learning_rate", float("nan")), ("learning_rate", float("inf")),
+        ("momentum", float("nan")), ("weight_decay", float("nan")),
+        ("weight_decay", float("inf")), ("gamma", float("nan"))])
+    def test_non_finite_fields_rejected(self, field, value):
+        with pytest.raises(ValueError):
+            self.cfg(**{field: value})
+
+    def test_every_broken_rule_is_named(self):
+        with pytest.raises(ValueError) as info:
+            self.cfg(learning_rate=-1, momentum=1.0)
+        assert "learning rate" in str(info.value) and "momentum" in str(info.value)
+
+    def test_non_finite_final_parameters_diverge(self, blob_mlp_spec, blobs_2d):
+        # one batch whose loss is finite but whose update overflows: no later
+        # loss would show it, so the final parameters are checked
+        params = tl.init_params(blob_mlp_spec, 0)
+        data = tl.LabeledDataset(blobs_2d.examples * 1e200, blobs_2d.labels, 2)
+        cfg = self.cfg(epochs=1, learning_rate=1e200, batch_size=data.size)
+        with np.errstate(all="ignore"), pytest.raises(tl.TrainingDiverged) as info:
+            tl.train(blob_mlp_spec, params, ones_mask(params), data, cfg)
+        assert info.value.loss is None and np.isfinite(info.value.last_finite_loss)
+        assert str(info.value).startswith("non-finite parameters at epoch 0, batch 0")
+
     def test_divergence_reports_decayed_rate_and_last_finite_loss(self, blob_mlp_spec,
                                                                   blobs_2d):
         params = tl.init_params(blob_mlp_spec, 0)

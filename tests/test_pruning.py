@@ -91,6 +91,12 @@ class TestMagnitudePrune:
             with pytest.raises(ValueError):
                 tl.magnitude_prune(params, mask, amount)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_params_rejected(self, bad):
+        params = flat_model([1.0, bad, 3.0, 4.0])
+        with pytest.raises(ValueError, match="finite"):
+            tl.magnitude_prune(params, tl.SparsityMask.ones(params.layer_map), 0.5)
+
     def test_layerwise_floor_per_layer(self):
         params = two_layer_model([0.1, 0.2, 0.3, 0.4], [10.0, 20.0])
         mask = tl.SparsityMask.ones(params.layer_map)
