@@ -8,7 +8,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .nn import ModelSpec, ParameterVector, TrainConfig, evaluate, train
-from .pruning import SparsityMask, apply_mask
+from .pruning import SparsityMask, sparsity
 
 
 @dataclass
@@ -65,7 +65,6 @@ def interpolate_curve(spec: ModelSpec, theta_a: ParameterVector,
     """Evaluate (1-alpha) * theta_a + alpha * theta_b on a uniform alpha grid."""
     if num_points < 2:
         raise ValueError("need at least 2 interpolation points")
-    from .pruning import sparsity as _sparsity
     alphas = np.linspace(0.0, 1.0, num_points)
     accs = np.empty(num_points)
     losses = np.empty(num_points)
@@ -73,8 +72,8 @@ def interpolate_curve(spec: ModelSpec, theta_a: ParameterVector,
         blended = ParameterVector(
             (1.0 - alpha) * theta_a.values + alpha * theta_b.values,
             theta_a.layer_map)
-        accs[i], losses[i] = evaluate(spec, apply_mask(blended, mask), mask, test_data)
-    return InterpolationCurve(alphas, accs, losses, _sparsity(mask), tuple(seed_pair))
+        accs[i], losses[i] = evaluate(spec, blended, mask, test_data)
+    return InterpolationCurve(alphas, accs, losses, sparsity(mask), tuple(seed_pair))
 
 
 def instability(curve: InterpolationCurve, threshold: float = 0.02) -> InstabilityReport:

@@ -12,7 +12,6 @@ import json
 import os
 import struct
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -95,16 +94,6 @@ def save_mask(path, mask: pruning.SparsityMask, method="", seed=0):
     atomic_write_text(path + ".json", json.dumps(sidecar, indent=2) + "\n")
 
 
-def _tiles(layer_map, n):
-    """True if the entries cover positions 0..n-1 in order, without gaps."""
-    covered = 0
-    for e in layer_map:
-        if e.offset != covered or not isinstance(e.length, int) or e.length < 0:
-            return False
-        covered += e.length
-    return covered == n
-
-
 def load_mask(path) -> pruning.SparsityMask:
     with open(path, "rb") as f:
         blob = f.read()
@@ -117,16 +106,15 @@ def load_mask(path) -> pruning.SparsityMask:
         raise data_mod.FormatError(
             f"{path}: {len(blob) - 8} payload bytes for {n} bits")
     bits = np.unpackbits(np.frombuffer(blob[8:], dtype=np.uint8), count=n)
-    with open(path + ".json") as f:
-        sidecar = json.load(f)
     try:
+        with open(path + ".json", encoding="utf-8") as f:
+            entries = json.load(f)["layer_map"]
         layer_map = tuple(nn.LayerEntry(e["name"], e["offset"], e["length"], e["kind"])
-                          for e in sidecar["layer_map"])
-    except (KeyError, TypeError) as e:
-        raise data_mod.FormatError(f"{path}.json: bad layer_map ({e!r})") from None
-    if not _tiles(layer_map, n):
-        raise data_mod.FormatError(f"{path}.json: layer_map does not cover {n} positions")
-    return pruning.SparsityMask(bits.astype(np.float64), layer_map)
+                          for e in entries)
+        return pruning.SparsityMask(bits.astype(np.float64), layer_map)
+    except (KeyError, TypeError, ValueError, RecursionError) as e:
+        # ValueError: not UTF-8, not JSON, or a layer map that does not tile the bits
+        raise data_mod.FormatError(f"{path}.json: bad sidecar ({e!r})") from None
 
 
 # ---------------------------------------------------------------------------
@@ -244,8 +232,6 @@ class ExperimentConfig:
                       seeds=tuple(seeds or get("seeds", [0, 1, 2, 3, 4], list)))
         scope = get("prune.scope", "global", str)
         self.cfg = self._make(n, "prune: ", lambda: engines.PruneRunConfig(
-            mask_train_epochs=train["mask_train"].epochs,
-            finetune_epochs=train["finetune"].epochs,
             prune_scope=pruning.PruneScope(scope), train_config_mask=train["mask_train"],
             train_config_finetune=train["finetune"], **fields))
 
@@ -284,9 +270,9 @@ class ExperimentConfig:
                 return None
             self.train = self.test = data_mod.load_idx(*files[:2])
             if test:
-                self.test = data_mod.load_idx(*files[2:], num_classes=self.train.num_classes)
+                self.test = data_mod.load_idx(*files[2:])
             self._fit("dataset", {d.examples.shape[1:] for d in (self.train, self.test)},
-                      self.train.num_classes)
+                      max(self.train.num_classes, self.test.num_classes))
             return int(self.train.class_counts().min())
         if source == "synth":
             kind, classes = get("dataset.kind", kind=str), get("dataset.num_classes", kind=int)
@@ -358,12 +344,6 @@ def validate_config(path):
 # ---------------------------------------------------------------------------
 # Experiment orchestration
 
-@dataclass
-class ReportBundle:
-    summary: dict
-    csv_paths: dict
-
-
 def _run_seeds(config, finetune_each, count=None):
     """One RunRecord per configured seed; only the first `count` run."""
     spec, cfg, method = config.spec, config.cfg, config.method
@@ -382,20 +362,17 @@ def _run_seeds(config, finetune_each, count=None):
     return records
 
 
-def run_experiment(config: ExperimentConfig, out_dir, method=None,
-                   seeds=None) -> ReportBundle:
-    """Execute the configured engine over all seeds and emit the report.
-    Overrides given here rebuild the config with them."""
-    if method or seeds:
-        config = ExperimentConfig(config.raw, config.base_dir, method, seeds)
+def run_experiment(config: ExperimentConfig, out_dir) -> dict:
+    """Run the configured engine over all seeds, write the report into
+    `out_dir` and return its summary."""
     opts = config.report
     records = _run_seeds(config, opts["finetune_each"])
 
     rows = [(rec.method, rec.seed, it.index, it.sparsity, it.finetune_accuracy,
              it.mask_phase_seconds, it.finetune_seconds)
             for rec in records for it in rec.iterations]
-    paths = {"iterations": os.path.join(out_dir, "iterations.csv")}
-    atomic_write_text(paths["iterations"], csv_text(ITERATIONS_HEADER, rows))
+    atomic_write_text(os.path.join(out_dir, "iterations.csv"),
+                      csv_text(ITERATIONS_HEADER, rows))
 
     for rec in records:
         mask_path = os.path.join(out_dir, f"mask_{rec.method}_seed{rec.seed}.mask")
@@ -403,23 +380,23 @@ def run_experiment(config: ExperimentConfig, out_dir, method=None,
 
     summary = summarize(records)
     if opts["lmc"]:
-        paths["lmc"] = os.path.join(out_dir, "lmc.csv")
-        summary["lmc"] = _emit_lmc(config, records[0], paths["lmc"])
+        summary["lmc"] = _emit_lmc(config, records[0], os.path.join(out_dir, "lmc.csv"))
     if opts["histograms"]:
-        _emit_histograms(config, records[0], out_dir, paths)
-
-    atomic_write_text(os.path.join(out_dir, "summary.json"),
-                      json.dumps(summary, indent=2, sort_keys=True) + "\n")
-    return ReportBundle(summary, paths)
+        _emit_histograms(config, records[0], out_dir)
+    _write_summary(out_dir, summary)
+    return summary
 
 
-def _levels(rows):
-    """Best-seed and mean/std accuracy per sparsity level from
-    (sparsity, seed, accuracy or None) rows."""
+def summarize(records):
+    """The summary of a run's records: their sorted methods, their seeds,
+    the first record's final sparsity, best-seed and mean/std finetuned
+    accuracy per sparsity level, and each seed's time-to-mask."""
     by_level = {}
-    for level, seed, acc in rows:
-        if acc is not None:
-            by_level.setdefault(round(level, 12), []).append((seed, acc))
+    for rec in records:
+        for it in rec.iterations:
+            if it.finetune_accuracy is not None:
+                by_level.setdefault(round(it.sparsity, 12), []).append(
+                    (rec.seed, it.finetune_accuracy))
     levels = []
     for level in sorted(by_level):
         pairs = by_level[level]
@@ -428,18 +405,12 @@ def _levels(rows):
         levels.append({"sparsity": level, "mean_accuracy": float(accs.mean()),
                        "std_accuracy": float(accs.std()), "best_seed": int(best_seed),
                        "best_accuracy": float(best_acc)})
-    return levels
-
-
-def summarize(records):
-    """Best-seed and mean/std accuracy per sparsity level; timing totals."""
     return {
         "schema_version": SCHEMA_VERSION,
-        "method": records[0].method,
+        "method": ",".join(sorted({rec.method for rec in records})),
         "seeds": [rec.seed for rec in records],
         "final_sparsity": records[0].final_sparsity,
-        "levels": _levels((it.sparsity, rec.seed, it.finetune_accuracy)
-                          for rec in records for it in rec.iterations),
+        "levels": levels,
         "time_to_mask_seconds": {
             str(rec.seed): {
                 "mask_only": engines.time_to_mask(rec, False),
@@ -447,6 +418,11 @@ def summarize(records):
             } for rec in records
         },
     }
+
+
+def _write_summary(out_dir, summary):
+    atomic_write_text(os.path.join(out_dir, "summary.json"),
+                      json.dumps(summary, indent=2, sort_keys=True) + "\n")
 
 
 def _emit_lmc(config, record, path):
@@ -466,43 +442,52 @@ def _emit_lmc(config, record, path):
             "threshold": rep.threshold}
 
 
-def _emit_histograms(config, record, out_dir, paths):
+def _emit_histograms(config, record, out_dir):
+    """Write one histogram per layer; their paths."""
     theta = nn.init_params(config.spec, record.seed)
     mask = record.final_mask
+    paths = []
     for name in dict.fromkeys(e.name for e in theta.layer_map):
         hist = analysis.weight_histogram(theta, mask, name, config.report["num_bins"])
         rows = [(hist.bin_edges[i], hist.bin_edges[i + 1], int(hist.counts[i]),
                  hist.sparsity) for i in range(len(hist.counts))]
-        path = os.path.join(out_dir, f"hist_{name}.csv")
-        paths[f"hist_{name}"] = path
-        atomic_write_text(path, csv_text(HIST_HEADER, rows))
+        paths.append(os.path.join(out_dir, f"hist_{name}.csv"))
+        atomic_write_text(paths[-1], csv_text(HIST_HEADER, rows))
+    return paths
 
 
 def rebuild_summary(out_dir):
-    """Recompute summary accuracy levels from iterations.csv alone."""
+    """summarize() of the records in iterations.csv.  A row starts a new
+    record unless it has the previous row's method and seed and a higher
+    iteration.  The table holds no masks or configs (None in the records),
+    and no LMC result."""
     path = os.path.join(out_dir, "iterations.csv")
     with open(path) as f:
         lines = f.read().splitlines()
     if len(lines) < 2:
         raise data_mod.FormatError(f"{path} has no iteration rows")
     header = lines[0].split(",")
-    idx = {name: i for i, name in enumerate(header)}
-    methods, seeds, rows = set(), set(), []
+    records, previous = [], ()
     try:
         for line in lines[1:]:
             cells = line.split(",")
             if len(cells) != len(header):
                 raise ValueError(f"{len(cells)} cells under {len(header)} columns")
-            methods.add(cells[idx["method"]])
-            seed = int(cells[idx["seed"]])
-            seeds.add(seed)
-            if cells[idx["test_accuracy"]]:
-                rows.append((float(cells[idx["sparsity"]]), seed,
-                             float(cells[idx["test_accuracy"]])))
+            row = dict(zip(header, cells))
+            method, seed, index = row["method"], int(row["seed"]), int(row["iteration"])
+            accuracy, finetune = (float(row[key]) if row[key] else None
+                                  for key in ("test_accuracy", "finetune_seconds"))
+            if (method, seed) != previous[:2] or index <= previous[2]:
+                records.append(engines.RunRecord(method, seed, None))
+            previous = (method, seed, index)
+            records[-1].iterations.append(engines.IterationRecord(
+                index, None, float(row["sparsity"]), float(row["mask_phase_seconds"]),
+                accuracy, finetune))
+        for rec in records:
+            rec.validate()
     except (KeyError, ValueError) as e:
         raise data_mod.FormatError(f"{path}: {e!r}") from None
-    return {"schema_version": SCHEMA_VERSION, "method": ",".join(sorted(methods)),
-            "seeds": sorted(seeds), "levels": _levels(rows)}
+    return summarize(records)
 
 
 # ---------------------------------------------------------------------------
@@ -548,9 +533,15 @@ def _dispatch(args):
         return 0 if not diagnostics else EXIT_CONFIG
 
     if args.command == "report":
+        # the rebuilt keys replace their old values; the others (lmc) stay
         summary = rebuild_summary(args.out)
-        atomic_write_text(os.path.join(args.out, "summary.json"),
-                          json.dumps(summary, indent=2, sort_keys=True) + "\n")
+        try:
+            with open(os.path.join(args.out, "summary.json"), encoding="utf-8") as f:
+                kept = json.load(f)
+        except (OSError, ValueError, RecursionError):
+            kept = None  # none, or unreadable: the rebuilt summary replaces it
+        summary = {**kept, **summary} if isinstance(kept, dict) else summary
+        _write_summary(args.out, summary)
         print(json.dumps(summary, sort_keys=True))
         return 0
 
@@ -567,8 +558,7 @@ def _dispatch(args):
         return 0
 
     if args.command == "prune":
-        bundle = run_experiment(config, out_dir)
-        print(json.dumps(bundle.summary, sort_keys=True))
+        print(json.dumps(run_experiment(config, out_dir), sort_keys=True))
         return 0
 
     # lmc and weights: one engine run of the first seed, without finetune_each
@@ -576,11 +566,10 @@ def _dispatch(args):
     if args.command == "lmc":
         result = _emit_lmc(config, rec, os.path.join(out_dir, "lmc.csv"))
     else:
-        paths = {}
-        _emit_histograms(config, rec, out_dir, paths)
+        files = _emit_histograms(config, rec, out_dir)
         ratio = analysis.survivor_magnitude_ratio(nn.init_params(config.spec, rec.seed),
                                                   rec.final_mask)
-        result = {"survivor_magnitude_ratio": ratio, "files": sorted(paths.values())}
+        result = {"survivor_magnitude_ratio": ratio, "files": sorted(files)}
     print(json.dumps(result, sort_keys=True))
     return 0
 

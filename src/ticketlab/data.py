@@ -8,6 +8,7 @@ DSTL file format (save_distilled / load_distilled).
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 import tempfile
@@ -94,10 +95,10 @@ class DistilledDataset(LabeledDataset):
 # IDX files
 
 def _read_exact(f, n, what):
-    buf = f.read(n)
-    if len(buf) != n:
+    """The next n bytes of f, checked against the file's size before reading."""
+    if n > os.fstat(f.fileno()).st_size - f.tell():
         raise FormatError(f"truncated file while reading {what}")
-    return buf
+    return f.read(n)
 
 
 def _load_idx_array(path, expected_magic):
@@ -107,7 +108,7 @@ def _load_idx_array(path, expected_magic):
             raise FormatError(f"bad magic 0x{magic:08x} in {path}")
         ndim = magic & 0xFF
         dims = struct.unpack(f">{ndim}I", _read_exact(f, 4 * ndim, "dimensions"))
-        payload = _read_exact(f, int(np.prod(dims)), "payload")
+        payload = _read_exact(f, math.prod(dims), "payload")
         if f.read(1):
             raise FormatError(f"trailing bytes in {path}")
     return np.frombuffer(payload, dtype=np.uint8).reshape(dims)
@@ -346,12 +347,13 @@ def load_distilled(path) -> DistilledDataset:
         if code not in _CODE_TO_PROVENANCE:
             raise FormatError(f"unknown provenance code {code}")
         n = num_classes * ipc
-        per = int(np.prod(dims))
+        per = math.prod(dims)
         payload = _read_exact(f, 4 * n * per, "image payload")
         label_bytes = _read_exact(f, 2 * n, "labels")
         if f.read(1):
             raise FormatError(f"trailing bytes in {path}")
-    examples = np.frombuffer(payload, dtype="<f4").astype(np.float64)
+    with np.errstate(invalid="ignore"):  # a signaling NaN: rejected below as non-finite
+        examples = np.frombuffer(payload, dtype="<f4").astype(np.float64)
     labels = np.frombuffer(label_bytes, dtype="<u2").astype(np.int64)
     if np.any(np.diff(labels) < 0):
         raise FormatError("labels must be class-major ascending")

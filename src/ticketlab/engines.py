@@ -39,10 +39,14 @@ class SparsityUnreachable(RuntimeError):
 
 @dataclass(frozen=True)
 class PruneRunConfig:
+    """Each phase trains its TrainConfig's epochs: mask_train_epochs (t, per
+    iteration) and finetune_epochs (n) are read from them, and must agree if
+    given; a phase given no TrainConfig gets the default one with its epochs."""
+
     desired_sparsity: float
     amount: float = 0.2
-    mask_train_epochs: int = 1          # t: epochs per loop iteration
-    finetune_epochs: int = 1            # n: final/real-data training epochs
+    mask_train_epochs: int = None
+    finetune_epochs: int = None
     rewind_epoch: int = 0               # k: 0 = rewind to initialization
     prune_scope: PruneScope = GLOBAL
     train_config_mask: TrainConfig = None
@@ -51,21 +55,25 @@ class PruneRunConfig:
     seeds: tuple[int, ...] = (0, 1, 2, 3, 4)
 
     def __post_init__(self):
+        agree = []
+        for name, key in (("mask_train_epochs", "train_config_mask"),
+                          ("finetune_epochs", "train_config_finetune")):
+            epochs = getattr(self, name)
+            if getattr(self, key) is None:
+                object.__setattr__(self, key, TrainConfig(1 if epochs is None else epochs))
+            agree.append((epochs in (None, getattr(self, key).epochs),
+                          f"{name} must equal {key}.epochs"))
+            object.__setattr__(self, name, getattr(self, key).epochs)
         require([
             (0.0 < self.amount < 1.0, "amount must be in (0, 1)"),
             (0.0 < self.desired_sparsity < 1.0, "desired_sparsity must be in (0, 1)"),
             (self.rewind_epoch >= 0, "rewind_epoch must be >= 0"),
-            (self.rewind_epoch <= 0 or self.rewind_epoch < self.mask_train_epochs,
+            (self.rewind_epoch <= 0 or self.rewind_epoch < self.train_config_mask.epochs,
              "rewind_epoch must be < mask_train_epochs"),
             (len(self.seeds) > 0 and all(is_whole(s, 0) for s in self.seeds),
              "seeds must be a non-empty list of non-negative integers"),
+            *agree,
         ])
-        if self.train_config_mask is None:
-            object.__setattr__(self, "train_config_mask",
-                               TrainConfig(epochs=self.mask_train_epochs))
-        if self.train_config_finetune is None:
-            object.__setattr__(self, "train_config_finetune",
-                               TrainConfig(epochs=self.finetune_epochs))
 
 
 @dataclass

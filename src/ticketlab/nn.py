@@ -52,13 +52,7 @@ class ParameterVector:
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.float64)
-        expected = 0
-        for e in self.layer_map:
-            if e.offset != expected:
-                raise ValueError(f"layer map not contiguous at {e.name}.{e.kind}")
-            expected += e.length
-        if expected != self.values.size:
-            raise ValueError("layer map does not cover the parameter vector")
+        check_layer_map(self.layer_map, self.values.size)
 
     def __len__(self):
         return self.values.size
@@ -77,6 +71,18 @@ def is_whole(value, minimum):
     """An integer (a bool is not one) of at least `minimum`."""
     return (isinstance(value, (int, np.integer)) and not isinstance(value, bool)
             and value >= minimum)
+
+
+def check_layer_map(layer_map, n):
+    """Raise ValueError unless the entries tile positions 0..n-1 in order:
+    each offset where the previous entry ended, each length an integer >= 0."""
+    covered = 0
+    for e in layer_map:
+        if e.offset != covered or not (is_whole(e.offset, 0) and is_whole(e.length, 0)):
+            raise ValueError(f"layer map not contiguous at {e.name}.{e.kind}")
+        covered += e.length
+    if covered != n:
+        raise ValueError(f"layer map covers {covered} positions, not {n}")
 
 
 def require(rules):
@@ -367,14 +373,16 @@ def train(spec, params, mask, data, cfg: TrainConfig,
           snapshot_epochs=(), _snapshots=None) -> ParameterVector:
     """SGD training of the masked network; deterministic in cfg.shuffle_seed.
 
-    Masked positions stay exactly zero.  If ``snapshot_epochs`` is given,
-    copies of the parameters after those epochs are stored into the
-    ``_snapshots`` dict (epoch index -> ParameterVector).
+    Masked positions stay exactly zero.  If ``_snapshots`` is a dict, it gets
+    copies (epoch index -> ParameterVector) of the masked starting parameters
+    at 0 and of the parameters after each epoch in ``snapshot_epochs``.
     """
     if data.size == 0:
         raise ValueError("empty dataset")
     theta = params.copy()
     theta.values *= mask.bits
+    if _snapshots is not None:
+        _snapshots[0] = theta.copy()
     if cfg.epochs == 0:
         return theta
     examples = _as_batch(spec, data.examples)
@@ -416,16 +424,10 @@ def train_with_snapshots(spec, params, mask, data, cfg, snapshot_epochs):
 
     Epoch 0 always maps to the (masked) starting parameters.
     """
-    snaps = {0: _masked_copy(params, mask)}
+    snaps = {}
     out = train(spec, params, mask, data, cfg,
                 snapshot_epochs=tuple(snapshot_epochs), _snapshots=snaps)
     return out, snaps
-
-
-def _masked_copy(params, mask):
-    out = params.copy()
-    out.values *= mask.bits
-    return out
 
 
 def _weight_positions(layer_map):

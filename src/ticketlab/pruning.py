@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .nn import LayerEntry, ParameterVector
+from .nn import LayerEntry, ParameterVector, check_layer_map
 
 
 @dataclass(frozen=True)
@@ -45,8 +45,7 @@ class SparsityMask:
         self.bits = np.asarray(self.bits, dtype=np.float64)
         if not np.all((self.bits == 0.0) | (self.bits == 1.0)):
             raise ValueError("mask entries must be 0 or 1")
-        if self.bits.size != sum(e.length for e in self.layer_map):
-            raise ValueError("mask length does not match layer map")
+        check_layer_map(self.layer_map, self.bits.size)
 
     @classmethod
     def ones(cls, layer_map) -> "SparsityMask":

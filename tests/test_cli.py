@@ -358,16 +358,15 @@ class TestRunExperiment:
     def test_summary_recomputable_from_csv(self, tmp_path):
         path = write_config(tmp_path)
         config = cli.ExperimentConfig.load(path)
-        bundle = cli.run_experiment(config, tmp_path / "out")
+        summary = cli.run_experiment(config, tmp_path / "out")
         rebuilt = cli.rebuild_summary(tmp_path / "out")
-        assert rebuilt["levels"] == bundle.summary["levels"]
+        assert rebuilt["levels"] == summary["levels"]
 
     def test_method_override(self, tmp_path):
         path = write_config(tmp_path)
-        config = cli.ExperimentConfig.load(path)
-        bundle = cli.run_experiment(config, tmp_path / "out", method="random",
-                                    seeds=[0])
-        assert bundle.summary["method"] == "random"
+        config = cli.ExperimentConfig.load(path, method="random", seeds=[0])
+        summary = cli.run_experiment(config, tmp_path / "out")
+        assert summary["method"] == "random" and summary["seeds"] == [0]
 
     def test_lf_line_endings(self, tmp_path):
         path = write_config(tmp_path)
@@ -505,6 +504,37 @@ class TestSubcommands:
         rebuilt = json.loads(capsys.readouterr().out.strip())
         assert rebuilt["levels"] == first["levels"]
 
+    def test_report_keeps_the_summary_keys(self, tmp_path, capsys):
+        path = write_config(tmp_path, overrides={
+            "report": {"finetune_each": False, "lmc": True, "lmc_points": 3}})
+        out = tmp_path / "out"
+        assert cli.main(["prune", "--config", str(path), "--out", str(out)]) == 0
+        written = json.loads((out / "summary.json").read_text())
+        assert cli.main(["report", "--out", str(out)]) == 0
+        rebuilt = json.loads((out / "summary.json").read_text())
+        assert rebuilt == json.loads(capsys.readouterr().out.splitlines()[-1])
+        assert rebuilt.keys() == written.keys()
+        for key in ("schema_version", "method", "seeds", "lmc"):
+            assert rebuilt[key] == written[key], key
+        assert rebuilt["final_sparsity"] == pytest.approx(written["final_sparsity"],
+                                                          rel=1e-11)
+        for seed, times in written["time_to_mask_seconds"].items():
+            assert rebuilt["time_to_mask_seconds"][seed] == pytest.approx(times, rel=1e-11)
+
+    def test_report_splits_the_table_into_records(self, tmp_path):
+        # seed 0 twice (its iterations restart), then random seed 2
+        (tmp_path / "iterations.csv").write_text(",".join(cli.ITERATIONS_HEADER) + "\n" + "".join(
+            row + "\n" for row in ["imp,0,1,0.2,0.5,0.25,0.5", "imp,0,2,0.36,0.75,0.25,0.5",
+                                    "imp,0,1,0.2,,0.5,", "random,2,1,0.2,1,0,0.5"]))
+        summary = cli.rebuild_summary(tmp_path)
+        assert summary["method"] == "imp,random" and summary["seeds"] == [0, 0, 2]
+        assert summary["final_sparsity"] == 0.36
+        assert summary["time_to_mask_seconds"] == {
+            "0": {"mask_only": 0.5, "with_final_retrain": 0.5},
+            "2": {"mask_only": 0.0, "with_final_retrain": 0.5}}
+        assert [(lv["sparsity"], lv["mean_accuracy"]) for lv in summary["levels"]] == [
+            (0.2, 0.75), (0.36, 0.75)]
+
     def test_invalid_config_exit_code(self, tmp_path):
         path = write_config(tmp_path, amount=5.0)
         assert cli.main(["prune", "--config", str(path), "--out",
@@ -521,7 +551,11 @@ class TestSubcommands:
         ",".join(cli.ITERATIONS_HEADER) + "\n",
         ",".join(cli.ITERATIONS_HEADER) + "\nimp,zero,1,0.2,0.9,0.1,0.1\n",
         ",".join(cli.ITERATIONS_HEADER) + "\nimp,0,1,0.2\n",
-    ], ids=["empty", "header_only", "bad_seed", "short_row"])
+        ",".join(cli.ITERATIONS_HEADER) + "\nimp,0,1,0.2,,0.1,\nimp,0,2,0.1,,0.1,\n",
+        ",".join(cli.ITERATIONS_HEADER) + "\nimp,0,1,0.2,,-1,\n",
+        "method,seed,sparsity,test_accuracy\nimp,0,0.2,0.5\n",
+    ], ids=["empty", "header_only", "bad_seed", "short_row", "sparsity_falls",
+            "negative_seconds", "no_iteration_column"])
     def test_report_on_bad_iterations_is_io_error(self, tmp_path, capsys, body):
         (tmp_path / "iterations.csv").write_text(body)
         assert cli.main(["report", "--out", str(tmp_path)]) == cli.EXIT_IO
@@ -622,6 +656,26 @@ class TestConfigPaths:
             capsys, ["prune", "--config", config, "--out", "out"],
             tmp_path / "elsewhere" / "out")
         assert any(field in d for d in cli.validate_config(config))
+
+    @pytest.mark.parametrize("classes", [3, 2])
+    def test_test_labels_may_reach_classes_training_lacks(self, tmp_path, monkeypatch,
+                                                          capsys, classes):
+        # training labels 0..1, test labels 0..2: the model must take 3 classes
+        cfg_dir = self.config_dir(tmp_path, monkeypatch, model={
+            **with_model(input_shape=[3, 3])["model"], "num_classes": classes})
+        full = tl.load_idx(cfg_dir / "im.idx", cfg_dir / "lb.idx")
+        two = full.labels < 2
+        tl.write_idx(tl.LabeledDataset(full.examples[two], full.labels[two], 2),
+                     cfg_dir / "im2.idx", cfg_dir / "lb2.idx")
+        raw = json.loads((cfg_dir / "config.json").read_text())
+        raw["dataset"].update(images="im2.idx", labels="lb2.idx")
+        (cfg_dir / "config.json").write_text(json.dumps(raw))
+        argv = ["prune", "--config", str(cfg_dir / "config.json"), "--out", "out"]
+        if classes == 3:
+            assert cli.main(argv) == 0
+        else:
+            assert "dataset.num_classes 3 does not fit model.num_classes 2" in \
+                self.assert_config_error(capsys, argv, tmp_path / "elsewhere" / "out")
 
     def test_idx_ipc_checked_against_smallest_class(self, tmp_path, monkeypatch, capsys):
         # 20 examples per class

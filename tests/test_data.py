@@ -1,9 +1,13 @@
 import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import ticketlab as tl
+from ticketlab import cli
 from ticketlab.data import FormatError, kmeans_objective, _kmeans, DSTL_MAGIC
 
 
@@ -382,3 +386,72 @@ class TestDstlContents:
         path.write_bytes(BAD_DSTL_CONTENTS[name])
         with pytest.raises(FormatError, match="bad.dstl"):
             tl.load_distilled(path)
+
+
+def _mask_files():
+    spec = tl.ModelSpec("mlp", (3,), 2, hidden=(4,))
+    params = tl.init_params(spec, 0)
+    mask = tl.magnitude_prune(params, tl.SparsityMask.ones(params.layer_map), 0.5)
+    with tempfile.TemporaryDirectory() as d:
+        cli.save_mask(str(Path(d) / "m.mask"), mask, "imp", 0)
+        return {name: (Path(d) / name).read_bytes() for name in ("m.mask", "m.mask.json")}
+
+
+# format -> (the files of one valid object by name, its loader from a directory)
+VALID_FILES = {
+    "idx": ({"im.idx": struct.pack(">IIII", 0x00000803, 2, 2, 2) + bytes(range(8)),
+             "lb.idx": struct.pack(">II", 0x00000801, 2) + bytes([1, 0])},
+            lambda d: tl.load_idx(d / "im.idx", d / "lb.idx")),
+    "dstl": ({"d.dstl": dstl_blob(2, 1, [[0.5, 1.0, 2.0], [3.0, 4.0, 5.0]], [0, 1])},
+             lambda d: tl.load_distilled(d / "d.dstl")),
+    "mask": (_mask_files(), lambda d: cli.load_mask(str(d / "m.mask"))),
+}
+
+
+class TestCorruptFiles:
+    @pytest.mark.parametrize("fmt", sorted(VALID_FILES))
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_one_bad_byte_gives_an_object_or_format_error(self, fmt, data):
+        """Truncating one file of a valid IDX pair, DSTL file or MASK file
+        with its sidecar at any byte, or setting any one byte to any value,
+        loads a valid object or raises FormatError, nothing else."""
+        files, load = VALID_FILES[fmt]
+        name = data.draw(st.sampled_from(sorted(files)))
+        blob = files[name]
+        at = data.draw(st.integers(0, len(blob) - 1))
+        value = data.draw(st.none() | st.integers(0, 255))  # None: truncate at `at`
+        tail = b"" if value is None else bytes([value]) + blob[at + 1:]
+        with tempfile.TemporaryDirectory() as d:
+            d = Path(d)
+            for other, contents in files.items():
+                (d / other).write_bytes(contents)
+            (d / name).write_bytes(blob[:at] + tail)
+            try:
+                load(d)
+            except FormatError:
+                pass
+
+    @pytest.mark.parametrize("fmt,at,value", [
+        ("idx", 4, 0xFFFFFFFF), ("idx", 8, 0xFFFFFFFF), ("idx", 12, 0xFFFFFFFF),
+        ("dstl", 8, 0xFFFFFFFF), ("dstl", 12, 0xFFFFFFFF), ("dstl", 16, 0x7FFFFFFF),
+    ])
+    def test_huge_declared_sizes_are_format_errors(self, tmp_path, fmt, at, value):
+        # a size or rank field set far beyond the file: nothing that large is read
+        files, load = VALID_FILES[fmt]
+        for name, blob in files.items():
+            (tmp_path / name).write_bytes(blob)
+        name = min(files)
+        blob = files[name]
+        packed = struct.pack(">I" if fmt == "idx" else "<I", value)
+        (tmp_path / name).write_bytes(blob[:at] + packed + blob[at + 4:])
+        with pytest.raises(FormatError):
+            load(tmp_path)
+
+    @pytest.mark.parametrize("sidecar", [b"\xff\xfe{}", b"{\"layer_map\": [", b"[1, 2]"])
+    def test_unreadable_sidecar_is_format_error(self, tmp_path, sidecar):
+        files, load = VALID_FILES["mask"]
+        (tmp_path / "m.mask").write_bytes(files["m.mask"])
+        (tmp_path / "m.mask.json").write_bytes(sidecar)
+        with pytest.raises(FormatError):
+            load(tmp_path)

@@ -91,6 +91,32 @@ class TestImpRun:
             make_cfg(0.5, t=2, k=2)
 
 
+class TestPhaseEpochs:
+    """Each phase's epochs are its TrainConfig's."""
+
+    def test_epochs_read_from_train_configs(self):
+        cfg = tl.PruneRunConfig(desired_sparsity=0.3, train_config_mask=tl.TrainConfig(2),
+                                train_config_finetune=tl.TrainConfig(3))
+        assert (cfg.mask_train_epochs, cfg.finetune_epochs) == (2, 3)
+
+    def test_train_configs_built_from_epochs(self):
+        cfg = tl.PruneRunConfig(desired_sparsity=0.3, mask_train_epochs=4)
+        assert cfg.train_config_mask == tl.TrainConfig(4)
+        assert cfg.train_config_finetune == tl.TrainConfig(1)
+        assert (cfg.mask_train_epochs, cfg.finetune_epochs) == (4, 1)
+
+    def test_disagreeing_epochs_rejected(self):
+        # the rewind epoch fits the stated 5 epochs, not the 2 that run
+        with pytest.raises(ValueError, match="mask_train_epochs must equal "
+                                             "train_config_mask.epochs") as e:
+            tl.PruneRunConfig(desired_sparsity=0.3, mask_train_epochs=5, rewind_epoch=3,
+                              train_config_mask=tl.TrainConfig(epochs=2))
+        assert "rewind_epoch must be < mask_train_epochs" in str(e.value)
+        with pytest.raises(ValueError, match="finetune_epochs must equal"):
+            tl.PruneRunConfig(desired_sparsity=0.3, finetune_epochs=1,
+                              train_config_finetune=tl.TrainConfig(epochs=2))
+
+
 def reference_imp(spec, theta, data, cfg, finetune_each):
     """IMP with every training run afresh: (mask bytes, finetune accuracy or
     None) per iteration."""

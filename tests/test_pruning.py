@@ -37,6 +37,22 @@ def brute_force_magnitude_prune(params, mask, amount):
     return out
 
 
+class TestMaskLayerMap:
+    @pytest.mark.parametrize("entries", [
+        ((0, 4), (2, 2)),      # overlapping, yet the lengths add up to 6
+        ((0, 2), (3, 4)),      # a gap
+        ((0, 2), (2, 3)),      # short of the bits
+        ((0, 6.0),),           # not an integer length
+    ])
+    def test_map_must_tile_the_bits(self, entries):
+        layer_map = tuple(LayerEntry(f"l{i}", off, n, "weight")
+                          for i, (off, n) in enumerate(entries))
+        with pytest.raises(ValueError, match="layer map"):
+            tl.SparsityMask(np.ones(6), layer_map)
+        with pytest.raises(ValueError, match="layer map"):
+            ParameterVector(np.zeros(6), layer_map)
+
+
 class TestSparsity:
     def test_all_ones_is_zero(self):
         params = flat_model(np.ones(10))
