@@ -104,12 +104,9 @@ def weight_histogram(theta_init: ParameterVector, mask: SparsityMask,
     if limit == 0.0:
         limit = 1.0
     edges = np.linspace(-limit, limit, num_bins + 1)
-    layer_sparsity = 1.0 - survivors.size / e.length
-    if survivors.size == 0:
-        return WeightHistogram(layer_name, edges, np.zeros(num_bins, dtype=np.int64),
-                               layer_sparsity, empty=True)
-    counts, _ = np.histogram(survivors, bins=edges)
-    return WeightHistogram(layer_name, edges, counts, layer_sparsity)
+    counts, _ = np.histogram(survivors, bins=edges)  # all zero if none survive
+    return WeightHistogram(layer_name, edges, counts, 1.0 - survivors.size / e.length,
+                           empty=survivors.size == 0)
 
 
 def survivor_magnitude_ratio(theta_init: ParameterVector, mask: SparsityMask) -> float:

@@ -264,7 +264,8 @@ class ExperimentConfig:
         get("dataset", kind=dict)
         source = get("dataset.source", kind=str, choices=("idx", "synth"))
         if source == "idx":
-            test = ["test_images", "test_labels"] if "test_images" in self.raw["dataset"] else []
+            test = ["test_images", "test_labels"]  # both or neither
+            test = test if set(test) & set(self.raw["dataset"]) else []
             files = [self._file(f"dataset.{key}") for key in ["images", "labels"] + test]
             if len(self.diagnostics) > n:
                 return None
@@ -426,11 +427,12 @@ def _write_summary(out_dir, summary):
 
 
 def _emit_lmc(config, record, path):
+    """Train two twins of the final mask from the record's rewind point,
+    as its finetunes were, and write their interpolation curve."""
     seed_a, seed_b = 1, 2
     spec, opts = config.spec, config.report
-    theta = nn.init_params(spec, record.seed)
     mask = record.final_mask
-    ta, tb = analysis.train_twin(spec, theta, mask, config.train,
+    ta, tb = analysis.train_twin(spec, record.rewind, mask, config.train,
                                  config.cfg.train_config_finetune, seed_a, seed_b)
     curve = analysis.interpolate_curve(spec, ta, tb, mask, config.test,
                                        opts["lmc_points"], (seed_a, seed_b))
@@ -462,13 +464,13 @@ def rebuild_summary(out_dir):
     iteration.  The table holds no masks or configs (None in the records),
     and no LMC result."""
     path = os.path.join(out_dir, "iterations.csv")
-    with open(path) as f:
-        lines = f.read().splitlines()
-    if len(lines) < 2:
-        raise data_mod.FormatError(f"{path} has no iteration rows")
-    header = lines[0].split(",")
     records, previous = [], ()
     try:
+        with open(path, encoding="utf-8") as f:
+            lines = f.read().splitlines()
+        if len(lines) < 2:
+            raise ValueError("no iteration rows")
+        header = lines[0].split(",")
         for line in lines[1:]:
             cells = line.split(",")
             if len(cells) != len(header):

@@ -114,17 +114,16 @@ def _load_idx_array(path, expected_magic):
     return np.frombuffer(payload, dtype=np.uint8).reshape(dims)
 
 
-def load_idx(images_path, labels_path, num_classes=None) -> LabeledDataset:
-    """Parse an IDX image/label file pair; pixels scaled by 1/255."""
+def load_idx(images_path, labels_path) -> LabeledDataset:
+    """Parse an IDX image/label file pair; pixels scaled by 1/255, classes
+    up to the highest label."""
     images = _load_idx_array(images_path, IMAGE_MAGIC)
     labels = _load_idx_array(labels_path, LABEL_MAGIC)
     if images.shape[0] != labels.shape[0]:
         raise FormatError("image/label counts differ")
-    if num_classes is None:
-        num_classes = int(labels.max(initial=0)) + 1
     try:
         return LabeledDataset(images.astype(np.float64) / 255.0,
-                              labels.astype(np.int64), num_classes)
+                              labels.astype(np.int64), int(labels.max(initial=0)) + 1)
     except ValueError as e:
         raise FormatError(f"{labels_path}: {e}") from None
 
@@ -149,14 +148,14 @@ def write_idx(data: LabeledDataset, images_path, labels_path):
 # Synthetic fixtures
 
 def synth_dataset(kind, num_classes, per_class, noise, seed,
-                  input_shape=(2,), geometry_seed=0) -> LabeledDataset:
+                  input_shape=(2,)) -> LabeledDataset:
     """Deterministic synthetic dataset.
 
     gaussianBlobs: class means on a circle of radius 3 (embedded in a random
     2-plane when the input has more than two dimensions) plus isotropic
     Gaussian noise.  spirals: interleaved 2-D spiral arms.  The class
-    geometry depends only on geometry_seed, so draws with different sample
-    seeds share the same underlying distribution.
+    geometry does not depend on the seed, so draws with different seeds
+    share the same underlying distribution.
     """
     check_synth(kind, num_classes, per_class, noise, seed, input_shape)
     rng = np.random.default_rng(seed)
@@ -168,7 +167,7 @@ def synth_dataset(kind, num_classes, per_class, noise, seed,
         if dim == 2:
             basis = np.eye(2)
         else:
-            raw = np.random.default_rng([geometry_seed, dim]).standard_normal((2, dim))
+            raw = np.random.default_rng([0, dim]).standard_normal((2, dim))
             q, _ = np.linalg.qr(raw.T)
             basis = q.T  # orthonormal 2-plane to carry the circle
         angles = 2.0 * np.pi * np.arange(num_classes) / num_classes
@@ -205,33 +204,32 @@ def check_synth(kind, num_classes, per_class, noise, seed, input_shape=(2,)):
 # ---------------------------------------------------------------------------
 # Distillers
 
-def _class_indices(data: LabeledDataset):
-    return [np.flatnonzero(data.labels == c) for c in range(data.num_classes)]
+def _per_class(data: LabeledDataset, ipc, provenance, pick) -> DistilledDataset:
+    """The DistilledDataset of `ipc` examples per class, class by class:
+    pick(c, idx) gives the (ipc, *dims) examples of class c, whose members
+    are data.examples[idx]."""
+    images = []
+    for c in range(data.num_classes):
+        idx = np.flatnonzero(data.labels == c)
+        if ipc > idx.size:
+            raise ValueError(f"ipc={ipc} exceeds class size {idx.size}")
+        images.append(pick(c, idx))
+    return DistilledDataset(np.concatenate(images),
+                            np.repeat(np.arange(data.num_classes), ipc),
+                            data.num_classes, provenance=provenance, ipc=ipc)
 
 
 def distill_random(data: LabeledDataset, ipc: int, seed: int) -> DistilledDataset:
     """Uniform per-class sample without replacement."""
-    rng = np.random.default_rng(seed)
-    picks = []
-    for idx in _class_indices(data):
-        if ipc > idx.size:
-            raise ValueError(f"ipc={ipc} exceeds class size {idx.size}")
-        picks.append(np.sort(rng.choice(idx, size=ipc, replace=False)))
-    idx = np.concatenate(picks)
-    return DistilledDataset(data.examples[idx], data.labels[idx], data.num_classes,
-                            provenance="random", ipc=ipc)
+    rng = np.random.default_rng(seed)  # one stream, drawn class by class
+    return _per_class(data, ipc, "random", lambda c, idx: data.examples[
+        np.sort(rng.choice(idx, size=ipc, replace=False))])
 
 
 def distill_class_mean(data: LabeledDataset) -> DistilledDataset:
     """One synthetic image per class: the arithmetic mean of the class."""
-    means, labels = [], []
-    for c, idx in enumerate(_class_indices(data)):
-        if idx.size == 0:
-            raise ValueError(f"class {c} is empty")
-        means.append(data.examples[idx].mean(axis=0))
-        labels.append(c)
-    return DistilledDataset(np.stack(means), np.asarray(labels), data.num_classes,
-                            provenance="classMean", ipc=1)
+    return _per_class(data, 1, "classMean",
+                      lambda c, idx: data.examples[idx].mean(axis=0, keepdims=True))
 
 
 def _sq_dist(points, center, out=None):
@@ -301,18 +299,12 @@ def distill_kmeans_herding(data: LabeledDataset, ipc: int, iterations: int = 50,
     `iterations` caps the Lloyd rounds per class; a class stops at the
     first round whose centers equal the previous ones, where every later
     round would return the same centers."""
-    shape = data.examples.shape[1:]
-    images, labels = [], []
-    for c, idx in enumerate(_class_indices(data)):
-        if ipc > idx.size:
-            raise ValueError(f"ipc={ipc} exceeds class size {idx.size}")
-        rng = np.random.default_rng([seed, c])
+    def pick(c, idx):
         points = data.examples[idx].reshape(idx.size, -1)
-        centers = _kmeans(points, ipc, iterations, rng)
-        images.append(centers.reshape((ipc,) + shape))
-        labels.extend([c] * ipc)
-    return DistilledDataset(np.concatenate(images), np.asarray(labels),
-                            data.num_classes, provenance="kmeansHerding", ipc=ipc)
+        centers = _kmeans(points, ipc, iterations, np.random.default_rng([seed, c]))
+        return centers.reshape((ipc,) + data.examples.shape[1:])
+
+    return _per_class(data, ipc, "kmeansHerding", pick)
 
 
 # ---------------------------------------------------------------------------

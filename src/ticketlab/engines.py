@@ -70,8 +70,9 @@ class PruneRunConfig:
             (self.rewind_epoch >= 0, "rewind_epoch must be >= 0"),
             (self.rewind_epoch <= 0 or self.rewind_epoch < self.train_config_mask.epochs,
              "rewind_epoch must be < mask_train_epochs"),
-            (len(self.seeds) > 0 and all(is_whole(s, 0) for s in self.seeds),
-             "seeds must be a non-empty list of non-negative integers"),
+            (len(self.seeds) > 0 and all(is_whole(s, 0) for s in self.seeds)
+             and len(set(self.seeds)) == len(self.seeds),
+             "seeds must be a non-empty list of distinct non-negative integers"),
             *agree,
         ])
 
@@ -92,13 +93,22 @@ class RunRecord:
     seed: int
     config: PruneRunConfig
     iterations: list[IterationRecord] = field(default_factory=list)
+    rewind: ParameterVector = None   # where each finetune starts; None if rebuilt
 
     def validate(self):
-        levels = [it.sparsity for it in self.iterations]
-        if any(b <= a for a, b in zip(levels, levels[1:])):
-            raise ValueError("sparsity must strictly increase across iterations")
-        if any(it.mask_phase_seconds < 0 for it in self.iterations):
-            raise ValueError("timings must be non-negative")
+        """Check the ranges of the fields; each rule is a comparison NaN fails."""
+        its = self.iterations
+        levels = [it.sparsity for it in its]
+        require([
+            (all(0 <= s <= 1 for s in levels), "sparsity must be in [0, 1]"),
+            (all(a < b for a, b in zip(levels, levels[1:])),
+             "sparsity must strictly increase across iterations"),
+            (all(0 <= it.finetune_accuracy <= 1 for it in its
+                 if it.finetune_accuracy is not None), "accuracy must be in [0, 1]"),
+            (all(0 <= t < np.inf for it in its
+                 for t in (it.mask_phase_seconds, it.finetune_seconds) if t is not None),
+             "timings must be finite and non-negative"),
+        ])
 
     @property
     def final_mask(self) -> SparsityMask:
@@ -164,6 +174,7 @@ def _prune_loop(spec, theta_init, mask_data, d_real, cfg, rewind_epoch, eval_dat
             if reusable:
                 reused = theta, rec.finetune_seconds
         record.iterations.append(rec)
+    record.rewind = rewind
     record.validate()
     return theta, record
 

@@ -364,11 +364,6 @@ def backward(spec: ModelSpec, params: ParameterVector, mask, batch, labels) -> P
     return ParameterVector(grad, params.layer_map)
 
 
-def _batches(n, batch_size, perm):
-    for start in range(0, n, batch_size):
-        yield perm[start:start + batch_size]
-
-
 def train(spec, params, mask, data, cfg: TrainConfig,
           snapshot_epochs=(), _snapshots=None) -> ParameterVector:
     """SGD training of the masked network; deterministic in cfg.shuffle_seed.
@@ -397,7 +392,8 @@ def train(spec, params, mask, data, cfg: TrainConfig,
         if epoch in cfg.milestones:
             lr *= cfg.gamma
         perm = np.random.default_rng([cfg.shuffle_seed, epoch]).permutation(data.size)
-        for bi, idx in enumerate(_batches(data.size, cfg.batch_size, perm)):
+        for bi, start in enumerate(range(0, data.size, cfg.batch_size)):
+            idx = perm[start:start + cfg.batch_size]
             # theta is kept masked, so it is its own effective weight vector
             loss = _loss_and_grad(layers, theta.values, examples[idx],
                                   data.labels[idx], grad)

@@ -84,20 +84,6 @@ def whole_vector_sparsity(mask: SparsityMask) -> float:
     return float((mask.bits == 0.0).sum()) / mask.bits.size
 
 
-def _prune_count(survivors: int, amount: float) -> int:
-    return int(np.floor(amount * survivors))
-
-
-def _prune_lowest(order_key: np.ndarray, candidates: np.ndarray, n_prune: int,
-                  bits: np.ndarray):
-    """Zero the n_prune candidate positions with the smallest key; ties break
-    toward the lower flat index (stable sort on flat-index-ordered input)."""
-    if n_prune == 0:
-        return
-    ranked = candidates[np.argsort(order_key[candidates], kind="stable")]
-    bits[ranked[:n_prune]] = 0.0
-
-
 def magnitude_prune(params: ParameterVector, mask: SparsityMask, amount: float,
                     scope: PruneScope = GLOBAL) -> SparsityMask:
     """Prune the lowest-|value| surviving prunable weights.
@@ -107,46 +93,38 @@ def magnitude_prune(params: ParameterVector, mask: SparsityMask, amount: float,
     positions.
     """
     _check_aligned(params, mask)
-    if not 0.0 < amount < 1.0:
-        raise ValueError("amount must be in (0, 1)")
     if not np.all(np.isfinite(params.values)):
         raise ValueError("parameters must be finite to rank by magnitude")
-    key = np.abs(params.values * mask.bits)
-    return _prune_by_key(mask, amount, scope, lambda cand: key)
+    return _prune_by_key(mask, amount, scope, np.abs(params.values * mask.bits))
 
 
 def random_prune(mask: SparsityMask, amount: float, seed: int,
                  scope: PruneScope = GLOBAL) -> SparsityMask:
     """Prune uniformly random surviving positions; same count contract as
-    magnitude_prune; deterministic in seed."""
+    magnitude_prune; deterministic in seed.  Each surviving prunable
+    position draws one key from one stream, in flat order; ties are
+    measure-zero."""
+    key = np.zeros(mask.bits.size)
+    candidates = mask.prunable_selector(scope) & (mask.bits == 1.0)
+    key[candidates] = np.random.default_rng(seed).random(int(candidates.sum()))
+    return _prune_by_key(mask, amount, scope, key)
+
+
+def _prune_by_key(mask, amount, scope, key):
+    """Zero the floor(amount * survivors) surviving prunable positions of
+    each pool with the smallest key: one pool in global mode, one per layer
+    in layerwise mode.  Ties break toward the lower flat index (a stable
+    sort of flat-ordered candidates)."""
     if not 0.0 < amount < 1.0:
         raise ValueError("amount must be in (0, 1)")
-    rng = np.random.default_rng(seed)
-
-    def key_fn(cand):
-        # fresh random ranking per candidate pool; ties are measure-zero
-        key = np.empty(mask.bits.size)
-        key[cand] = rng.random(cand.size)
-        return key
-
-    return _prune_by_key(mask, amount, scope, key_fn)
-
-
-def _prune_by_key(mask, amount, scope, key_fn):
     out = mask.copy()
-    sel = mask.prunable_selector(scope)
-    if scope.mode == "global":
-        cand = np.flatnonzero(sel & (out.bits == 1.0))
-        _prune_lowest(key_fn(cand), cand, _prune_count(cand.size, amount), out.bits)
-    else:
-        for e in mask.layer_map:
-            if e.kind not in scope.prunable_kinds:
-                continue
-            span = np.arange(e.offset, e.offset + e.length)
-            cand = span[out.bits[span] == 1.0]
-            if cand.size:
-                _prune_lowest(key_fn(cand), cand,
-                              _prune_count(cand.size, amount), out.bits)
+    candidates = mask.prunable_selector(scope) & (mask.bits == 1.0)
+    pools = [(0, mask.bits.size)] if scope.mode == "global" else [
+        (e.offset, e.offset + e.length) for e in mask.layer_map]
+    for start, stop in pools:
+        pool = start + np.flatnonzero(candidates[start:stop])
+        ranked = pool[np.argsort(key[pool], kind="stable")]
+        out.bits[ranked[:int(np.floor(amount * pool.size))]] = 0.0
     return out
 
 

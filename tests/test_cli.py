@@ -189,9 +189,19 @@ FLAG_AND_FINITE_CASES = [
     ("prune.finetune.weight_decay", with_prune("finetune", weight_decay=INF)),
     ("dataset.noise", with_dataset(noise=NAN)),
 ]
-INVALID = WRONG_TYPES + MODEL_CASES + RANGE_CASES + FLAG_AND_FINITE_CASES
+# a test split named by one file only, and a seed given twice
+PAIR_CASES = [
+    # the config file itself stands in for the training files: it exists, and
+    # the missing test_images stops the build before any file is read
+    ("dataset.test_images", with_section("dataset", {
+        "source": "idx", "images": "config.json", "labels": "config.json",
+        "test_labels": "config.json"})),
+    ("distinct", with_section("seeds", [0, 0])),
+]
+INVALID = WRONG_TYPES + MODEL_CASES + RANGE_CASES + FLAG_AND_FINITE_CASES + PAIR_CASES
 INVALID_IDS = [f"{field}-{i}" for i, (field, _) in enumerate(INVALID)]
-PRUNE_CASES = INVALID[:7] + MODEL_CASES + RANGE_CASES + FLAG_AND_FINITE_CASES
+PRUNE_CASES = (INVALID[:7] + MODEL_CASES + RANGE_CASES + FLAG_AND_FINITE_CASES
+               + PAIR_CASES)
 PRUNE_CASE_IDS = INVALID_IDS[:7] + INVALID_IDS[len(WRONG_TYPES):]
 
 
@@ -535,6 +545,38 @@ class TestSubcommands:
         assert [(lv["sparsity"], lv["mean_accuracy"]) for lv in summary["levels"]] == [
             (0.2, 0.75), (0.36, 0.75)]
 
+    def test_repeated_seed_flag_is_config_error(self, tmp_path, capsys):
+        path = write_config(tmp_path)
+        argv = ["prune", "--config", str(path), "--out", str(tmp_path / "out")]
+        assert cli.main(argv + ["--seed", "0", "--seed", "0"]) == cli.EXIT_CONFIG
+        assert "distinct" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("method,rewind_epoch", [("imp", 0), ("imp", 1),
+                                                     ("distilled", 1), ("random", 1)])
+    def test_lmc_twins_start_at_the_rewind_point(self, tmp_path, monkeypatch, method,
+                                                 rewind_epoch):
+        # IMP finetunes from its epoch-k snapshot; the other engines from init
+        path = write_config(tmp_path, rewind_epoch=rewind_epoch, overrides={
+            "method": method, "distiller": {"ipc": 3}})
+        config = cli.ExperimentConfig.load(path)
+        theta = nn.init_params(config.spec, 0)
+        if method == "imp":
+            _, snaps = nn.train_with_snapshots(
+                config.spec, theta, tl.SparsityMask.ones(theta.layer_map), config.train,
+                config.cfg.train_config_mask, (rewind_epoch,))
+            theta = snaps[rewind_epoch]
+        starts, train_twin = [], tl.analysis.train_twin
+
+        def recording(spec, start, *args):
+            starts.append(start)
+            return train_twin(spec, start, *args)
+
+        monkeypatch.setattr(tl.analysis, "train_twin", recording)
+        assert cli.main(["lmc", "--config", str(path), "--out",
+                         str(tmp_path / "out")]) == 0
+        assert [s.values.tobytes() for s in starts] == [theta.values.tobytes()]
+
     def test_invalid_config_exit_code(self, tmp_path):
         path = write_config(tmp_path, amount=5.0)
         assert cli.main(["prune", "--config", str(path), "--out",
@@ -554,10 +596,21 @@ class TestSubcommands:
         ",".join(cli.ITERATIONS_HEADER) + "\nimp,0,1,0.2,,0.1,\nimp,0,2,0.1,,0.1,\n",
         ",".join(cli.ITERATIONS_HEADER) + "\nimp,0,1,0.2,,-1,\n",
         "method,seed,sparsity,test_accuracy\nimp,0,0.2,0.5\n",
+        ",".join(cli.ITERATIONS_HEADER) + "\nimp,0,1,nan,,0.1,\n",
+        ",".join(cli.ITERATIONS_HEADER) + "\nimp,0,1,0.2,,0.1,\nimp,0,2,inf,,0.1,\n",
+        ",".join(cli.ITERATIONS_HEADER) + "\nimp,0,1,0.2,,nan,\n",
+        ",".join(cli.ITERATIONS_HEADER) + "\nimp,0,1,0.2,7.5,0.1,0.1\n",
+        ",".join(cli.ITERATIONS_HEADER) + "\nimp,0,1,1.7,,0.1,\n",
+        ",".join(cli.ITERATIONS_HEADER) + "\nimp,0,1,0.2,0.5,0.1,-3\n",
+        ",".join(cli.ITERATIONS_HEADER).encode() + b"\nimp,0,1,0.2,\xff,0.1,\n",
     ], ids=["empty", "header_only", "bad_seed", "short_row", "sparsity_falls",
-            "negative_seconds", "no_iteration_column"])
+            "negative_seconds", "no_iteration_column", "nan_sparsity", "inf_sparsity",
+            "nan_seconds", "accuracy_above_one", "sparsity_above_one",
+            "negative_finetune_seconds", "not_utf8"])
     def test_report_on_bad_iterations_is_io_error(self, tmp_path, capsys, body):
-        (tmp_path / "iterations.csv").write_text(body)
+        if isinstance(body, str):
+            body = body.encode()
+        (tmp_path / "iterations.csv").write_bytes(body)
         assert cli.main(["report", "--out", str(tmp_path)]) == cli.EXIT_IO
         assert capsys.readouterr().err.startswith("i/o failure:")
         assert not (tmp_path / "summary.json").exists()

@@ -243,6 +243,35 @@ def _reference_herding(data, ipc, iterations=50, seed=0):
     return np.concatenate(images)
 
 
+def _reference_distill_random(data, ipc, seed):
+    """distill_random as first written: sorted draws per class, then one
+    gather of examples and labels."""
+    rng = np.random.default_rng(seed)
+    picks = [np.sort(rng.choice(np.flatnonzero(data.labels == c), size=ipc, replace=False))
+             for c in range(data.num_classes)]
+    idx = np.concatenate(picks)
+    return data.examples[idx], data.labels[idx]
+
+
+class TestRandomDistillOracle:
+    """The shared per-class loop gives every bit of the old distill_random."""
+
+    @pytest.mark.parametrize("ipc", [1, 3, 5])
+    @pytest.mark.parametrize("seed", [0, 4, 99])
+    def test_matches_reference_on_uneven_classes(self, ipc, seed):
+        full = tl.synth_dataset("gaussianBlobs", 3, 12, 0.5, seed=seed, input_shape=(1, 2, 2))
+        # classes of 12, 7 and 5 examples, interleaved by a shuffle
+        keep = np.concatenate([np.flatnonzero(full.labels == c)[:n]
+                               for c, n in enumerate((12, 7, 5))])
+        keep = np.random.default_rng(seed).permutation(keep)
+        ds = tl.LabeledDataset(full.examples[keep], full.labels[keep], 3)
+        assert list(ds.class_counts()) == [12, 7, 5]
+        got = tl.distill_random(ds, ipc, seed)
+        examples, labels = _reference_distill_random(ds, ipc, seed)
+        assert got.examples.tobytes() == examples.tobytes()
+        assert got.labels.tobytes() == labels.tobytes()
+
+
 class TestHerdingOracle:
     """The early stop and the per-center distances change the work done,
     never a bit of the result."""

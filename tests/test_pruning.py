@@ -174,6 +174,66 @@ class TestRandomPrune:
         assert (mag.bits == 0).sum() == (rnd.bits == 0).sum()
 
 
+def _reference_random_prune(mask, amount, seed, scope):
+    """random_prune as first written: a fresh draw of keys per candidate pool
+    (one pool in global mode, one per prunable layer in layerwise mode)."""
+    rng = np.random.default_rng(seed)
+    out = mask.copy()
+    if scope.mode == "global":
+        pools = [np.flatnonzero(mask.prunable_selector(scope) & (mask.bits == 1.0))]
+    else:
+        pools = []
+        for e in mask.layer_map:
+            if e.kind in scope.prunable_kinds:
+                span = np.arange(e.offset, e.offset + e.length)
+                pools.append(span[mask.bits[span] == 1.0])
+    for cand in pools:
+        if cand.size:
+            key = rng.random(cand.size)
+            n_prune = int(np.floor(amount * cand.size))
+            out.bits[cand[np.argsort(key, kind="stable")][:n_prune]] = 0.0
+    return out
+
+
+class TestRandomPruneOracle:
+    """One key per surviving prunable position, drawn in flat order, ranks
+    each pool exactly as a fresh draw per pool did: the pools sit in flat
+    order, and consecutive draws from one generator chain."""
+
+    @staticmethod
+    def mask_with_bias_tails(dead_fraction, seed):
+        sizes = (("A", 13, 3), ("B", 17, 2), ("C", 6, 4))
+        entries, offset = [], 0
+        for name, nw, nb in sizes:
+            entries += [LayerEntry(name, offset, nw, "weight"),
+                        LayerEntry(name, offset + nw, nb, "bias")]
+            offset += nw + nb
+        mask = tl.SparsityMask.ones(tuple(entries))
+        rng = np.random.default_rng(seed + 100)
+        for e in entries[0::2]:
+            mask.bits[e.offset + np.flatnonzero(rng.random(e.length) < dead_fraction)] = 0.0
+        return mask
+
+    @pytest.mark.parametrize("scope", [GLOBAL, LAYERWISE], ids=["global", "layerwise"])
+    @pytest.mark.parametrize("amount", [0.2, 0.5])
+    @pytest.mark.parametrize("dead_fraction", [0.0, 0.4])
+    def test_matches_reference(self, scope, amount, dead_fraction):
+        for seed in (0, 1, 7, 12345):
+            mask = self.mask_with_bias_tails(dead_fraction, seed)
+            got = tl.random_prune(mask, amount, seed, scope)
+            want = _reference_random_prune(mask, amount, seed, scope)
+            assert got.bits.tobytes() == want.bits.tobytes()
+
+    @pytest.mark.parametrize("scope", [GLOBAL, LAYERWISE], ids=["global", "layerwise"])
+    def test_fully_pruned_layer_draws_nothing(self, scope):
+        mask = self.mask_with_bias_tails(0.3, 5)
+        mask.bits[16:33] = 0.0  # every weight of layer B
+        for seed in (2, 9):
+            got = tl.random_prune(mask, 0.5, seed, scope)
+            assert got.bits.tobytes() == _reference_random_prune(
+                mask, 0.5, seed, scope).bits.tobytes()
+
+
 class TestApplyMask:
     def test_identity(self):
         params = flat_model([1.0, -2.0, 3.0])
