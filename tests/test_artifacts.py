@@ -1,6 +1,8 @@
 """Every artifact of one small synthetic run of each command, pinned by its
 sha256 in artifact_hashes.json: `prune` with each method (LMC and
-histograms on), `distill`, `lmc`, `weights`, and `report` over the IMP run.
+histograms on), `distill`, `lmc`, `weights`, and `report` over the IMP run;
+then, under convnet/, `prune` with each method and `lmc` of a 1-block
+ConvNet, so the conv chain's bits are pinned too.
 Timing is stripped before hashing: the *_seconds columns of each CSV and
 time_to_mask_seconds of each summary.  The hashes hold for one numpy and
 BLAS build; another may round the training arithmetic differently.
@@ -42,6 +44,14 @@ COMMANDS = [("prune_imp", ["prune", "--method", "imp"]),
             ("prune_random", ["prune", "--method", "random"]),
             ("distill", ["distill"]), ("lmc", ["lmc"]), ("weights", ["weights"])]
 
+CONV_CONFIG = {
+    **CONFIG,
+    "dataset": {**CONFIG["dataset"], "input_shape": [1, 4, 4]},
+    "model": {"architecture": "convnet", "input_shape": [1, 4, 4], "num_classes": 3,
+              "channels": [2]},
+}
+CONV_COMMANDS = COMMANDS[:3] + [("lmc", ["lmc"])]
+
 
 def _stripped(path):
     blob = path.read_bytes()
@@ -56,16 +66,18 @@ def _stripped(path):
 
 def artifact_hashes(root):
     """{relative path: sha256 of the stripped file} over every output."""
-    config = root / "config.json"
-    config.write_text(json.dumps(CONFIG))
     with contextlib.redirect_stdout(io.StringIO()):
-        for name, argv in COMMANDS:
-            assert cli.main(argv + ["--config", str(config), "--out",
-                                    str(root / name)]) == 0, name
+        for config, out, commands in ((CONFIG, root, COMMANDS),
+                                      (CONV_CONFIG, root / "convnet", CONV_COMMANDS)):
+            out.mkdir(exist_ok=True)
+            (out / "config.json").write_text(json.dumps(config))
+            for name, argv in commands:
+                assert cli.main(argv + ["--config", str(out / "config.json"), "--out",
+                                        str(out / name)]) == 0, name
         shutil.copytree(root / "prune_imp", root / "report")
         assert cli.main(["report", "--out", str(root / "report")]) == 0
     return {path.relative_to(root).as_posix(): hashlib.sha256(_stripped(path)).hexdigest()
-            for path in sorted(root.rglob("*")) if path.is_file() and path != config}
+            for path in sorted(root.rglob("*")) if path.is_file() and path.name != "config.json"}
 
 
 def test_artifacts_match_the_fixture(tmp_path):
