@@ -44,7 +44,6 @@ class WeightHistogram:
     bin_edges: np.ndarray
     counts: np.ndarray
     sparsity: float
-    empty: bool = False
 
 
 def train_twin(spec: ModelSpec, theta_rewind: ParameterVector, mask: SparsityMask,
@@ -105,8 +104,7 @@ def weight_histogram(theta_init: ParameterVector, mask: SparsityMask,
         limit = 1.0
     edges = np.linspace(-limit, limit, num_bins + 1)
     counts, _ = np.histogram(survivors, bins=edges)  # all zero if none survive
-    return WeightHistogram(layer_name, edges, counts, 1.0 - survivors.size / e.length,
-                           empty=survivors.size == 0)
+    return WeightHistogram(layer_name, edges, counts, 1.0 - survivors.size / e.length)
 
 
 def survivor_magnitude_ratio(theta_init: ParameterVector, mask: SparsityMask) -> float:

@@ -140,35 +140,37 @@ class ExperimentConfig:
     training: the --method and --seed overrides applied, each field read once
     through `get`, the model, training, pruning, report and distiller
     settings constructed and the IDX data loaded.  Whatever would stop the
-    run is a diagnostic, and all of them are raised as one ConfigError.
-    Synthetic data is checked from its fields; a dry build never makes it."""
+    run, or a key that no field reads, is a diagnostic, and all of them are
+    raised as one ConfigError.  Synthetic data is checked from its fields;
+    a dry build never makes it."""
 
-    def __init__(self, raw, base_dir="", method=None, seeds=None, distills=False,
-                 dry=False):
+    def __init__(self, raw, base_dir="", method=None, seeds=None, dry=False):
         self.raw, self.base_dir = raw, base_dir
-        self.diagnostics, self._synth = [], None
+        self.diagnostics, self._synth, self._read = [], None, {}
         if not isinstance(raw, dict):
             raise ConfigError(["config root must be a JSON object"])
-        self._build(method, seeds, distills)
+        self._build(method, seeds)
+        self._unread(raw, "")
         if self.diagnostics:
             raise ConfigError(self.diagnostics)
         if self._synth and not dry:
             self.train, self.test = (data_mod.synth_dataset(*a) for a in self._synth)
 
     @classmethod
-    def load(cls, path, method=None, seeds=None, distills=False, dry=False):
+    def load(cls, path, method=None, seeds=None, dry=False):
         try:
-            with open(path) as f:
+            with open(path, encoding="utf-8") as f:
                 raw = json.load(f)
         except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as e:
             raise ConfigError([f"invalid JSON: {e}"]) from None
-        return cls(raw, os.path.dirname(path), method, seeds, distills, dry)
+        return cls(raw, os.path.dirname(path), method, seeds, dry)
 
     def get(self, name, default=None, kind=float, minimum=None, choices=None):
         """The field at dotted `name`, or `default` (None: required) if absent.
         A missing required field or a value not of `kind`, below `minimum` or
         not among `choices` adds a diagnostic and gives `default`, as does,
         without one, any field under a section that is not an object."""
+        self._read[name] = kind
         *parents, key = name.split(".")
         section = self.raw
         for parent in parents:
@@ -198,6 +200,15 @@ class ExperimentConfig:
             value = None
         return value if value is None else os.path.join(self.base_dir, value)
 
+    def _unread(self, section, prefix):
+        """A diagnostic per unread key of `section` and of each section read in it."""
+        for key, value in section.items():
+            kind = self._read.get(prefix + key)
+            if kind is None:
+                self.diagnostics.append(f"{prefix}{key} is never read")
+            elif kind is dict and isinstance(value, dict):
+                self._unread(value, f"{prefix}{key}.")
+
     def _make(self, since, prefix, build):
         """build(), else None: untried if a field it reads has a diagnostic
         (made after `since`), and a diagnostic per rule it reports broken."""
@@ -208,10 +219,11 @@ class ExperimentConfig:
         except (ValueError, TypeError) as e:
             self.diagnostics.extend(prefix + rule for rule in str(e).split("; "))
 
-    def _build(self, method, seeds, distills):
+    def _build(self, method, seeds):
         get = self.get
         self.out_dir = get("out_dir", "ticketlab_out", str)
-        self.method = method or get("method", "imp", str, choices=METHODS)
+        configured = get("method", "imp", str, choices=METHODS)  # read even if overridden
+        self.method = method or configured
 
         n = len(self.diagnostics)
         get("model", kind=dict)
@@ -224,12 +236,13 @@ class ExperimentConfig:
         n = len(self.diagnostics)
         get("prune", {}, dict)
         train = {key: self._train_config(key) for key in ("mask_train", "finetune")}
+        configured = get("seeds", [0, 1, 2, 3, 4], list)  # read even if overridden
         fields = dict(desired_sparsity=get("prune.desired_sparsity", 0.5),
                       amount=get("prune.amount", 0.2),
                       rewind_epoch=get("prune.rewind_epoch", 0, int),
                       iteration_cap=get("prune.iteration_cap",
                                         engines.DEFAULT_ITERATION_CAP, int),
-                      seeds=tuple(seeds or get("seeds", [0, 1, 2, 3, 4], list)))
+                      seeds=tuple(seeds or configured))
         scope = get("prune.scope", "global", str)
         self.cfg = self._make(n, "prune: ", lambda: engines.PruneRunConfig(
             prune_scope=pruning.PruneScope(scope), train_config_mask=train["mask_train"],
@@ -241,7 +254,7 @@ class ExperimentConfig:
                            ("finetune_each", True, bool, None), ("lmc", False, bool, None),
                            ("histograms", False, bool, None), ("lmc_points", 21, int, 2),
                            ("threshold", 0.02, float, None), ("num_bins", 30, int, 1))}
-        self._distiller(distills or self.method == "distilled", self._data())
+        self._distiller(self._data())
 
     def _train_config(self, key):
         """The TrainConfig of prune.`key`, whose epochs are prune.`key`_epochs."""
@@ -302,9 +315,9 @@ class ExperimentConfig:
             self.diagnostics.append(f"{name}.input_shape {list(shape)} must equal "
                                     f"model.input_shape {list(spec.input_shape)}")
 
-    def _distiller(self, distills, smallest):
-        """Read the distiller settings; if the run distills, check them
-        against the data, loading an external distilled set."""
+    def _distiller(self, smallest):
+        """Read the distiller settings; if the method is distilled, check
+        them against the data, loading an external distilled set."""
         get = self.get
         n = len(self.diagnostics)
         get("distiller", {}, dict)
@@ -320,7 +333,7 @@ class ExperimentConfig:
             "kmeansHerding": lambda: data_mod.distill_kmeans_herding(self.train, ipc,
                                                                      iterations, seed),
         }.get(kind)
-        if not distills or len(self.diagnostics) > n:
+        if self.method != "distilled" or len(self.diagnostics) > n:
             return
         if kind == "external":
             dsyn = data_mod.load_distilled(path)
@@ -460,9 +473,9 @@ def _emit_histograms(config, record, out_dir):
 
 def rebuild_summary(out_dir):
     """summarize() of the records in iterations.csv.  A row starts a new
-    record unless it has the previous row's method and seed and a higher
-    iteration.  The table holds no masks or configs (None in the records),
-    and no LMC result."""
+    record unless it has the previous row's method and seed; then its
+    iteration must be higher.  A seed starts one record only.  The table
+    holds no masks or configs (None in the records), and no LMC result."""
     path = os.path.join(out_dir, "iterations.csv")
     records, previous = [], ()
     try:
@@ -479,8 +492,12 @@ def rebuild_summary(out_dir):
             method, seed, index = row["method"], int(row["seed"]), int(row["iteration"])
             accuracy, finetune = (float(row[key]) if row[key] else None
                                   for key in ("test_accuracy", "finetune_seconds"))
-            if (method, seed) != previous[:2] or index <= previous[2]:
+            if (method, seed) != previous[:2]:
+                if seed in (rec.seed for rec in records):
+                    raise ValueError(f"seed {seed} starts a second record")
                 records.append(engines.RunRecord(method, seed, None))
+            elif index <= previous[2]:
+                raise ValueError(f"seed {seed}: iteration {index} after {previous[2]}")
             previous = (method, seed, index)
             records[-1].iterations.append(engines.IterationRecord(
                 index, None, float(row["sparsity"]), float(row["mask_phase_seconds"]),
@@ -547,8 +564,8 @@ def _dispatch(args):
         print(json.dumps(summary, sort_keys=True))
         return 0
 
-    config = ExperimentConfig.load(args.config, getattr(args, "method", None), args.seed,
-                                   distills=args.command == "distill")
+    method = "distilled" if args.command == "distill" else getattr(args, "method", None)
+    config = ExperimentConfig.load(args.config, method, args.seed)
     out_dir = args.out or config.out_dir
 
     if args.command == "distill":

@@ -133,15 +133,13 @@ def write_idx(data: LabeledDataset, images_path, labels_path):
     magic declares three dimensions, so the images must be (N, H, W)."""
     if data.examples.ndim != 3:
         raise ValueError(f"IDX images must be (N, H, W), got shape {data.examples.shape}")
+    if data.labels.max() > 255:
+        raise ValueError(f"IDX labels must be at most 255, got {data.labels.max()}")
     images = np.clip(np.round(data.examples * 255.0), 0, 255).astype(np.uint8)
-    with open(images_path, "wb") as f:
-        f.write(struct.pack(">I", IMAGE_MAGIC))
-        f.write(struct.pack(f">{images.ndim}I", *images.shape))
-        f.write(images.tobytes())
-    with open(labels_path, "wb") as f:
-        f.write(struct.pack(">I", LABEL_MAGIC))
-        f.write(struct.pack(">I", data.size))
-        f.write(data.labels.astype(np.uint8).tobytes())
+    atomic_write(images_path, struct.pack(">4I", IMAGE_MAGIC, *images.shape)
+                 + images.tobytes())
+    atomic_write(labels_path, struct.pack(">2I", LABEL_MAGIC, data.size)
+                 + data.labels.astype(np.uint8).tobytes())
 
 
 # ---------------------------------------------------------------------------

@@ -108,15 +108,15 @@ class TrainConfig:
     def __post_init__(self):
         ms = list(self.milestones)
         require([
-            (self.epochs >= 0, "epochs must be >= 0"),
+            (is_whole(self.epochs, 0), "epochs must be an integer >= 0"),
             (0 < self.learning_rate < np.inf, "learning rate must be positive and finite"),
             (0 <= self.momentum < 1, "momentum must be in [0, 1)"),
             (0 <= self.weight_decay < np.inf, "weight decay must be non-negative and finite"),
-            (self.batch_size >= 1, "batch size must be positive"),
+            (is_whole(self.batch_size, 1), "batch size must be a positive integer"),
             (0 < self.gamma <= 1, "gamma must be in (0, 1]"),
-            (self.shuffle_seed >= 0, "shuffle_seed must be >= 0"),
-            (ms == sorted(set(ms)) and all(m < self.epochs for m in ms),
-             "milestones must be strictly increasing and < epochs"),
+            (is_whole(self.shuffle_seed, 0), "shuffle_seed must be an integer >= 0"),
+            (all(is_whole(m, 0) and m < self.epochs for m in ms) and ms == sorted(set(ms)),
+             "milestones must be strictly increasing integers >= 0 and < epochs"),
         ])
 
 
@@ -183,16 +183,11 @@ class ModelSpec:
 def init_params(spec: ModelSpec, seed: int) -> ParameterVector:
     """Scaled-uniform fan-in initialization, biases zero; deterministic in seed."""
     rng = np.random.default_rng(seed)
-    chunks = []
-    for name, kind, shape in spec.layer_shapes():
-        n = int(np.prod(shape))
-        if kind == "bias":
-            chunks.append(np.zeros(n))
-        else:
-            fan_in = int(np.prod(shape[1:]))
-            bound = 1.0 / np.sqrt(fan_in)
-            chunks.append(rng.uniform(-bound, bound, size=n))
-    return ParameterVector(np.concatenate(chunks), spec.layer_map())
+    values = np.zeros(spec.param_count())
+    for wshape, ws, _ in _layers(spec):
+        bound = 1.0 / np.sqrt(int(np.prod(wshape[1:])))
+        values[ws] = rng.uniform(-bound, bound, size=ws.stop - ws.start)
+    return ParameterVector(values, spec.layer_map())
 
 
 def _as_batch(spec: ModelSpec, batch: np.ndarray) -> np.ndarray:
@@ -220,14 +215,9 @@ def _check_labels(spec: ModelSpec, labels) -> np.ndarray:
 def _layers(spec: ModelSpec):
     """(weight shape, weight slice, bias slice) per layer, input to output,
     with the slices indexing the flat parameter vector."""
-    out, offset = [], 0
-    shapes = spec.layer_shapes()
-    for (_, _, wshape), (_, _, (nb,)) in zip(shapes[0::2], shapes[1::2]):
-        nw = int(np.prod(wshape))
-        out.append((wshape, slice(offset, offset + nw),
-                    slice(offset + nw, offset + nw + nb)))
-        offset += nw + nb
-    return out
+    slices = [slice(e.offset, e.offset + e.length) for e in spec.layer_map()]
+    wshapes = [shape for _, kind, shape in spec.layer_shapes() if kind == "weight"]
+    return list(zip(wshapes, slices[0::2], slices[1::2]))
 
 
 def _im2col(x):
@@ -292,18 +282,22 @@ def _forward(layers, effective, batch, tape=None):
     return x
 
 
-def _cross_entropy(logits, labels):
-    """(mean softmax cross-entropy, its gradient w.r.t. the logits)."""
-    n = logits.shape[0]
-    rows = np.arange(n)
+def _nll(logits, labels):
+    """(per-example softmax cross-entropy, softmax probabilities)."""
     zmax = logits.max(axis=1, keepdims=True)
     p = np.exp(logits - zmax)
     total = p.sum(axis=1, keepdims=True)
-    loss = float((zmax[:, 0] + np.log(total[:, 0]) - logits[rows, labels]).mean())
+    nll = zmax[:, 0] + np.log(total[:, 0]) - logits[np.arange(len(labels)), labels]
     p /= total
-    p[rows, labels] -= 1.0
-    p /= n
-    return loss, p
+    return nll, p
+
+
+def _cross_entropy(logits, labels):
+    """(mean softmax cross-entropy, its gradient w.r.t. the logits)."""
+    nll, p = _nll(logits, labels)
+    p[np.arange(len(labels)), labels] -= 1.0
+    p /= len(labels)
+    return float(nll.mean()), p
 
 
 def _backward(layers, effective, tape, g, grad):
@@ -385,7 +379,9 @@ def train(spec, params, mask, data, cfg: TrainConfig,
     layers = _layers(spec)
     grad = np.empty_like(theta.values)
     velocity = np.zeros_like(theta.values)
-    decay_sel = mask.bits.astype(bool) & _weight_positions(params.layer_map)
+    decay_sel = np.zeros(theta.values.size, dtype=bool)
+    for _, ws, _ in layers:
+        decay_sel[ws] = mask.bits[ws] != 0.0
     lr = cfg.learning_rate
     last_loss = None
     for epoch in range(cfg.epochs):
@@ -426,14 +422,6 @@ def train_with_snapshots(spec, params, mask, data, cfg, snapshot_epochs):
     return out, snaps
 
 
-def _weight_positions(layer_map):
-    sel = np.zeros(sum(e.length for e in layer_map), dtype=bool)
-    for e in layer_map:
-        if e.kind == "weight":
-            sel[e.offset:e.offset + e.length] = True
-    return sel
-
-
 def evaluate(spec, params, mask, data):
     """(accuracy, mean loss) on a dataset; pure, argmax ties -> lowest class."""
     if data.size == 0:
@@ -444,7 +432,5 @@ def evaluate(spec, params, mask, data):
         yb = data.labels[start:start + 512]
         logits = forward(spec, params, mask, xb)
         correct += int((logits.argmax(axis=1) == yb).sum())
-        zmax = logits.max(axis=1, keepdims=True)
-        lse = zmax[:, 0] + np.log(np.exp(logits - zmax).sum(axis=1))
-        loss_sum += float((lse - logits[np.arange(len(yb)), yb]).sum())
+        loss_sum += float(_nll(logits, yb)[0].sum())
     return correct / data.size, loss_sum / data.size

@@ -139,7 +139,7 @@ class TestWeightHistogram:
                  if e.name == "fc1" and e.kind == "weight"][0]
         mask.bits[entry.offset:entry.offset + entry.length] = 0.0
         hist = tl.weight_histogram(theta, mask, "fc1", 8)
-        assert hist.empty and hist.counts.sum() == 0
+        assert hist.counts.sum() == 0 and hist.sparsity == 1.0
 
     def test_unknown_layer(self, setup):
         spec, theta, mask, _, _, _ = setup

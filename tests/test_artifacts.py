@@ -77,7 +77,8 @@ def artifact_hashes(root):
         shutil.copytree(root / "prune_imp", root / "report")
         assert cli.main(["report", "--out", str(root / "report")]) == 0
     return {path.relative_to(root).as_posix(): hashlib.sha256(_stripped(path)).hexdigest()
-            for path in sorted(root.rglob("*")) if path.is_file() and path.name != "config.json"}
+            for path in sorted(root.rglob("*"))
+            if path.is_file() and path.name != "config.json"}
 
 
 def test_artifacts_match_the_fixture(tmp_path):

@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -198,10 +200,21 @@ PAIR_CASES = [
         "test_labels": "config.json"})),
     ("distinct", with_section("seeds", [0, 0])),
 ]
-INVALID = WRONG_TYPES + MODEL_CASES + RANGE_CASES + FLAG_AND_FINITE_CASES + PAIR_CASES
+# milestones that are not integers, and keys no field reads
+LATER_CASES = [
+    ("prune.mask_train", with_prune("mask_train", milestones=[1.5])),
+    ("prune.mask_train", with_prune("mask_train", milestones=[True])),
+    ("prune.desired_sparsty", with_section("prune", {**BASE_CONFIG["prune"],
+                                                     "desired_sparsty": 0.9})),
+    ("prune.finetune.learning_rat", with_prune("finetune", learning_rat=0.5)),
+    ("seed", {**BASE_CONFIG, "seed": 3}),
+    ("dataset.images", with_dataset(images="train.idx")),
+]
+INVALID = (WRONG_TYPES + MODEL_CASES + RANGE_CASES + FLAG_AND_FINITE_CASES + PAIR_CASES
+           + LATER_CASES)
 INVALID_IDS = [f"{field}-{i}" for i, (field, _) in enumerate(INVALID)]
 PRUNE_CASES = (INVALID[:7] + MODEL_CASES + RANGE_CASES + FLAG_AND_FINITE_CASES
-               + PAIR_CASES)
+               + PAIR_CASES + LATER_CASES)
 PRUNE_CASE_IDS = INVALID_IDS[:7] + INVALID_IDS[len(WRONG_TYPES):]
 
 
@@ -232,6 +245,16 @@ class TestValidateTypes:
         path = tmp_path / "config.json"
         path.write_text('{"dataset": ')
         assert cli.main(["prune", "--config", str(path)]) == cli.EXIT_CONFIG
+
+    def test_config_is_read_as_utf8_in_an_ascii_locale(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({**BASE_CONFIG, "out_dir": "sortie_\u00e9"},
+                                   ensure_ascii=False), encoding="utf-8")
+        env = {**os.environ, "LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0",
+               "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        run = subprocess.run([sys.executable, "-m", "ticketlab.cli", "validate", "--config",
+                              str(path)], env=env, capture_output=True, timeout=60)
+        assert (run.returncode, run.stdout) == (0, b'{"diagnostics": []}\n'), run.stderr
 
     def test_non_utf8_config_is_config_error(self, tmp_path):
         path = tmp_path / "config.json"
@@ -532,15 +555,16 @@ class TestSubcommands:
             assert rebuilt["time_to_mask_seconds"][seed] == pytest.approx(times, rel=1e-11)
 
     def test_report_splits_the_table_into_records(self, tmp_path):
-        # seed 0 twice (its iterations restart), then random seed 2
+        # imp seeds 0 and 1 (its iterations restart), then random seed 2
         (tmp_path / "iterations.csv").write_text(",".join(cli.ITERATIONS_HEADER) + "\n" + "".join(
             row + "\n" for row in ["imp,0,1,0.2,0.5,0.25,0.5", "imp,0,2,0.36,0.75,0.25,0.5",
-                                    "imp,0,1,0.2,,0.5,", "random,2,1,0.2,1,0,0.5"]))
+                                    "imp,1,1,0.2,,0.5,", "random,2,1,0.2,1,0,0.5"]))
         summary = cli.rebuild_summary(tmp_path)
-        assert summary["method"] == "imp,random" and summary["seeds"] == [0, 0, 2]
+        assert summary["method"] == "imp,random" and summary["seeds"] == [0, 1, 2]
         assert summary["final_sparsity"] == 0.36
         assert summary["time_to_mask_seconds"] == {
-            "0": {"mask_only": 0.5, "with_final_retrain": 0.5},
+            "0": {"mask_only": 0.5, "with_final_retrain": 1.0},
+            "1": {"mask_only": 0.5, "with_final_retrain": 0.5},
             "2": {"mask_only": 0.0, "with_final_retrain": 0.5}}
         assert [(lv["sparsity"], lv["mean_accuracy"]) for lv in summary["levels"]] == [
             (0.2, 0.75), (0.36, 0.75)]
@@ -603,10 +627,15 @@ class TestSubcommands:
         ",".join(cli.ITERATIONS_HEADER) + "\nimp,0,1,1.7,,0.1,\n",
         ",".join(cli.ITERATIONS_HEADER) + "\nimp,0,1,0.2,0.5,0.1,-3\n",
         ",".join(cli.ITERATIONS_HEADER).encode() + b"\nimp,0,1,0.2,\xff,0.1,\n",
+        ",".join(cli.ITERATIONS_HEADER) + "\nimp,0,1,0.2,,0.1,\nimp,1,1,0.2,,0.1,\n"
+        "imp,0,1,0.2,,0.1,\n",
+        ",".join(cli.ITERATIONS_HEADER) + "\nimp,0,1,0.2,,0.1,\nrandom,0,1,0.2,,0.1,\n",
+        ",".join(cli.ITERATIONS_HEADER) + "\nimp,0,1,0.2,,0.1,\nimp,0,1,0.2,,0.1,\n",
     ], ids=["empty", "header_only", "bad_seed", "short_row", "sparsity_falls",
             "negative_seconds", "no_iteration_column", "nan_sparsity", "inf_sparsity",
             "nan_seconds", "accuracy_above_one", "sparsity_above_one",
-            "negative_finetune_seconds", "not_utf8"])
+            "negative_finetune_seconds", "not_utf8", "repeated_seed",
+            "seed_under_two_methods", "iteration_repeats"])
     def test_report_on_bad_iterations_is_io_error(self, tmp_path, capsys, body):
         if isinstance(body, str):
             body = body.encode()

@@ -67,6 +67,14 @@ class TestIdx:
             tl.write_idx(ds, ip, lp)
         assert not ip.exists() and not lp.exists()
 
+    def test_write_rejects_labels_above_255(self, tmp_path):
+        # a byte would keep 300 % 256 = 44, loaded back as class 44
+        ds = tl.LabeledDataset(np.zeros((2, 3, 3)), np.array([0, 300]), 301)
+        ip, lp = tmp_path / "images.idx", tmp_path / "labels.idx"
+        with pytest.raises(ValueError, match="255"):
+            tl.write_idx(ds, ip, lp)
+        assert not ip.exists() and not lp.exists()
+
     def test_empty_file_is_format_error(self, tmp_path):
         images = tmp_path / "images.idx"
         labels = tmp_path / "labels.idx"

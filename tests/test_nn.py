@@ -294,6 +294,14 @@ class TestTrain:
         with pytest.raises(ValueError):
             self.cfg(**{field: value})
 
+    @pytest.mark.parametrize("field,value", [
+        ("epochs", 2.5), ("batch_size", 2.5), ("batch_size", True), ("shuffle_seed", 1.5),
+        ("milestones", (1.5,)), ("milestones", (True,)), ("milestones", (-1,))])
+    def test_non_integer_fields_rejected(self, field, value):
+        # a milestone of 1.5 never equals an epoch, so its decay would never fire
+        with pytest.raises(ValueError, match="integer"):
+            self.cfg(**{field: value})
+
     def test_every_broken_rule_is_named(self):
         with pytest.raises(ValueError) as info:
             self.cfg(learning_rate=-1, momentum=1.0)
