@@ -2,7 +2,9 @@
 sha256 in artifact_hashes.json: `prune` with each method (LMC and
 histograms on), `distill`, `lmc`, `weights`, and `report` over the IMP run;
 then, under convnet/, `prune` with each method and `lmc` of a 1-block
-ConvNet, so the conv chain's bits are pinned too.
+ConvNet, so the conv chain's bits are pinned too; and, under convnet2/,
+`prune --method imp` and `lmc` of a 2-block ConvNet trained with weight
+decay and a milestone decay, which pins col2im and both decays.
 Timing is stripped before hashing: the *_seconds columns of each CSV and
 time_to_mask_seconds of each summary.  The hashes hold for one numpy and
 BLAS build; another may round the training arithmetic differently.
@@ -52,6 +54,16 @@ CONV_CONFIG = {
 }
 CONV_COMMANDS = COMMANDS[:3] + [("lmc", ["lmc"])]
 
+DECAYED = {"batch_size": 16, "weight_decay": 1e-3, "milestones": [1], "gamma": 0.5}
+CONV2_CONFIG = {
+    **CONFIG,
+    "dataset": {**CONFIG["dataset"], "input_shape": [2, 4, 4]},
+    "model": {"architecture": "convnet", "input_shape": [2, 4, 4], "num_classes": 3,
+              "channels": [2, 3]},
+    "prune": {**CONFIG["prune"], "mask_train": DECAYED, "finetune": DECAYED},
+}
+CONV2_COMMANDS = [COMMANDS[0], ("lmc", ["lmc"])]
+
 
 def _stripped(path):
     blob = path.read_bytes()
@@ -68,7 +80,8 @@ def artifact_hashes(root):
     """{relative path: sha256 of the stripped file} over every output."""
     with contextlib.redirect_stdout(io.StringIO()):
         for config, out, commands in ((CONFIG, root, COMMANDS),
-                                      (CONV_CONFIG, root / "convnet", CONV_COMMANDS)):
+                                      (CONV_CONFIG, root / "convnet", CONV_COMMANDS),
+                                      (CONV2_CONFIG, root / "convnet2", CONV2_COMMANDS)):
             out.mkdir(exist_ok=True)
             (out / "config.json").write_text(json.dumps(config))
             for name, argv in commands:
