@@ -10,6 +10,7 @@ gradients straight into a flat buffer aligned with that map.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -198,6 +199,17 @@ def _as_batch(spec: ModelSpec, batch: np.ndarray) -> np.ndarray:
     return batch
 
 
+def _check_layout(spec: ModelSpec, params: ParameterVector, mask) -> None:
+    """Raise ValueError unless params are laid out as spec's model and mask as
+    params, so that the chain's slices index the vectors it was given."""
+    if tuple(params.layer_map) != spec.layer_map():
+        raise ValueError(f"parameters ({len(params)} positions) do not match the model's "
+                         f"layer map ({spec.param_count()} positions)")
+    if tuple(mask.layer_map) != tuple(params.layer_map):
+        raise ValueError(f"mask ({mask.bits.size} positions) does not match the "
+                         f"parameters' layer map ({len(params)} positions)")
+
+
 def _check_labels(spec: ModelSpec, labels) -> np.ndarray:
     labels = np.asarray(labels)
     if labels.min() < 0 or labels.max() >= spec.num_classes:
@@ -264,17 +276,21 @@ def _forward(layers, effective, batch, tape=None):
             z = w @ cols
             z += b[:, None]
             # np.maximum: about 10x faster than np.where at these sizes
-            a = np.maximum(z, 0.0).reshape(wshape[0], n, h, wd)
-            x = (a[:, :, 0::2, 0::2] + a[:, :, 0::2, 1::2]
-                 + a[:, :, 1::2, 0::2] + a[:, :, 1::2, 1::2]) * 0.25
+            a = np.maximum(z, 0.0, out=z).reshape(wshape[0], n, h, wd)
+            # the pool sums in the order (a00 + a01) + a10 + a11, then scales
+            x = a[:, :, 0::2, 0::2] + a[:, :, 0::2, 1::2]
+            x += a[:, :, 1::2, 0::2]
+            x += a[:, :, 1::2, 1::2]
+            x *= 0.25
             entry = (cols, a > 0.0)
         else:
             if x.ndim == 4:
                 x = x.transpose(1, 0, 2, 3).reshape(n, -1)
-            z = x @ w.T + b
+            z = x @ w.T
+            z += b
             entry = (x, None)
             if i < last:
-                z = np.maximum(z, 0.0)
+                np.maximum(z, 0.0, out=z)
                 entry = (x, z > 0.0)
             x = z
         if tape is not None:
@@ -285,7 +301,8 @@ def _forward(layers, effective, batch, tape=None):
 def _nll(logits, labels):
     """(per-example softmax cross-entropy, softmax probabilities)."""
     zmax = logits.max(axis=1, keepdims=True)
-    p = np.exp(logits - zmax)
+    p = logits - zmax
+    np.exp(p, out=p)
     total = p.sum(axis=1, keepdims=True)
     nll = zmax[:, 0] + np.log(total[:, 0]) - logits[np.arange(len(labels)), labels]
     p /= total
@@ -297,7 +314,7 @@ def _cross_entropy(logits, labels):
     nll, p = _nll(logits, labels)
     p[np.arange(len(labels)), labels] -= 1.0
     p /= len(labels)
-    return float(nll.mean()), p
+    return float(nll.sum()) / len(labels), p
 
 
 def _backward(layers, effective, tape, g, grad):
@@ -313,16 +330,17 @@ def _backward(layers, effective, tape, g, grad):
             oc, n, h, wd = keep.shape
             if g.ndim == 2:
                 g = g.reshape(n, oc, h // 2, wd // 2).transpose(1, 0, 2, 3)
-            # unpool by broadcast, then the ReLU mask
-            gz = ((g * 0.25)[:, :, :, None, :, None]
-                  * keep.reshape(oc, n, h // 2, 2, wd // 2, 2)).reshape(oc, -1)
+            # unpool by repeating over each 2x2 window, then the ReLU mask
+            gz = np.repeat(np.repeat(g * 0.25, 2, axis=2), 2, axis=3)
+            gz *= keep
+            gz = gz.reshape(oc, -1)
             np.matmul(gz, x.T, out=gw)
             gz.sum(axis=1, out=grad[bs])
             if i:
                 g = _col2im(w.T @ gz, (x.shape[0] // KSIZE ** 2, n, h, wd))
         else:
             if keep is not None:
-                g = g * keep
+                g *= keep  # g is a fresh g @ w here, never the caller's array
             np.matmul(g.T, x, out=gw)
             g.sum(axis=0, out=grad[bs])
             if i:
@@ -340,6 +358,7 @@ def _loss_and_grad(layers, effective, batch, labels, grad):
 
 def forward(spec: ModelSpec, params: ParameterVector, mask, batch) -> np.ndarray:
     """Logits for a batch, computed with effective weights (params * mask)."""
+    _check_layout(spec, params, mask)
     batch = _as_batch(spec, batch)
     out = _forward(_layers(spec), params.values * mask.bits, batch)
     if not np.all(np.isfinite(out)):
@@ -349,6 +368,7 @@ def forward(spec: ModelSpec, params: ParameterVector, mask, batch) -> np.ndarray
 
 def backward(spec: ModelSpec, params: ParameterVector, mask, batch, labels) -> ParameterVector:
     """Gradient of mean cross-entropy w.r.t. params; zero at masked positions."""
+    _check_layout(spec, params, mask)
     batch = _as_batch(spec, batch)
     labels = _check_labels(spec, labels)
     grad = np.empty_like(params.values)
@@ -366,6 +386,7 @@ def train(spec, params, mask, data, cfg: TrainConfig,
     copies (epoch index -> ParameterVector) of the masked starting parameters
     at 0 and of the parameters after each epoch in ``snapshot_epochs``.
     """
+    _check_layout(spec, params, mask)
     if data.size == 0:
         raise ValueError("empty dataset")
     theta = params.copy()
@@ -379,6 +400,7 @@ def train(spec, params, mask, data, cfg: TrainConfig,
     layers = _layers(spec)
     grad = np.empty_like(theta.values)
     velocity = np.zeros_like(theta.values)
+    step = np.empty_like(theta.values)
     decay_sel = np.zeros(theta.values.size, dtype=bool)
     for _, ws, _ in layers:
         decay_sel[ws] = mask.bits[ws] != 0.0
@@ -393,7 +415,7 @@ def train(spec, params, mask, data, cfg: TrainConfig,
             # theta is kept masked, so it is its own effective weight vector
             loss = _loss_and_grad(layers, theta.values, examples[idx],
                                   data.labels[idx], grad)
-            if not np.isfinite(loss):
+            if not math.isfinite(loss):
                 raise TrainingDiverged(epoch, bi, loss, lr, last_loss)
             last_loss = loss
             grad *= mask.bits
@@ -402,7 +424,8 @@ def train(spec, params, mask, data, cfg: TrainConfig,
                 g = g + np.where(decay_sel, cfg.weight_decay * theta.values, 0.0)
             velocity *= cfg.momentum
             velocity += g
-            theta.values -= lr * velocity
+            np.multiply(velocity, lr, out=step)
+            theta.values -= step
             theta.values *= mask.bits
         if _snapshots is not None and epoch + 1 in snapshot_epochs:
             _snapshots[epoch + 1] = theta.copy()
@@ -423,9 +446,11 @@ def train_with_snapshots(spec, params, mask, data, cfg, snapshot_epochs):
 
 
 def evaluate(spec, params, mask, data):
-    """(accuracy, mean loss) on a dataset; pure, argmax ties -> lowest class."""
+    """(accuracy, mean loss) on a dataset; pure, argmax ties -> lowest class.
+    Each forward call checks the parameters' and mask's layout."""
     if data.size == 0:
         raise ValueError("empty dataset")
+    _check_labels(spec, data.labels)
     correct, loss_sum = 0, 0.0
     for start in range(0, data.size, 512):
         xb = data.examples[start:start + 512]

@@ -188,18 +188,27 @@ CHAIN_SPECS = [
 ]
 
 
+def chain_spec_id(spec):
+    return f"{spec.architecture}{spec.hidden or spec.channels}"
+
+
+def chain_inputs(spec, seed):
+    """Perturbed parameters, a mask pruning about 30%, and a batch of 7."""
+    params = tl.init_params(spec, seed)
+    rng = np.random.default_rng(seed)
+    params.values += 0.1 * rng.standard_normal(len(params))
+    mask = ones_mask(params)
+    mask.bits[rng.random(len(params)) < 0.3] = 0.0
+    x = rng.standard_normal((7,) + spec.input_shape)
+    y = rng.integers(0, spec.num_classes, 7)
+    return params, mask, x, y
+
+
 class TestChainOracle:
-    @pytest.mark.parametrize("spec", CHAIN_SPECS,
-                             ids=lambda s: f"{s.architecture}{s.hidden or s.channels}")
+    @pytest.mark.parametrize("spec", CHAIN_SPECS, ids=chain_spec_id)
     @pytest.mark.parametrize("seed", range(2))
     def test_backward_matches_tape(self, spec, seed):
-        params = tl.init_params(spec, seed)
-        rng = np.random.default_rng(seed)
-        params.values += 0.1 * rng.standard_normal(len(params))
-        mask = ones_mask(params)
-        mask.bits[rng.random(len(params)) < 0.3] = 0.0
-        x = rng.standard_normal((7,) + spec.input_shape)
-        y = rng.integers(0, spec.num_classes, 7)
+        params, mask, x, y = chain_inputs(spec, seed)
         grad = tl.backward(spec, params, mask, x, y)
         assert max_relative_error(grad.values, tape_gradient(spec, params, mask, x, y)) <= 1e-12
 
@@ -212,6 +221,47 @@ class TestChainOracle:
         x = rng.standard_normal((3, 2, 8, 8))
         assert np.allclose(tl.forward(spec, params, mask, x),
                            loop_forward(spec, params, mask, x))
+
+
+DECAYING = tl.TrainConfig(epochs=2, batch_size=3, weight_decay=1e-3, milestones=(1,),
+                          gamma=0.5)
+
+ENTRY_POINTS = {
+    "forward": lambda spec, params, mask, data: tl.forward(spec, params, mask,
+                                                           data.examples),
+    "backward": lambda spec, params, mask, data: tl.backward(spec, params, mask,
+                                                             data.examples, data.labels),
+    "train": lambda spec, params, mask, data: tl.train(spec, params, mask, data, DECAYING),
+    "evaluate": lambda spec, params, mask, data: tl.evaluate(spec, params, mask, data),
+}
+
+
+@pytest.mark.parametrize("spec", CHAIN_SPECS, ids=chain_spec_id)
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+def test_chain_writes_into_no_input(spec, entry):
+    # the chain works in place on its own temporaries only
+    params, mask, x, y = chain_inputs(spec, 0)
+    data = tl.LabeledDataset(x, y, spec.num_classes)
+    inputs = (params.values, mask.bits, x, y, data.examples, data.labels)
+    before = [a.tobytes() for a in inputs]
+    ENTRY_POINTS[entry](spec, params, mask, data)
+    assert [a.tobytes() for a in inputs] == before
+
+
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+@pytest.mark.parametrize("wrong", ["params", "mask"])
+def test_layout_of_another_model_rejected(entry, wrong):
+    spec = tl.ModelSpec("mlp", (2,), 2, hidden=(4,))
+    # 27 positions: trained through spec's slices, only the first 22 would move
+    wider = tl.ModelSpec("mlp", (2,), 2, hidden=(5,))
+    # 22 positions, like spec, but sliced differently
+    same_size = tl.ModelSpec("mlp", (1,), 2, hidden=(5,))
+    params = tl.init_params(wider if wrong == "params" else spec, 0)
+    layout = params.layer_map if wrong == "params" else same_size.layer_map()
+    rng = np.random.default_rng(0)
+    data = tl.LabeledDataset(rng.standard_normal((6, 2)), rng.integers(0, 2, 6), 2)
+    with pytest.raises(ValueError, match="layer map"):
+        ENTRY_POINTS[entry](spec, params, tl.SparsityMask.ones(layout), data)
 
 
 class TestTrain:
@@ -362,6 +412,17 @@ class TestEvaluate:
         tl.evaluate(blob_mlp_spec, params, tl.SparsityMask.ones(params.layer_map),
                     blobs_2d)
         assert np.array_equal(params.values, before)
+
+    @pytest.mark.parametrize("labels,num_classes", [([0, 1, 2], 3), ([-1, 1, 0], 2)])
+    def test_labels_out_of_range(self, labels, num_classes):
+        # a label the 2-class model has no logit for, or a negative one set
+        # after the dataset checked its own
+        spec = tl.ModelSpec("mlp", (2,), 2, hidden=())
+        params = tl.init_params(spec, 0)
+        data = tl.LabeledDataset(np.ones((3, 2)), np.abs(labels), num_classes)
+        data.labels = np.array(labels)
+        with pytest.raises(ValueError, match="labels out of range"):
+            tl.evaluate(spec, params, tl.SparsityMask.ones(params.layer_map), data)
 
     def test_empty_dataset_rejected(self, blob_mlp_spec):
         params = tl.init_params(blob_mlp_spec, 0)
