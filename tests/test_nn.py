@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import ticketlab as tl
 from ticketlab import autodiff as ad
@@ -192,16 +193,34 @@ def chain_spec_id(spec):
     return f"{spec.architecture}{spec.hidden or spec.channels}"
 
 
-def chain_inputs(spec, seed):
-    """Perturbed parameters, a mask pruning about 30%, and a batch of 7."""
+def chain_inputs(spec, seed, batch=7):
+    """Perturbed parameters, a mask pruning about 30%, and a batch."""
     params = tl.init_params(spec, seed)
     rng = np.random.default_rng(seed)
     params.values += 0.1 * rng.standard_normal(len(params))
     mask = ones_mask(params)
     mask.bits[rng.random(len(params)) < 0.3] = 0.0
-    x = rng.standard_normal((7,) + spec.input_shape)
-    y = rng.integers(0, spec.num_classes, 7)
+    x = rng.standard_normal((batch,) + spec.input_shape)
+    y = rng.integers(0, spec.num_classes, batch)
     return params, mask, x, y
+
+
+@st.composite
+def chain_specs(draw):
+    """MLPs on rank-1 to rank-3 inputs with 0-2 hidden layers, and ConvNets
+    of 1-3 blocks on 1-3 input channels with independent, often non-square,
+    spatial sizes."""
+    num_classes = draw(st.integers(2, 4))
+    widths = st.lists(st.integers(1, 4), min_size=1, max_size=3)
+    if draw(st.booleans()):
+        shape = draw(widths)
+        hidden = draw(st.lists(st.integers(1, 6), max_size=2))
+        return tl.ModelSpec("mlp", tuple(shape), num_classes, hidden=tuple(hidden))
+    channels = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+    scale = 2 ** len(channels)
+    h, w = (draw(st.integers(1, 3)) * scale for _ in range(2))
+    return tl.ModelSpec("convnet", (draw(st.integers(1, 3)), h, w), num_classes,
+                        channels=tuple(channels))
 
 
 class TestChainOracle:
@@ -221,6 +240,25 @@ class TestChainOracle:
         x = rng.standard_normal((3, 2, 8, 8))
         assert np.allclose(tl.forward(spec, params, mask, x),
                            loop_forward(spec, params, mask, x))
+
+    @settings(max_examples=150, deadline=None)
+    @given(spec=chain_specs(), seed=st.integers(0, 2 ** 16), batch=st.integers(1, 5))
+    def test_generated_architectures(self, spec, seed, batch):
+        params, mask, x, y = chain_inputs(spec, seed, batch)
+        inputs = (params.values, mask.bits, x, y)
+        before = [a.tobytes() for a in inputs]
+        grad = tl.backward(spec, params, mask, x, y)
+        want = tape_gradient(spec, params, mask, x, y)
+        # Each entry's error is taken relative to the largest gradient entry:
+        # an entry whose summands cancel to 1e-5 of their size differs from
+        # the tape in its 12th digit under any other summation order (about
+        # 1 generated ConvNet in 1000, at every commit so far).
+        scale = max(1e-8, float(np.abs(want).max()))
+        assert max_relative_error(grad.values, want, floor=scale) <= 1e-12
+        if spec.architecture == "convnet":
+            assert np.allclose(tl.forward(spec, params, mask, x),
+                               loop_forward(spec, params, mask, x))
+        assert [a.tobytes() for a in inputs] == before
 
 
 DECAYING = tl.TrainConfig(epochs=2, batch_size=3, weight_decay=1e-3, milestones=(1,),
