@@ -221,8 +221,10 @@ def _check_labels(spec: ModelSpec, labels) -> np.ndarray:
 # The layer chain.  Both architectures are a fixed sequence of (weight, bias)
 # layers: conv blocks (3x3 same conv + ReLU + 2x2 average pool) followed by
 # dense layers with a ReLU between them.  Conv activations are kept
-# channel-major, (C, N, H, W), so a block's conv is one (OC, C*9) @ (C*9, NHW)
-# product and its bias gradient a sum over contiguous rows.
+# batch-innermost, (C, H, W, N): a block's conv is one (OC, C*9) @ (C*9, HWN)
+# product, its bias gradient a sum over contiguous rows, and every window
+# copy of im2col, col2im, pooling and unpooling moves runs of W*N elements.
+# The last block's output is already the dense input, transposed.
 
 def _layers(spec: ModelSpec):
     """(weight shape, weight slice, bias slice) per layer, input to output,
@@ -233,30 +235,31 @@ def _layers(spec: ModelSpec):
 
 
 def _im2col(x):
-    """(C, N, H, W) -> (C*k*k, N*H*W) patch matrix of a same-padded stride-1
-    conv; rows are ordered (c, ki, kj) like a flattened kernel."""
-    c, n, h, w = x.shape
+    """(C, H, W, N) -> (C*k*k, H*W*N) patch matrix of a same-padded stride-1
+    conv; rows are ordered (c, ki, kj) like a flattened kernel, columns
+    (h, w, n) like the activations."""
+    c, h, w, n = x.shape
     pad = KSIZE // 2
-    xp = np.zeros((c, n, h + 2 * pad, w + 2 * pad))
-    xp[:, :, pad:pad + h, pad:pad + w] = x
-    cols = np.empty((c, KSIZE, KSIZE, n, h, w))
+    xp = np.zeros((c, h + 2 * pad, w + 2 * pad, n))
+    xp[:, pad:pad + h, pad:pad + w] = x
+    cols = np.empty((c, KSIZE, KSIZE, h, w, n))
     for i in range(KSIZE):
         for j in range(KSIZE):
-            cols[:, i, j] = xp[:, :, i:i + h, j:j + w]
-    return cols.reshape(c * KSIZE * KSIZE, n * h * w)
+            cols[:, i, j] = xp[:, i:i + h, j:j + w]
+    return cols.reshape(c * KSIZE * KSIZE, h * w * n)
 
 
 def _col2im(dcols, shape):
-    """Adjoint of _im2col: scatter patch gradients back onto the (C, N, H, W)
-    input."""
-    c, n, h, w = shape
+    """Adjoint of _im2col: scatter (C*k*k, H*W*N) patch gradients back onto
+    the (C, H, W, N) input."""
+    c, h, w, n = shape
     pad = KSIZE // 2
-    dcols = dcols.reshape(c, KSIZE, KSIZE, n, h, w)
-    gxp = np.zeros((c, n, h + 2 * pad, w + 2 * pad))
+    dcols = dcols.reshape(c, KSIZE, KSIZE, h, w, n)
+    gxp = np.zeros((c, h + 2 * pad, w + 2 * pad, n))
     for i in range(KSIZE):
         for j in range(KSIZE):
-            gxp[:, :, i:i + h, j:j + w] += dcols[:, i, j]
-    return gxp[:, :, pad:pad + h, pad:pad + w]
+            gxp[:, i:i + h, j:j + w] += dcols[:, i, j]
+    return gxp[:, pad:pad + h, pad:pad + w]
 
 
 def _forward(layers, effective, batch, tape=None):
@@ -265,27 +268,27 @@ def _forward(layers, effective, batch, tape=None):
     mask of the layer's output or None)."""
     n = batch.shape[0]
     conv_first = len(layers[0][0]) == 4
-    x = batch.transpose(1, 0, 2, 3) if conv_first else batch.reshape(n, -1)
+    x = batch.transpose(1, 2, 3, 0) if conv_first else batch.reshape(n, -1)
     last = len(layers) - 1
     for i, (wshape, ws, bs) in enumerate(layers):
         w = effective[ws].reshape(wshape[0], -1)
         b = effective[bs]
         if len(wshape) == 4:
-            _, n, h, wd = x.shape
+            _, h, wd, _ = x.shape
             cols = _im2col(x)
             z = w @ cols
             z += b[:, None]
             # np.maximum: about 10x faster than np.where at these sizes
-            a = np.maximum(z, 0.0, out=z).reshape(wshape[0], n, h, wd)
+            a = np.maximum(z, 0.0, out=z).reshape(wshape[0], h, wd, n)
             # the pool sums in the order (a00 + a01) + a10 + a11, then scales
-            x = a[:, :, 0::2, 0::2] + a[:, :, 0::2, 1::2]
-            x += a[:, :, 1::2, 0::2]
-            x += a[:, :, 1::2, 1::2]
+            x = a[:, 0::2, 0::2] + a[:, 0::2, 1::2]
+            x += a[:, 1::2, 0::2]
+            x += a[:, 1::2, 1::2]
             x *= 0.25
             entry = (cols, a > 0.0)
         else:
             if x.ndim == 4:
-                x = x.transpose(1, 0, 2, 3).reshape(n, -1)
+                x = x.reshape(-1, n).T  # (N, C*H*W), a view
             z = x @ w.T
             z += b
             entry = (x, None)
@@ -327,24 +330,25 @@ def _backward(layers, effective, tape, g, grad):
         w = effective[ws].reshape(wshape[0], -1)
         gw = grad[ws].reshape(w.shape)
         if len(wshape) == 4:
-            oc, n, h, wd = keep.shape
+            oc, h, wd, n = keep.shape
             if g.ndim == 2:
-                g = g.reshape(n, oc, h // 2, wd // 2).transpose(1, 0, 2, 3)
+                g = g.reshape(oc, h // 2, wd // 2, n)
             # unpool by repeating over each 2x2 window, then the ReLU mask
-            gz = np.repeat(np.repeat(g * 0.25, 2, axis=2), 2, axis=3)
+            gz = np.repeat(np.repeat(g * 0.25, 2, axis=1), 2, axis=2)
             gz *= keep
             gz = gz.reshape(oc, -1)
             np.matmul(gz, x.T, out=gw)
             gz.sum(axis=1, out=grad[bs])
             if i:
-                g = _col2im(w.T @ gz, (x.shape[0] // KSIZE ** 2, n, h, wd))
+                g = _col2im(w.T @ gz, (x.shape[0] // KSIZE ** 2, h, wd, n))
         else:
             if keep is not None:
                 g *= keep  # g is a fresh g @ w here, never the caller's array
             np.matmul(g.T, x, out=gw)
             g.sum(axis=0, out=grad[bs])
             if i:
-                g = g @ w
+                # into a conv block as (C*H*W, N), its own layout
+                g = w.T @ g.T if len(layers[i - 1][0]) == 4 else g @ w
 
 
 def _loss_and_grad(layers, effective, batch, labels, grad):
