@@ -393,14 +393,14 @@ def train(spec, params, mask, data, cfg: TrainConfig,
     _check_layout(spec, params, mask)
     if data.size == 0:
         raise ValueError("empty dataset")
+    examples = _as_batch(spec, data.examples)
+    _check_labels(spec, data.labels)
     theta = params.copy()
     theta.values *= mask.bits
     if _snapshots is not None:
         _snapshots[0] = theta.copy()
     if cfg.epochs == 0:
         return theta
-    examples = _as_batch(spec, data.examples)
-    _check_labels(spec, data.labels)
     layers = _layers(spec)
     grad = np.empty_like(theta.values)
     velocity = np.zeros_like(theta.values)
@@ -429,8 +429,9 @@ def train(spec, params, mask, data, cfg: TrainConfig,
             velocity *= cfg.momentum
             velocity += g
             np.multiply(velocity, lr, out=step)
+            # g is +-0 at masked positions, so the velocity (from +0) and the
+            # step stay +0 there and theta keeps its masked start, sign and all
             theta.values -= step
-            theta.values *= mask.bits
         if _snapshots is not None and epoch + 1 in snapshot_epochs:
             _snapshots[epoch + 1] = theta.copy()
     if not np.all(np.isfinite(theta.values)):

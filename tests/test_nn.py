@@ -315,6 +315,32 @@ class TestTrain:
         out = tl.train(blob_mlp_spec, params, mask, blobs_2d, self.cfg(epochs=0))
         assert np.array_equal(out.values, params.values * mask.bits)
 
+    @pytest.mark.parametrize("epochs", [0, 1])
+    def test_data_checked_at_any_epoch_count(self, blob_mlp_spec, epochs):
+        params = tl.init_params(blob_mlp_spec, 0)
+        rng = np.random.default_rng(0)
+        wide = tl.LabeledDataset(rng.standard_normal((3, 5)), np.array([0, 1, 0]), 2)
+        with pytest.raises(ValueError, match="batch shape"):
+            tl.train(blob_mlp_spec, params, ones_mask(params), wide, self.cfg(epochs=epochs))
+        # a label the 2-class model has no logit for
+        three = tl.LabeledDataset(rng.standard_normal((3, 2)), np.array([0, 1, 2]), 3)
+        with pytest.raises(ValueError, match="labels out of range"):
+            tl.train(blob_mlp_spec, params, ones_mask(params), three, self.cfg(epochs=epochs))
+
+    @pytest.mark.parametrize("spec", [CHAIN_SPECS[2], CHAIN_SPECS[4]], ids=chain_spec_id)
+    @pytest.mark.parametrize("weight_decay", [0.0, 1e-2])
+    def test_masked_positions_keep_their_start_bits(self, spec, weight_decay):
+        # -0.0 where a negative weight is masked, +0.0 elsewhere
+        params, mask, x, y = chain_inputs(spec, 0, batch=12)
+        data = tl.LabeledDataset(x, y, spec.num_classes)
+        cfg = tl.TrainConfig(epochs=3, batch_size=5, weight_decay=weight_decay,
+                             milestones=(1,), gamma=0.5)
+        out = tl.train(spec, params, mask, data, cfg)
+        pruned = mask.bits == 0.0
+        start = (params.values * mask.bits)[pruned]
+        assert np.signbit(start).any() and not np.signbit(start).all()
+        assert out.values[pruned].tobytes() == start.tobytes()
+
     def test_deterministic(self, blob_mlp_spec, blobs_2d):
         params = tl.init_params(blob_mlp_spec, 0)
         mask = ones_mask(params)
