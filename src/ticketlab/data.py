@@ -235,14 +235,18 @@ def _sq_dist(points, center, out=None):
     return ((points - center) ** 2).sum(axis=1, out=out)
 
 
-def _sq_dists(points, centers, out=None):
-    """(n, k) squared distances, written one center column at a time.  Each
+def _sq_dists(points, centers, columns=None, out=None):
+    """(n, k) squared distances, written one center column at a time (all k,
+    or those listed in `columns`) through one reused (n, d) buffer.  Each
     sum runs in the same order as in an (n, k, d) broadcast, so near-ties
     in argmin resolve as they would there."""
     if out is None:
         out = np.empty((points.shape[0], centers.shape[0]))
-    for j in range(centers.shape[0]):
-        _sq_dist(points, centers[j], out=out[:, j])
+    buf = np.empty_like(points)
+    for j in range(centers.shape[0]) if columns is None else columns:
+        np.subtract(points, centers[j], out=buf)
+        np.square(buf, out=buf)
+        buf.sum(axis=1, out=out[:, j])
     return out
 
 
@@ -265,13 +269,15 @@ def _kmeans(points, k, iterations, rng):
     """Lloyd's algorithm from k-means++ seeds, for at most `iterations`
     rounds.  A round maps centers to centers without touching the rng, so
     once a round leaves the centers unchanged every later round would too,
-    and the loop stops there."""
+    and the loop stops there.  Each round recomputes the distance columns
+    of the centers that the previous round moved, and only those."""
     centers = _kmeans_plus_plus(points, k, rng)
     d2 = np.empty((points.shape[0], k))
+    moved = None  # all centers
     for _ in range(iterations):
-        previous = centers.copy()
-        _sq_dists(points, centers, out=d2)
+        _sq_dists(points, centers, moved, out=d2)
         assign = np.argmin(d2, axis=1)  # ties go to the lowest center index
+        previous = centers.copy()
         for j in range(k):
             members = points[assign == j]
             if members.shape[0] == 0:
@@ -280,7 +286,8 @@ def _kmeans(points, k, iterations, rng):
                 centers[j] = points[far]
             else:
                 centers[j] = members.mean(axis=0)
-        if np.array_equal(centers, previous):
+        moved = np.flatnonzero((centers != previous).any(axis=1))
+        if moved.size == 0:
             break
     return centers
 

@@ -8,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 import ticketlab as tl
 from ticketlab import cli
-from ticketlab.data import FormatError, kmeans_objective, _kmeans, DSTL_MAGIC
+from ticketlab.data import (FormatError, kmeans_objective, _kmeans, _kmeans_plus_plus,
+                            DSTL_MAGIC)
 
 
 def write_idx_fixture(tmp_path):
@@ -251,6 +252,26 @@ def _reference_herding(data, ipc, iterations=50, seed=0):
     return np.concatenate(images)
 
 
+def _naive_lloyd(points, centers, iterations):
+    """Lloyd's rounds as first written: every round recomputes every
+    distance on an (n, k, d) broadcast, and all `iterations` rounds run.
+    Also says whether some round moved some centers but not all."""
+    partial = False
+    for _ in range(iterations):
+        d2 = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+        assign = np.argmin(d2, axis=1)
+        previous = centers.copy()
+        for j in range(len(centers)):
+            members = points[assign == j]
+            if members.shape[0] == 0:
+                centers[j] = points[int(np.argmax(np.min(d2, axis=1)))]
+            else:
+                centers[j] = members.mean(axis=0)
+        moved = (centers != previous).any(axis=1)
+        partial |= bool(moved.any() and not moved.all())
+    return centers, partial
+
+
 def _reference_distill_random(data, ipc, seed):
     """distill_random as first written: sorted draws per class, then one
     gather of examples and labels."""
@@ -323,6 +344,21 @@ class TestHerdingOracle:
         got = tl.distill_kmeans_herding(ds, ipc=7, iterations=iterations, seed=1)
         want = _reference_herding(ds, 7, iterations=iterations, seed=1)
         assert got.examples.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_lloyd_matches_naive_loop(self, seed):
+        # stretched gaussian clouds, where some centers settle rounds before
+        # others, so the recompute of only the moved centers' columns is used
+        rng = np.random.default_rng(seed)
+        points = rng.standard_normal((80, 5)) * rng.uniform(0.2, 3.0, 5)
+        partial = []
+        for k in (2, 6, 9):
+            start = _kmeans_plus_plus(points, k, np.random.default_rng(seed))
+            want, moved_some = _naive_lloyd(points, start, 50)
+            got = _kmeans(points, k, 50, np.random.default_rng(seed))
+            assert got.tobytes() == want.tobytes()
+            partial.append(moved_some)
+        assert any(partial)
 
     def test_objective_matches_broadcast(self):
         ds = tl.synth_dataset("gaussianBlobs", 1, 30, 0.9, seed=5, input_shape=(3,))
