@@ -230,11 +230,6 @@ def distill_class_mean(data: LabeledDataset) -> DistilledDataset:
                       lambda c, idx: data.examples[idx].mean(axis=0, keepdims=True))
 
 
-def _sq_dist(points, center, out=None):
-    """Squared distance from every point to one center."""
-    return ((points - center) ** 2).sum(axis=1, out=out)
-
-
 def _sq_dists(points, centers, columns=None, out=None):
     """(n, k) squared distances, written one center column at a time (all k,
     or those listed in `columns`) through one reused (n, d) buffer.  Each
@@ -255,7 +250,7 @@ def _kmeans_plus_plus(points, k, rng):
     centers = [points[rng.integers(points.shape[0])]]
     d2 = np.full(points.shape[0], np.inf)  # to the nearest chosen center
     for _ in range(1, k):
-        d2 = np.minimum(d2, _sq_dist(points, centers[-1]))
+        d2 = np.minimum(d2, ((points - centers[-1]) ** 2).sum(axis=1))
         total = d2.sum()
         if total == 0.0:
             centers.append(points[int(np.argmin(d2))])
