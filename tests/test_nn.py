@@ -252,7 +252,8 @@ class TestChainOracle:
         # Each entry's error is taken relative to the largest gradient entry:
         # an entry whose summands cancel to 1e-5 of their size differs from
         # the tape in its 12th digit under any other summation order (about
-        # 1 generated ConvNet in 1000, at every commit so far).
+        # 1 generated ConvNet in 1000, under either conv layout the chain
+        # has used).
         scale = max(1e-8, float(np.abs(want).max()))
         assert max_relative_error(grad.values, want, floor=scale) <= 1e-12
         if spec.architecture == "convnet":
