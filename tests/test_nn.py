@@ -211,9 +211,8 @@ def chain_specs(draw):
     of 1-3 blocks on 1-3 input channels with independent, often non-square,
     spatial sizes."""
     num_classes = draw(st.integers(2, 4))
-    widths = st.lists(st.integers(1, 4), min_size=1, max_size=3)
     if draw(st.booleans()):
-        shape = draw(widths)
+        shape = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
         hidden = draw(st.lists(st.integers(1, 6), max_size=2))
         return tl.ModelSpec("mlp", tuple(shape), num_classes, hidden=tuple(hidden))
     channels = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
