@@ -141,7 +141,7 @@ def _prune_loop(spec, theta_init, mask_data, d_real, cfg, rewind_epoch, eval_dat
     # a finetune is the next iteration's mask training if both share data and config
     reusable = mask_data is d_real and cfg.train_config_mask == cfg.train_config_finetune
     reused = None  # (params, seconds) of the last finetune, while reusable
-    while sparsity(mask, cfg.prune_scope) < cfg.desired_sparsity:
+    while sparsity(mask) < cfg.desired_sparsity:
         iteration = len(record.iterations) + 1
         if iteration > cfg.iteration_cap:
             raise SparsityUnreachable(
@@ -164,7 +164,7 @@ def _prune_loop(spec, theta_init, mask_data, d_real, cfg, rewind_epoch, eval_dat
             mask = magnitude_prune(trained, mask, cfg.amount, cfg.prune_scope)
         seconds = charged + time.monotonic() - t0
         reused = None
-        rec = IterationRecord(iteration, mask, sparsity(mask, cfg.prune_scope), seconds)
+        rec = IterationRecord(iteration, mask, sparsity(mask), seconds)
         if finetune_each or rec.sparsity >= cfg.desired_sparsity:
             t0 = time.monotonic()
             theta = train(spec, rewind, mask, d_real, cfg.train_config_finetune)

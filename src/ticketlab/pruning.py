@@ -1,10 +1,9 @@
 """Binary sparsity masks, sparsity accounting, and the magnitude / random
 pruning operators.
 
-Masks are aligned index-for-index with a ParameterVector.  Biases (and any
-kind not listed in the scope's prunable kinds) are never pruned and stay 1
-in every mask this module produces.  Sparsity is reported over prunable
-positions only.
+Masks are aligned index-for-index with a ParameterVector.  Only weights
+are prunable: biases are never pruned and stay 1 in every mask this module
+produces.  Sparsity is reported over prunable positions only.
 """
 
 from __future__ import annotations
@@ -21,13 +20,10 @@ class PruneScope:
     """Where pruning ranks candidates: one global pool or per layer."""
 
     mode: str = "global"
-    prunable_kinds: frozenset[str] = frozenset({"weight"})
 
     def __post_init__(self):
         if self.mode not in ("global", "layerwise"):
             raise ValueError(f"unknown scope mode {self.mode!r}")
-        if not self.prunable_kinds:
-            raise ValueError("prunable_kinds must be non-empty")
 
 
 GLOBAL = PruneScope("global")
@@ -58,9 +54,11 @@ class SparsityMask:
         return self.bits.size
 
     def prunable_selector(self, scope: PruneScope = GLOBAL) -> np.ndarray:
+        """The weight positions.  Both scope modes prune the same positions,
+        so the scope does not change the result."""
         sel = np.zeros(self.bits.size, dtype=bool)
         for e in self.layer_map:
-            if e.kind in scope.prunable_kinds:
+            if e.kind == "weight":
                 sel[e.offset:e.offset + e.length] = True
         return sel
 
@@ -70,9 +68,9 @@ def _check_aligned(params: ParameterVector, mask: SparsityMask):
         raise ValueError(f"length mismatch: params {len(params)} vs mask {len(mask)}")
 
 
-def sparsity(mask: SparsityMask, scope: PruneScope = GLOBAL) -> float:
+def sparsity(mask: SparsityMask) -> float:
     """Fraction of prunable positions pruned (zeros / prunable)."""
-    sel = mask.prunable_selector(scope)
+    sel = mask.prunable_selector()
     total = int(sel.sum())
     if total == 0:
         raise ValueError("no prunable positions")
@@ -134,11 +132,11 @@ def apply_mask(params: ParameterVector, mask: SparsityMask) -> ParameterVector:
     return ParameterVector(params.values * mask.bits, params.layer_map)
 
 
-def mask_layer_stats(mask: SparsityMask, scope: PruneScope = GLOBAL):
+def mask_layer_stats(mask: SparsityMask):
     """Per-layer (name, sparsity over prunable positions, surviving count)."""
     stats = []
     for e in mask.layer_map:
-        if e.kind not in scope.prunable_kinds:
+        if e.kind != "weight":
             continue
         seg = mask.bits[e.offset:e.offset + e.length]
         surviving = int(seg.sum())

@@ -122,7 +122,7 @@ def reference_imp(spec, theta, data, cfg, finetune_each):
     None) per iteration."""
     mask = tl.SparsityMask.ones(theta.layer_map)
     rewind, out = theta, []
-    while tl.sparsity(mask, cfg.prune_scope) < cfg.desired_sparsity:
+    while tl.sparsity(mask) < cfg.desired_sparsity:
         if not out:
             trained, snaps = tl.train_with_snapshots(spec, theta, mask, data,
                                                      cfg.train_config_mask,
@@ -132,7 +132,7 @@ def reference_imp(spec, theta, data, cfg, finetune_each):
             trained = tl.train(spec, rewind, mask, data, cfg.train_config_mask)
         mask = tl.magnitude_prune(trained, mask, cfg.amount, cfg.prune_scope)
         acc = None
-        if finetune_each or tl.sparsity(mask, cfg.prune_scope) >= cfg.desired_sparsity:
+        if finetune_each or tl.sparsity(mask) >= cfg.desired_sparsity:
             theta_ft = tl.train(spec, rewind, mask, data, cfg.train_config_finetune)
             acc, _ = tl.evaluate(spec, theta_ft, mask, data)
         out.append((mask.bits.tobytes(), acc))

@@ -184,7 +184,7 @@ def _reference_random_prune(mask, amount, seed, scope):
     else:
         pools = []
         for e in mask.layer_map:
-            if e.kind in scope.prunable_kinds:
+            if e.kind == "weight":
                 span = np.arange(e.offset, e.offset + e.length)
                 pools.append(span[mask.bits[span] == 1.0])
     for cand in pools:
