@@ -10,6 +10,7 @@ gradients straight into a flat buffer aligned with that map.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -237,16 +238,16 @@ def _layers(spec: ModelSpec):
 def _im2col(x):
     """(C, H, W, N) -> (C*k*k, H*W*N) patch matrix of a same-padded stride-1
     conv; rows are ordered (c, ki, kj) like a flattened kernel, columns
-    (h, w, n) like the activations."""
+    (h, w, n) like the activations.  The patches are one strided view of
+    the padded input, copied once by the reshape."""
     c, h, w, n = x.shape
     pad = KSIZE // 2
     xp = np.zeros((c, h + 2 * pad, w + 2 * pad, n))
     xp[:, pad:pad + h, pad:pad + w] = x
-    cols = np.empty((c, KSIZE, KSIZE, h, w, n))
-    for i in range(KSIZE):
-        for j in range(KSIZE):
-            cols[:, i, j] = xp[:, i:i + h, j:j + w]
-    return cols.reshape(c * KSIZE * KSIZE, h * w * n)
+    sc, sh, sw, sn = xp.strides
+    windows = np.lib.stride_tricks.as_strided(
+        xp, (c, KSIZE, KSIZE, h, w, n), (sc, sh, sw, sh, sw, sn), writeable=False)
+    return windows.reshape(c * KSIZE * KSIZE, h * w * n)
 
 
 def _col2im(dcols, shape):
@@ -301,23 +302,28 @@ def _forward(layers, effective, batch, tape=None):
     return x
 
 
-def _nll(logits, labels):
-    """(per-example softmax cross-entropy, softmax probabilities)."""
-    zmax = logits.max(axis=1, keepdims=True)
+def _nll(logits, labels, rows=None):
+    """(per-example softmax cross-entropy, softmax probabilities); ``rows``
+    is np.arange(len(labels)), if the caller has it."""
+    if rows is None:
+        rows = np.arange(len(labels))
+    zmax = np.maximum.reduce(logits, axis=1, keepdims=True)
     p = logits - zmax
     np.exp(p, out=p)
-    total = p.sum(axis=1, keepdims=True)
-    nll = zmax[:, 0] + np.log(total[:, 0]) - logits[np.arange(len(labels)), labels]
+    total = np.add.reduce(p, axis=1, keepdims=True)
+    nll = zmax[:, 0] + np.log(total[:, 0]) - logits[rows, labels]
     p /= total
     return nll, p
 
 
 def _cross_entropy(logits, labels):
     """(mean softmax cross-entropy, its gradient w.r.t. the logits)."""
-    nll, p = _nll(logits, labels)
-    p[np.arange(len(labels)), labels] -= 1.0
-    p /= len(labels)
-    return float(nll.sum()) / len(labels), p
+    n = len(labels)
+    rows = np.arange(n)
+    nll, p = _nll(logits, labels, rows)
+    p[rows, labels] -= 1.0
+    p /= n
+    return float(np.add.reduce(nll)) / n, p
 
 
 def _backward(layers, effective, tape, g, grad):
@@ -333,10 +339,9 @@ def _backward(layers, effective, tape, g, grad):
             oc, h, wd, n = keep.shape
             if g.ndim == 2:
                 g = g.reshape(oc, h // 2, wd // 2, n)
-            # unpool by repeating over each 2x2 window, then the ReLU mask
-            gz = np.repeat(np.repeat(g * 0.25, 2, axis=1), 2, axis=2)
-            gz *= keep
-            gz = gz.reshape(oc, -1)
+            # unpool over each 2x2 window and apply the ReLU mask in one multiply
+            gz = np.multiply((g * 0.25)[:, :, None, :, None],
+                             keep.reshape(oc, h // 2, 2, wd // 2, 2, n)).reshape(oc, -1)
             np.matmul(gz, x.T, out=gw)
             gz.sum(axis=1, out=grad[bs])
             if i:
@@ -382,6 +387,18 @@ def backward(spec: ModelSpec, params: ParameterVector, mask, batch, labels) -> P
     return ParameterVector(grad, params.layer_map)
 
 
+@functools.lru_cache(maxsize=32)
+def _epoch_order(shuffle_seed, epoch, n):
+    """The read-only order in which `train` visits n examples in an epoch,
+    a permutation deterministic in (shuffle_seed, epoch).  Every iteration
+    of a pruning run, and every seed with the same TrainConfig, replays the
+    same orders, so they are cached; the cache holds at most 32 * n * 8
+    bytes for the largest n trained on."""
+    order = np.random.default_rng([shuffle_seed, epoch]).permutation(n)
+    order.flags.writeable = False
+    return order
+
+
 def train(spec, params, mask, data, cfg: TrainConfig,
           snapshot_epochs=(), _snapshots=None) -> ParameterVector:
     """SGD training of the masked network; deterministic in cfg.shuffle_seed.
@@ -413,7 +430,7 @@ def train(spec, params, mask, data, cfg: TrainConfig,
     for epoch in range(cfg.epochs):
         if epoch in cfg.milestones:
             lr *= cfg.gamma
-        perm = np.random.default_rng([cfg.shuffle_seed, epoch]).permutation(data.size)
+        perm = _epoch_order(cfg.shuffle_seed, epoch, data.size)
         for bi, start in enumerate(range(0, data.size, cfg.batch_size)):
             idx = perm[start:start + cfg.batch_size]
             # theta is kept masked, so it is its own effective weight vector

@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 import ticketlab as tl
 from ticketlab import autodiff as ad
+from ticketlab import nn
 from conftest import finite_difference_gradient, max_relative_error, reference_loss
 
 
@@ -261,6 +262,30 @@ class TestChainOracle:
         assert [a.tobytes() for a in inputs] == before
 
 
+
+def slice_loop_im2col(x):
+    """_im2col as nine slice copies of the padded (C, H, W, N) input."""
+    c, h, w, n = x.shape
+    xp = np.zeros((c, h + 2, w + 2, n))
+    xp[:, 1:1 + h, 1:1 + w] = x
+    cols = np.empty((c, 3, 3, h, w, n))
+    for i in range(3):
+        for j in range(3):
+            cols[:, i, j] = xp[:, i:i + h, j:j + w]
+    return cols.reshape(c * 9, h * w * n)
+
+
+@pytest.mark.parametrize("shape", [(1, 4, 4, 1), (3, 2, 6, 1), (2, 6, 4, 5), (3, 5, 3, 16)])
+def test_im2col_matches_slice_loop(shape):
+    x = np.random.default_rng(0).standard_normal(shape)
+    x[0, 0, 0] = -0.0
+    # the chain hands im2col non-contiguous views: the transposed batch and
+    # the pooled activations
+    for view in (x, x.transpose(1, 2, 3, 0).copy().transpose(3, 0, 1, 2)):
+        cols = nn._im2col(view)
+        assert cols.shape == (shape[0] * 9, shape[1] * shape[2] * shape[3])
+        assert cols.tobytes() == slice_loop_im2col(view).tobytes()
+
 DECAYING = tl.TrainConfig(epochs=2, batch_size=3, weight_decay=1e-3, milestones=(1,),
                           gamma=0.5)
 
@@ -354,6 +379,24 @@ class TestTrain:
         a = tl.train(blob_mlp_spec, params, mask, blobs_2d, self.cfg(shuffle_seed=0))
         b = tl.train(blob_mlp_spec, params, mask, blobs_2d, self.cfg(shuffle_seed=1))
         assert not np.array_equal(a.values, b.values)
+
+    @pytest.mark.parametrize("seed, epoch, n", [(0, 0, 1), (0, 3, 40), (7, 1, 1000)])
+    def test_epoch_order_is_the_seeded_permutation(self, seed, epoch, n):
+        order = nn._epoch_order(seed, epoch, n)
+        assert np.array_equal(order, np.random.default_rng([seed, epoch]).permutation(n))
+        with pytest.raises(ValueError, match="read-only"):
+            order[0] = order[-1]
+
+    def test_cached_orders_train_identically(self, blob_mlp_spec, blobs_2d):
+        params = tl.init_params(blob_mlp_spec, 0)
+        mask = ones_mask(params)
+        cfg = self.cfg(epochs=3, shuffle_seed=5)
+        nn._epoch_order.cache_clear()
+        cold = tl.train(blob_mlp_spec, params, mask, blobs_2d, cfg)
+        assert nn._epoch_order.cache_info().misses == 3
+        warm = tl.train(blob_mlp_spec, params, mask, blobs_2d, cfg)
+        assert nn._epoch_order.cache_info().hits == 3
+        assert cold.values.tobytes() == warm.values.tobytes()
 
     def test_separable_blobs_accuracy(self, blob_mlp_spec, blobs_2d):
         params = tl.init_params(blob_mlp_spec, 0)
