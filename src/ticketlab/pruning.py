@@ -103,7 +103,7 @@ def random_prune(mask: SparsityMask, amount: float, seed: int,
     position draws one key from one stream, in flat order; ties are
     measure-zero."""
     key = np.zeros(mask.bits.size)
-    candidates = mask.prunable_selector(scope) & (mask.bits == 1.0)
+    candidates = mask.prunable_selector() & (mask.bits == 1.0)
     key[candidates] = np.random.default_rng(seed).random(int(candidates.sum()))
     return _prune_by_key(mask, amount, scope, key)
 
@@ -116,7 +116,7 @@ def _prune_by_key(mask, amount, scope, key):
     if not 0.0 < amount < 1.0:
         raise ValueError("amount must be in (0, 1)")
     out = mask.copy()
-    candidates = mask.prunable_selector(scope) & (mask.bits == 1.0)
+    candidates = mask.prunable_selector() & (mask.bits == 1.0)
     pools = [(0, mask.bits.size)] if scope.mode == "global" else [
         (e.offset, e.offset + e.length) for e in mask.layer_map]
     for start, stop in pools:
