@@ -262,7 +262,6 @@ class TestChainOracle:
         assert [a.tobytes() for a in inputs] == before
 
 
-
 def slice_loop_im2col(x):
     """_im2col as nine slice copies of the padded (C, H, W, N) input."""
     c, h, w, n = x.shape
@@ -279,12 +278,12 @@ def slice_loop_im2col(x):
 def test_im2col_matches_slice_loop(shape):
     x = np.random.default_rng(0).standard_normal(shape)
     x[0, 0, 0] = -0.0
-    # the chain hands im2col non-contiguous views: the transposed batch and
-    # the pooled activations
+    # the first block's im2col gets the batch as a transposed, non-contiguous view
     for view in (x, x.transpose(1, 2, 3, 0).copy().transpose(3, 0, 1, 2)):
         cols = nn._im2col(view)
         assert cols.shape == (shape[0] * 9, shape[1] * shape[2] * shape[3])
         assert cols.tobytes() == slice_loop_im2col(view).tobytes()
+
 
 DECAYING = tl.TrainConfig(epochs=2, batch_size=3, weight_decay=1e-3, milestones=(1,),
                           gamma=0.5)
