@@ -17,8 +17,13 @@ test = tl.synth_dataset("gaussianBlobs", 4, 125, 0.8, seed=10_000,
 spec = tl.ModelSpec("convnet", (1, 8, 8), 4, channels=(6,))
 tc = tl.TrainConfig(epochs=4, learning_rate=0.1, momentum=0.9, batch_size=64)
 cfg = tl.PruneRunConfig(desired_sparsity=0.85, amount=0.2,
-                        mask_train_epochs=4, finetune_epochs=4,
                         train_config_mask=tc, train_config_finetune=tc)
+# distilled pruning trains its mask on only 40 examples: 16 epochs at batch
+# 16 take 3 steps per epoch, where batch 64 would take 1
+dcfg = tl.PruneRunConfig(
+    desired_sparsity=0.85, amount=0.2, train_config_finetune=tc,
+    train_config_mask=tl.TrainConfig(epochs=16, learning_rate=0.1, momentum=0.9,
+                                     batch_size=16))
 
 seed = 0
 theta = tl.init_params(spec, seed)
@@ -34,7 +39,7 @@ imp = tl.imp_run(spec, theta, train, cfg, eval_data=test, finetune_each=True,
 
 print("running distilled pruning (herding, 10 images per class) ...")
 dsyn = tl.distill_kmeans_herding(train, ipc=10, seed=seed)
-_, _, dist = tl.distilled_prune_run(spec, theta, dsyn, train, cfg,
+_, _, dist = tl.distilled_prune_run(spec, theta, dsyn, train, dcfg,
                                     eval_data=test, finetune_each=True,
                                     seed=seed)
 

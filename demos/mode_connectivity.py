@@ -16,7 +16,6 @@ tc = tl.TrainConfig(epochs=4, learning_rate=0.1, momentum=0.9, batch_size=64)
 
 theta = tl.init_params(spec, 0)
 cfg = tl.PruneRunConfig(desired_sparsity=0.70, amount=0.2,
-                        mask_train_epochs=4, finetune_epochs=4,
                         train_config_mask=tc, train_config_finetune=tc)
 
 dsyn = tl.distill_kmeans_herding(train, ipc=10, seed=0)

@@ -34,8 +34,7 @@ with tempfile.TemporaryDirectory() as d:
 # an external file is just another provider: feed it to the pruning loop
 spec = tl.ModelSpec("convnet", (1, 4, 4), 3, channels=(4,))
 tc = tl.TrainConfig(epochs=3, learning_rate=0.1, momentum=0.9, batch_size=32)
-cfg = tl.PruneRunConfig(desired_sparsity=0.6, amount=0.2, mask_train_epochs=3,
-                        finetune_epochs=3, train_config_mask=tc,
+cfg = tl.PruneRunConfig(desired_sparsity=0.6, amount=0.2, train_config_mask=tc,
                         train_config_finetune=tc)
 theta = tl.init_params(spec, 0)
 theta_ft, mask, record = tl.distilled_prune_run(spec, theta, loaded, train, cfg,

@@ -14,7 +14,6 @@ train = tl.synth_dataset("gaussianBlobs", 4, 500, 0.8, seed=0,
 spec = tl.ModelSpec("convnet", (1, 8, 8), 4, channels=(6,))
 tc = tl.TrainConfig(epochs=4, learning_rate=0.1, momentum=0.9, batch_size=64)
 cfg = tl.PruneRunConfig(desired_sparsity=0.90, amount=0.2,
-                        mask_train_epochs=4, finetune_epochs=4,
                         train_config_mask=tc, train_config_finetune=tc)
 
 theta = tl.init_params(spec, 0)

@@ -2,8 +2,7 @@
 distilled pruning, and instability analysis with deterministic numerics."""
 
 from .nn import (LayerEntry, ModelSpec, ParameterVector, TrainConfig,
-                 TrainingDiverged, evaluate, forward, backward, init_params,
-                 train, train_with_snapshots)
+                 TrainingDiverged, evaluate, forward, backward, init_params, train)
 from .pruning import (GLOBAL, LAYERWISE, PruneScope, SparsityMask, apply_mask,
                       magnitude_prune, mask_layer_stats, random_prune, sparsity,
                       whole_vector_sparsity)

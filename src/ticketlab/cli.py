@@ -322,9 +322,11 @@ class ExperimentConfig:
         n = len(self.diagnostics)
         get("distiller", {}, dict)
         kind = get("distiller.kind", "kmeansHerding", str, choices=DISTILLERS)
-        ipc = get("distiller.ipc", 10, int, minimum=1)
-        iterations = get("distiller.iterations", 50, int)
-        seed = get("distiller.seed", 0, int, minimum=0)
+        # a kind reads only the fields it uses; classMean distills one per class
+        picks = kind in ("random", "kmeansHerding")
+        ipc = get("distiller.ipc", 10, int, minimum=1) if picks else 1
+        seed = get("distiller.seed", 0, int, minimum=0) if picks else None
+        iterations = get("distiller.iterations", 50, int) if kind == "kmeansHerding" else None
         path = self._file("distiller.path") if kind == "external" else None
         # distilled(): the set the mask trains on, made from self.train
         self.distilled = {
@@ -340,9 +342,8 @@ class ExperimentConfig:
             self.distilled = lambda: dsyn
             self._fit("distiller", {dsyn.examples.shape[1:]}, dsyn.num_classes)
             return
-        need = 1 if kind == "classMean" else ipc
-        if smallest is not None and need > smallest:
-            self.diagnostics.append(f"distiller.ipc {need} exceeds the smallest class, "
+        if smallest is not None and ipc > smallest:
+            self.diagnostics.append(f"distiller.ipc {ipc} exceeds the smallest class, "
                                     f"of {smallest} examples")
 
 
@@ -519,7 +520,8 @@ def _parser():
     for name in ("distill", "prune", "lmc", "weights"):
         sp = sub.add_parser(name)
         sp.add_argument("--config", required=True)
-        sp.add_argument("--seed", type=int, action="append", default=None)
+        if name != "distill":  # the distiller's seed is distiller.seed
+            sp.add_argument("--seed", type=int, action="append", default=None)
         sp.add_argument("--out", default=None)
         if name == "prune":
             sp.add_argument("--method", choices=METHODS, default=None)
@@ -565,7 +567,7 @@ def _dispatch(args):
         return 0
 
     method = "distilled" if args.command == "distill" else getattr(args, "method", None)
-    config = ExperimentConfig.load(args.config, method, args.seed)
+    config = ExperimentConfig.load(args.config, method, getattr(args, "seed", None))
     out_dir = args.out or config.out_dir
 
     if args.command == "distill":

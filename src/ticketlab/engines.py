@@ -25,8 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .nn import (ModelSpec, ParameterVector, TrainConfig, evaluate, is_whole, require,
-                 train, train_with_snapshots)
+from .nn import ModelSpec, ParameterVector, TrainConfig, evaluate, is_whole, require, train
 from .pruning import (GLOBAL, PruneScope, SparsityMask, magnitude_prune,
                       random_prune, sparsity)
 
@@ -152,15 +151,13 @@ def _prune_loop(spec, theta_init, mask_data, d_real, cfg, rewind_epoch, eval_dat
             mask = random_prune(mask, cfg.amount, seed=_iteration_seed(seed, iteration),
                                 scope=cfg.prune_scope)
         else:
-            if iteration == 1:
-                trained, snaps = train_with_snapshots(
-                    spec, theta_init, mask, mask_data, cfg.train_config_mask,
-                    snapshot_epochs=(rewind_epoch,))
-                rewind = snaps[rewind_epoch]
-            elif reused is not None:
+            if reused is not None:
                 trained, charged = reused
             else:
-                trained = train(spec, rewind, mask, mask_data, cfg.train_config_mask)
+                # iteration 1 trains from init and keeps epoch k as the rewind point
+                snaps = {rewind_epoch: None} if iteration == 1 else None
+                trained = train(spec, rewind, mask, mask_data, cfg.train_config_mask, snaps)
+                rewind = snaps[rewind_epoch] if snaps else rewind
             mask = magnitude_prune(trained, mask, cfg.amount, cfg.prune_scope)
         seconds = charged + time.monotonic() - t0
         reused = None

@@ -137,8 +137,8 @@ class ModelSpec:
     def __post_init__(self):
         if self.architecture not in ("mlp", "convnet"):
             raise ValueError(f"unknown architecture {self.architecture!r}")
-        if self.num_classes < 2:
-            raise ValueError("need at least 2 classes")
+        if not is_whole(self.num_classes, 2):
+            raise ValueError("num_classes must be an integer: need at least 2 classes")
         if not self.input_shape or not all(
                 is_whole(d, 1) for d in (*self.input_shape, *self.hidden, *self.channels)):
             raise ValueError("input_shape (non-empty), hidden and channels must be "
@@ -151,6 +151,9 @@ class ModelSpec:
                 if h % 2 or w % 2:
                     raise ValueError("spatial dims must halve evenly at each pool")
                 h, w = h // 2, w // 2
+        unread = "channels" if self.architecture == "mlp" else "hidden"
+        if getattr(self, unread):
+            raise ValueError(f"{unread} is not read by the {self.architecture} architecture")
 
     def layer_shapes(self):
         """Canonical (name, kind, shape) sequence defining the flatten order."""
@@ -399,23 +402,25 @@ def _epoch_order(shuffle_seed, epoch, n):
     return order
 
 
-def train(spec, params, mask, data, cfg: TrainConfig,
-          snapshot_epochs=(), _snapshots=None) -> ParameterVector:
+def train(spec, params, mask, data, cfg: TrainConfig, snapshots=None) -> ParameterVector:
     """SGD training of the masked network; deterministic in cfg.shuffle_seed.
 
-    Masked positions stay exactly zero.  If ``_snapshots`` is a dict, it gets
-    copies (epoch index -> ParameterVector) of the masked starting parameters
-    at 0 and of the parameters after each epoch in ``snapshot_epochs``.
+    Masked positions stay exactly zero.  If ``snapshots`` is a dict, each of
+    its keys e gets a copy of the parameters after epoch e (0: the masked
+    start); a key outside 0..cfg.epochs is a ValueError.
     """
     _check_layout(spec, params, mask)
     if data.size == 0:
         raise ValueError("empty dataset")
+    snapshots = {} if snapshots is None else snapshots
+    if not all(is_whole(e, 0) and e <= cfg.epochs for e in snapshots):
+        raise ValueError(f"snapshot epochs {list(snapshots)} not all in 0..{cfg.epochs}")
     examples = _as_batch(spec, data.examples)
     _check_labels(spec, data.labels)
     theta = params.copy()
     theta.values *= mask.bits
-    if _snapshots is not None:
-        _snapshots[0] = theta.copy()
+    if 0 in snapshots:
+        snapshots[0] = theta.copy()
     if cfg.epochs == 0:
         return theta
     layers = _layers(spec)
@@ -449,22 +454,11 @@ def train(spec, params, mask, data, cfg: TrainConfig,
             # g is +-0 at masked positions, so the velocity (from +0) and the
             # step stay +0 there and theta keeps its masked start, sign and all
             theta.values -= step
-        if _snapshots is not None and epoch + 1 in snapshot_epochs:
-            _snapshots[epoch + 1] = theta.copy()
+        if epoch + 1 in snapshots:
+            snapshots[epoch + 1] = theta.copy()
     if not np.all(np.isfinite(theta.values)):
         raise TrainingDiverged(cfg.epochs - 1, bi, None, lr, last_loss)
     return theta
-
-
-def train_with_snapshots(spec, params, mask, data, cfg, snapshot_epochs):
-    """Like train() but also returns {epoch: params-after-epoch} snapshots.
-
-    Epoch 0 always maps to the (masked) starting parameters.
-    """
-    snaps = {}
-    out = train(spec, params, mask, data, cfg,
-                snapshot_epochs=tuple(snapshot_epochs), _snapshots=snaps)
-    return out, snaps
 
 
 def evaluate(spec, params, mask, data):

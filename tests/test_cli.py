@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -42,6 +43,17 @@ class TestValidate:
     def test_valid_profile_empty_diagnostics(self, tmp_path):
         path = write_config(tmp_path)
         assert cli.validate_config(path) == []
+
+    @pytest.mark.parametrize("distiller", [
+        {"kind": "classMean"}, {"kind": "random", "ipc": 2, "seed": 1},
+        {"kind": "kmeansHerding", "ipc": 2, "iterations": 3, "seed": 1},
+        {"kind": "external", "path": "d.dstl"}])
+    def test_each_distiller_kind_reads_its_fields(self, tmp_path, distiller):
+        # method distilled: the set is checked against the data, an external one loaded
+        tl.save_distilled(tl.distill_class_mean(tl.synth_dataset(
+            "gaussianBlobs", 3, 4, 0.6, seed=0)), tmp_path / "d.dstl")
+        raw = {**with_section("distiller", distiller), "method": "distilled"}
+        assert cli.validate_config(write_raw(tmp_path, raw)) == []
 
     def test_amount_out_of_range(self, tmp_path):
         path = write_config(tmp_path, amount=1.5)
@@ -210,11 +222,23 @@ LATER_CASES = [
     ("seed", {**BASE_CONFIG, "seed": 3}),
     ("dataset.images", with_dataset(images="train.idx")),
 ]
+# widths the architecture does not read, and distiller fields its kind does not
+UNREAD_CASES = [
+    ("model: channels is not read", with_model(channels=[16, 32])),
+    ("model: hidden is not read", with_model(architecture="convnet", input_shape=[1, 4, 4],
+                                             channels=[2])),
+    ("distiller.ipc is never read", with_section("distiller", {"kind": "classMean",
+                                                               "ipc": 7})),
+    ("distiller.iterations is never read", with_section("distiller", {
+        "kind": "random", "ipc": 2, "iterations": 5})),
+    ("distiller.seed is never read", with_section("distiller", {
+        "kind": "external", "path": "config.json", "seed": 1})),
+]
 INVALID = (WRONG_TYPES + MODEL_CASES + RANGE_CASES + FLAG_AND_FINITE_CASES + PAIR_CASES
-           + LATER_CASES)
+           + LATER_CASES + UNREAD_CASES)
 INVALID_IDS = [f"{field}-{i}" for i, (field, _) in enumerate(INVALID)]
 PRUNE_CASES = (INVALID[:7] + MODEL_CASES + RANGE_CASES + FLAG_AND_FINITE_CASES
-               + PAIR_CASES + LATER_CASES)
+               + PAIR_CASES + LATER_CASES + UNREAD_CASES)
 PRUNE_CASE_IDS = INVALID_IDS[:7] + INVALID_IDS[len(WRONG_TYPES):]
 
 
@@ -366,6 +390,51 @@ def test_prune_is_total_on_one_mutated_field(mutation):
     assert code in (0, 2, 3, 4)
 
 
+def assert_close(got, want, where="summary"):
+    """The same structure, strings and integers, and each float within a
+    relative 1e-10 of the one in `want`."""
+    if isinstance(want, dict):
+        assert sorted(got) == sorted(want), where
+        for key in want:
+            assert_close(got[key], want[key], f"{where}.{key}")
+    elif isinstance(want, list):
+        assert len(got) == len(want), where
+        for i, (g, w) in enumerate(zip(got, want)):
+            assert_close(g, w, f"{where}[{i}]")
+    elif isinstance(want, float):
+        assert isinstance(got, float) and math.isclose(got, want, rel_tol=1e-10), \
+            (where, got, want)
+    else:
+        assert type(got) is type(want) and got == want, (where, got, want)
+
+
+PRUNE_RUNS = st.fixed_dictionaries({
+    "method": st.sampled_from(cli.METHODS),
+    "seeds": st.lists(st.integers(0, 9), min_size=1, max_size=3, unique=True),
+    "scope": st.sampled_from(["global", "layerwise"]),
+    "mask_train_epochs": st.integers(1, 2), "finetune_epochs": st.integers(1, 2),
+    "finetune_each": st.booleans()})
+
+
+@settings(max_examples=40, deadline=None)
+@given(run=PRUNE_RUNS)
+def test_report_inverts_prune(run):
+    """The summary report rebuilds from iterations.csv is the one prune
+    wrote: levels, seeds and best seeds exactly, every other number to a
+    relative 1e-10 (the CSV keeps 12 significant digits)."""
+    raw = json.loads(json.dumps(TINY_CONFIG))
+    raw.update(method=run["method"], seeds=run["seeds"])
+    raw["prune"].update({key: run[key] for key in
+                         ("scope", "mask_train_epochs", "finetune_epochs")})
+    raw["report"]["finetune_each"] = run["finetune_each"]
+    with tempfile.TemporaryDirectory() as d:
+        config, out = Path(d) / "config.json", Path(d) / "out"
+        config.write_text(json.dumps(raw))
+        assert cli.main(["prune", "--config", str(config), "--out", str(out)]) == 0
+        written = json.loads((out / "summary.json").read_text())
+        assert_close(cli.rebuild_summary(out), written)
+
+
 class TestRunExperiment:
     def test_byte_deterministic_reports(self, tmp_path):
         path = write_config(tmp_path, overrides={
@@ -507,6 +576,16 @@ class TestSubcommands:
         loaded = tl.load_distilled(info["path"])
         assert loaded.ipc == 3 and loaded.num_classes == 3
 
+    def test_distill_takes_no_seed_flag(self, tmp_path, capsys):
+        # the distilled set depends on distiller.seed only
+        path = write_config(tmp_path, overrides={"distiller": {"ipc": 3, "seed": 0}})
+        with pytest.raises(SystemExit) as e:
+            cli.main(["distill", "--config", str(path), "--out", str(tmp_path / "out"),
+                      "--seed", "5"])
+        assert e.value.code == cli.EXIT_CONFIG
+        assert "--seed" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_lmc_writes_curve(self, tmp_path, capsys):
         path = write_config(tmp_path)
         code = cli.main(["lmc", "--config", str(path), "--out",
@@ -586,9 +665,9 @@ class TestSubcommands:
         config = cli.ExperimentConfig.load(path)
         theta = nn.init_params(config.spec, 0)
         if method == "imp":
-            _, snaps = nn.train_with_snapshots(
-                config.spec, theta, tl.SparsityMask.ones(theta.layer_map), config.train,
-                config.cfg.train_config_mask, (rewind_epoch,))
+            snaps = {rewind_epoch: None}
+            nn.train(config.spec, theta, tl.SparsityMask.ones(theta.layer_map), config.train,
+                     config.cfg.train_config_mask, snapshots=snaps)
             theta = snaps[rewind_epoch]
         starts, train_twin = [], tl.analysis.train_twin
 

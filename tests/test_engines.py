@@ -67,6 +67,20 @@ class TestImpRun:
         rec0 = tl.imp_run(spec, theta, blobs, make_cfg(0.4, t=3, k=0), seed=0)
         assert not np.array_equal(rec.final_mask.bits, rec0.final_mask.bits)
 
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    def test_record_rewind_is_epoch_k_of_the_first_training(self, spec, blobs, k):
+        theta = tl.init_params(spec, 0)
+        cfg = make_cfg(0.4, t=3, k=k)
+        rec = tl.imp_run(spec, theta, blobs, cfg, seed=0)
+        expected = tl.train(spec, theta, tl.SparsityMask.ones(theta.layer_map), blobs,
+                            replace(cfg.train_config_mask, epochs=k))
+        assert rec.rewind.values.tobytes() == expected.values.tobytes()
+        # the other engines rewind to initialization, whatever k
+        dsyn = tl.distill_kmeans_herding(blobs, ipc=5, seed=0)
+        for other in (tl.distilled_prune_run(spec, theta, dsyn, blobs, cfg, seed=0)[2],
+                      tl.random_prune_run(spec, theta, blobs, cfg, seed=0)):
+            assert other.rewind.values.tobytes() == theta.values.tobytes()
+
     def test_stopping_correctness(self, spec, blobs):
         theta = tl.init_params(spec, 0)
         cfg = make_cfg(0.55)
@@ -124,9 +138,9 @@ def reference_imp(spec, theta, data, cfg, finetune_each):
     rewind, out = theta, []
     while tl.sparsity(mask) < cfg.desired_sparsity:
         if not out:
-            trained, snaps = tl.train_with_snapshots(spec, theta, mask, data,
-                                                     cfg.train_config_mask,
-                                                     (cfg.rewind_epoch,))
+            snaps = {cfg.rewind_epoch: None}
+            trained = tl.train(spec, theta, mask, data, cfg.train_config_mask,
+                               snapshots=snaps)
             rewind = snaps[cfg.rewind_epoch]
         else:
             trained = tl.train(spec, rewind, mask, data, cfg.train_config_mask)
@@ -140,13 +154,14 @@ def reference_imp(spec, theta, data, cfg, finetune_each):
 
 
 def count_trainings(monkeypatch):
-    """Counts the engine's calls of train and train_with_snapshots."""
-    calls = []
-    for name in ("train", "train_with_snapshots"):
-        def counted(*args, _name=name, _real=getattr(engines, name), **kw):
-            calls.append(_name)
-            return _real(*args, **kw)
-        monkeypatch.setattr(engines, name, counted)
+    """Records the engine's calls of train: "train", or "train+snapshots"
+    for a call that asks for snapshots."""
+    calls, train = [], engines.train
+
+    def counted(spec, params, mask, data, cfg, snapshots=None):
+        calls.append("train" if snapshots is None else "train+snapshots")
+        return train(spec, params, mask, data, cfg, snapshots)
+    monkeypatch.setattr(engines, "train", counted)
     return calls
 
 
@@ -181,7 +196,8 @@ class TestFinetuneReuse:
                          finetune_each=True, seed=0)
         n = len(rec.iterations)
         assert n > 2 and len(calls) == n + 1
-        assert calls.count("train_with_snapshots") == 1
+        # only the first mask training takes the rewind point
+        assert [c == "train+snapshots" for c in calls] == [True] + [False] * n
 
     @pytest.mark.parametrize("finetune_each", [False, True])
     def test_unequal_configs_train_twice(self, spec, blobs, monkeypatch, finetune_each):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,6 +12,25 @@ from conftest import finite_difference_gradient, max_relative_error, reference_l
 
 def ones_mask(params):
     return tl.SparsityMask.ones(params.layer_map)
+
+
+class TestModelSpec:
+    @pytest.mark.parametrize("args,kw,message", [
+        (("mlp", (4,), 2), {"channels": (3,)}, "channels is not read by the mlp"),
+        (("convnet", (1, 4, 4), 2), {"hidden": (5,)}, "hidden is not read by the convnet"),
+        (("mlp", (4,), 2.5), {}, "num_classes must be an integer"),
+        (("mlp", (4,), True), {}, "num_classes must be an integer"),
+        (("mlp", (4,), 1), {}, "at least 2 classes"),
+    ])
+    def test_fields_the_model_cannot_use_rejected(self, args, kw, message):
+        with pytest.raises(ValueError, match=message):
+            tl.ModelSpec(*args, **kw)
+
+    def test_empty_unread_widths_accepted(self):
+        mlp = tl.ModelSpec("mlp", (4,), 2, hidden=(3,), channels=())
+        conv = tl.ModelSpec("convnet", (1, 4, 4), 2, hidden=(), channels=(2,))
+        assert (mlp.param_count(), conv.param_count()) == (4 * 3 + 3 + 3 * 2 + 2,
+                                                           2 * 9 + 2 + 2 * 8 + 2)
 
 
 class TestInitParams:
@@ -431,12 +452,52 @@ class TestTrain:
     def test_snapshots_capture_epochs(self, blob_mlp_spec, blobs_2d):
         params = tl.init_params(blob_mlp_spec, 0)
         mask = ones_mask(params)
-        out, snaps = tl.train_with_snapshots(blob_mlp_spec, params, mask,
-                                             blobs_2d, self.cfg(epochs=3), (1, 2))
+        snaps = {0: None, 1: None, 2: None}
+        out = tl.train(blob_mlp_spec, params, mask, blobs_2d, self.cfg(epochs=3),
+                       snapshots=snaps)
         assert set(snaps) == {0, 1, 2}
         assert np.array_equal(snaps[0].values, params.values)
         # epoch snapshots are intermediate, not the final weights
         assert not np.array_equal(snaps[1].values, out.values)
+
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("arch", ["mlp", "convnet"])
+    def test_snapshot_is_a_shorter_training(self, arch, k):
+        # the parameters after epoch k are those of a k-epoch run with the
+        # milestones below k; snapshot 0 is the masked start
+        spec = (tl.ModelSpec("mlp", (2, 2, 2), 3, hidden=(6,)) if arch == "mlp" else
+                tl.ModelSpec("convnet", (2, 2, 2), 3, channels=(3,)))
+        data = tl.synth_dataset("gaussianBlobs", 3, 12, 0.5, seed=1, input_shape=(2, 2, 2))
+        params = tl.init_params(spec, 2)
+        mask = ones_mask(params)
+        mask.bits[1::4] = 0.0
+        cfg = self.cfg(epochs=4, weight_decay=1e-2, milestones=(1,), gamma=0.5,
+                       batch_size=8, shuffle_seed=3)
+        snaps = {0: None, k: None}
+        tl.train(spec, params, mask, data, cfg, snapshots=snaps)
+        short = replace(cfg, epochs=k, milestones=tuple(m for m in cfg.milestones if m < k))
+        expected = tl.train(spec, params, mask, data, short)
+        assert snaps[k].values.tobytes() == expected.values.tobytes()
+        assert snaps[0].values.tobytes() == (params.values * mask.bits).tobytes()
+
+    def test_snapshots_fill_only_requested_keys(self, blob_mlp_spec, blobs_2d):
+        params = tl.init_params(blob_mlp_spec, 0)
+        mask = ones_mask(params)
+        cfg = self.cfg(epochs=3)
+        snaps = {3: None}
+        out = tl.train(blob_mlp_spec, params, mask, blobs_2d, cfg, snapshots=snaps)
+        assert list(snaps) == [3]
+        plain = tl.train(blob_mlp_spec, params, mask, blobs_2d, cfg)
+        assert out.values.tobytes() == plain.values.tobytes() == snaps[3].values.tobytes()
+        # the last epoch's snapshot is a copy, not the returned parameters
+        assert not np.shares_memory(snaps[3].values, out.values)
+
+    @pytest.mark.parametrize("key", [4, -1, 1.0, True, "1"])
+    def test_snapshot_outside_the_epochs_rejected(self, blob_mlp_spec, blobs_2d, key):
+        params = tl.init_params(blob_mlp_spec, 0)
+        with pytest.raises(ValueError, match="snapshot epochs"):
+            tl.train(blob_mlp_spec, params, ones_mask(params), blobs_2d,
+                     self.cfg(epochs=3), snapshots={key: None})
 
     def test_milestone_validation(self):
         with pytest.raises(ValueError):
