@@ -15,8 +15,12 @@ spec = tl.ModelSpec("convnet", (1, 8, 8), 4, channels=(6,))
 tc = tl.TrainConfig(epochs=4, learning_rate=0.1, momentum=0.9, batch_size=64)
 
 theta = tl.init_params(spec, 0)
-cfg = tl.PruneRunConfig(desired_sparsity=0.70, amount=0.2,
-                        train_config_mask=tc, train_config_finetune=tc)
+# the mask trains on only 40 distilled examples: 16 epochs at batch 16 take
+# 3 steps per epoch, where batch 64 would take 1
+cfg = tl.PruneRunConfig(
+    desired_sparsity=0.70, amount=0.2, train_config_finetune=tc,
+    train_config_mask=tl.TrainConfig(epochs=16, learning_rate=0.1, momentum=0.9,
+                                     batch_size=16))
 
 dsyn = tl.distill_kmeans_herding(train, ipc=10, seed=0)
 _, mask, _ = tl.distilled_prune_run(spec, theta, dsyn, train, cfg,

@@ -3,9 +3,8 @@ distilled pruning, and instability analysis with deterministic numerics."""
 
 from .nn import (LayerEntry, ModelSpec, ParameterVector, TrainConfig,
                  TrainingDiverged, evaluate, forward, backward, init_params, train)
-from .pruning import (GLOBAL, LAYERWISE, PruneScope, SparsityMask, apply_mask,
-                      magnitude_prune, mask_layer_stats, random_prune, sparsity,
-                      whole_vector_sparsity)
+from .pruning import (SparsityMask, apply_mask, magnitude_prune, mask_layer_stats,
+                      random_prune, sparsity, whole_vector_sparsity)
 from .data import (DistilledDataset, FormatError, LabeledDataset,
                    distill_class_mean, distill_kmeans_herding, distill_random,
                    load_distilled, load_idx, save_distilled, synth_dataset,

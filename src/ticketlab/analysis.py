@@ -7,7 +7,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .nn import ModelSpec, ParameterVector, TrainConfig, evaluate, train
+from .nn import ModelSpec, ParameterVector, TrainConfig, check_aligned, evaluate, train
 from .pruning import SparsityMask, sparsity
 
 
@@ -91,6 +91,9 @@ def weight_histogram(theta_init: ParameterVector, mask: SparsityMask,
 
     Bin edges span the layer's full init range symmetrically about zero.
     """
+    check_aligned(theta_init, mask)
+    if num_bins < 1:
+        raise ValueError(f"num_bins must be >= 1, got {num_bins}")
     entries = [e for e in theta_init.layer_map
                if e.name == layer_name and e.kind == "weight"]
     if not entries:
@@ -110,10 +113,13 @@ def weight_histogram(theta_init: ParameterVector, mask: SparsityMask,
 def survivor_magnitude_ratio(theta_init: ParameterVector, mask: SparsityMask) -> float:
     """Mean |init| of surviving prunable weights over mean |init| of pruned
     ones; a magnitude-blind mask gives a ratio near 1."""
+    check_aligned(theta_init, mask)
     sel = mask.prunable_selector()
     vals = np.abs(theta_init.values[sel])
     bits = mask.bits[sel]
     surv, pruned = vals[bits == 1.0], vals[bits == 0.0]
     if surv.size == 0 or pruned.size == 0:
         raise ValueError("mask must have both survivors and pruned positions")
+    if pruned.mean() == 0.0:
+        raise ValueError("pruned weights have mean |init| 0; the ratio is undefined")
     return float(surv.mean() / pruned.mean())

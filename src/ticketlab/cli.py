@@ -243,9 +243,9 @@ class ExperimentConfig:
                       iteration_cap=get("prune.iteration_cap",
                                         engines.DEFAULT_ITERATION_CAP, int),
                       seeds=tuple(seeds or configured))
-        scope = get("prune.scope", "global", str)
+        scope = get("prune.scope", "global", str, choices=pruning.SCOPES)
         self.cfg = self._make(n, "prune: ", lambda: engines.PruneRunConfig(
-            prune_scope=pruning.PruneScope(scope), train_config_mask=train["mask_train"],
+            prune_scope=scope, train_config_mask=train["mask_train"],
             train_config_finetune=train["finetune"], **fields))
 
         get("report", {}, dict)
@@ -326,7 +326,8 @@ class ExperimentConfig:
         picks = kind in ("random", "kmeansHerding")
         ipc = get("distiller.ipc", 10, int, minimum=1) if picks else 1
         seed = get("distiller.seed", 0, int, minimum=0) if picks else None
-        iterations = get("distiller.iterations", 50, int) if kind == "kmeansHerding" else None
+        iterations = (get("distiller.iterations", 50, int, minimum=0)
+                      if kind == "kmeansHerding" else None)
         path = self._file("distiller.path") if kind == "external" else None
         # distilled(): the set the mask trains on, made from self.train
         self.distilled = {

@@ -296,9 +296,11 @@ def distill_kmeans_herding(data: LabeledDataset, ipc: int, iterations: int = 50,
                            seed: int = 0) -> DistilledDataset:
     """Per-class k-means centroids (k = ipc) as synthetic images.
 
-    `iterations` caps the Lloyd rounds per class; a class stops at the
-    first round whose centers equal the previous ones, where every later
-    round would return the same centers."""
+    `iterations` (0: k-means++ seeds only) caps the Lloyd rounds per class;
+    a class stops at the first round whose centers equal the previous ones,
+    where every later round would return the same centers."""
+    if not is_whole(iterations, 0):
+        raise ValueError(f"iterations must be an integer >= 0, got {iterations!r}")
     def pick(c, idx):
         points = data.examples[idx].reshape(idx.size, -1)
         centers = _kmeans(points, ipc, iterations, np.random.default_rng([seed, c]))

@@ -26,8 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .nn import ModelSpec, ParameterVector, TrainConfig, evaluate, is_whole, require, train
-from .pruning import (GLOBAL, PruneScope, SparsityMask, magnitude_prune,
-                      random_prune, sparsity)
+from .pruning import SCOPES, SparsityMask, magnitude_prune, random_prune, sparsity
 
 DEFAULT_ITERATION_CAP = 40
 
@@ -47,7 +46,7 @@ class PruneRunConfig:
     mask_train_epochs: int = None
     finetune_epochs: int = None
     rewind_epoch: int = 0               # k: 0 = rewind to initialization
-    prune_scope: PruneScope = GLOBAL
+    prune_scope: str = "global"
     train_config_mask: TrainConfig = None
     train_config_finetune: TrainConfig = None
     iteration_cap: int = DEFAULT_ITERATION_CAP
@@ -67,6 +66,7 @@ class PruneRunConfig:
             (0.0 < self.amount < 1.0, "amount must be in (0, 1)"),
             (0.0 < self.desired_sparsity < 1.0, "desired_sparsity must be in (0, 1)"),
             (self.rewind_epoch >= 0, "rewind_epoch must be >= 0"),
+            (self.prune_scope in SCOPES, f"prune_scope must be one of {', '.join(SCOPES)}"),
             (self.rewind_epoch <= 0 or self.rewind_epoch < self.train_config_mask.epochs,
              "rewind_epoch must be < mask_train_epochs"),
             (len(self.seeds) > 0 and all(is_whole(s, 0) for s in self.seeds)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -209,6 +209,11 @@ def _check_layout(spec: ModelSpec, params: ParameterVector, mask) -> None:
     if tuple(params.layer_map) != spec.layer_map():
         raise ValueError(f"parameters ({len(params)} positions) do not match the model's "
                          f"layer map ({spec.param_count()} positions)")
+    check_aligned(params, mask)
+
+
+def check_aligned(params: ParameterVector, mask) -> None:
+    """Raise ValueError unless mask has params' layer map, not just its length."""
     if tuple(mask.layer_map) != tuple(params.layer_map):
         raise ValueError(f"mask ({mask.bits.size} positions) does not match the "
                          f"parameters' layer map ({len(params)} positions)")

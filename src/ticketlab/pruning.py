@@ -8,26 +8,14 @@ produces.  Sparsity is reported over prunable positions only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .nn import LayerEntry, ParameterVector, check_layer_map
+from .nn import LayerEntry, ParameterVector, check_aligned, check_layer_map, require
 
-
-@dataclass(frozen=True)
-class PruneScope:
-    """Where pruning ranks candidates: one global pool or per layer."""
-
-    mode: str = "global"
-
-    def __post_init__(self):
-        if self.mode not in ("global", "layerwise"):
-            raise ValueError(f"unknown scope mode {self.mode!r}")
-
-
-GLOBAL = PruneScope("global")
-LAYERWISE = PruneScope("layerwise")
+# where pruning ranks candidates: one global pool, or one pool per layer
+SCOPES = ("global", "layerwise")
 
 
 @dataclass
@@ -50,22 +38,14 @@ class SparsityMask:
     def copy(self) -> "SparsityMask":
         return SparsityMask(self.bits.copy(), self.layer_map)
 
-    def __len__(self):
-        return self.bits.size
-
-    def prunable_selector(self, scope: PruneScope = GLOBAL) -> np.ndarray:
-        """The weight positions.  Both scope modes prune the same positions,
+    def prunable_selector(self, scope: str = "global") -> np.ndarray:
+        """The weight positions.  Both scopes prune the same positions,
         so the scope does not change the result."""
         sel = np.zeros(self.bits.size, dtype=bool)
         for e in self.layer_map:
             if e.kind == "weight":
                 sel[e.offset:e.offset + e.length] = True
         return sel
-
-
-def _check_aligned(params: ParameterVector, mask: SparsityMask):
-    if len(params) != len(mask):
-        raise ValueError(f"length mismatch: params {len(params)} vs mask {len(mask)}")
 
 
 def sparsity(mask: SparsityMask) -> float:
@@ -83,21 +63,21 @@ def whole_vector_sparsity(mask: SparsityMask) -> float:
 
 
 def magnitude_prune(params: ParameterVector, mask: SparsityMask, amount: float,
-                    scope: PruneScope = GLOBAL) -> SparsityMask:
+                    scope: str = "global") -> SparsityMask:
     """Prune the lowest-|value| surviving prunable weights.
 
     Removes floor(amount * survivors) positions: one pooled ranking in
     global mode, floor per layer in layerwise mode.  Never revives pruned
     positions.
     """
-    _check_aligned(params, mask)
+    check_aligned(params, mask)
     if not np.all(np.isfinite(params.values)):
         raise ValueError("parameters must be finite to rank by magnitude")
     return _prune_by_key(mask, amount, scope, np.abs(params.values * mask.bits))
 
 
 def random_prune(mask: SparsityMask, amount: float, seed: int,
-                 scope: PruneScope = GLOBAL) -> SparsityMask:
+                 scope: str = "global") -> SparsityMask:
     """Prune uniformly random surviving positions; same count contract as
     magnitude_prune; deterministic in seed.  Each surviving prunable
     position draws one key from one stream, in flat order; ties are
@@ -113,11 +93,11 @@ def _prune_by_key(mask, amount, scope, key):
     each pool with the smallest key: one pool in global mode, one per layer
     in layerwise mode.  Ties break toward the lower flat index (a stable
     sort of flat-ordered candidates)."""
-    if not 0.0 < amount < 1.0:
-        raise ValueError("amount must be in (0, 1)")
+    require([(0.0 < amount < 1.0, "amount must be in (0, 1)"),
+             (scope in SCOPES, f"scope must be one of {', '.join(SCOPES)}")])
     out = mask.copy()
     candidates = mask.prunable_selector() & (mask.bits == 1.0)
-    pools = [(0, mask.bits.size)] if scope.mode == "global" else [
+    pools = [(0, mask.bits.size)] if scope == "global" else [
         (e.offset, e.offset + e.length) for e in mask.layer_map]
     for start, stop in pools:
         pool = start + np.flatnonzero(candidates[start:stop])
@@ -128,7 +108,7 @@ def _prune_by_key(mask, amount, scope, key):
 
 def apply_mask(params: ParameterVector, mask: SparsityMask) -> ParameterVector:
     """Elementwise product of parameters and mask; idempotent."""
-    _check_aligned(params, mask)
+    check_aligned(params, mask)
     return ParameterVector(params.values * mask.bits, params.layer_map)
 
 

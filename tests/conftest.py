@@ -24,6 +24,15 @@ def blob_mlp_spec():
     return tl.ModelSpec("mlp", (2,), 2, hidden=(16,))
 
 
+@pytest.fixture
+def foreign_mask():
+    """Parameters of one MLP and a half-pruned mask of another: both have 10
+    positions, laid out differently."""
+    params = tl.init_params(tl.ModelSpec("mlp", (1,), 2, hidden=(2,)), 0)
+    other = tl.init_params(tl.ModelSpec("mlp", (1,), 4, hidden=(1,)), 0)
+    return params, tl.magnitude_prune(other, tl.SparsityMask.ones(other.layer_map), 0.5)
+
+
 def reference_loss(spec, params, mask, x, y):
     """Independent mean cross-entropy, used as the finite-difference oracle."""
     logits = tl.forward(spec, params, mask, x)

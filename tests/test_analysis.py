@@ -146,6 +146,20 @@ class TestWeightHistogram:
         with pytest.raises(KeyError):
             tl.weight_histogram(theta, mask, "nope", 8)
 
+    @pytest.mark.parametrize("num_bins", [0, -1])
+    def test_fewer_than_one_bin_rejected(self, setup, num_bins):
+        spec, theta, mask, _, _, _ = setup
+        with pytest.raises(ValueError, match="num_bins must be >= 1"):
+            tl.weight_histogram(theta, mask, "fc1", num_bins)
+
+
+@pytest.mark.parametrize("analyse", [
+    lambda theta, mask: tl.weight_histogram(theta, mask, "fc1", 4),
+    tl.survivor_magnitude_ratio], ids=["weight_histogram", "survivor_magnitude_ratio"])
+def test_mask_of_another_model_of_the_same_length_rejected(foreign_mask, analyse):
+    with pytest.raises(ValueError, match="does not match the parameters' layer map"):
+        analyse(*foreign_mask)
+
 
 class TestSurvivorMagnitudeRatio:
     def big_params(self):
@@ -170,3 +184,10 @@ class TestSurvivorMagnitudeRatio:
         with pytest.raises(ValueError):
             tl.survivor_magnitude_ratio(params,
                                         tl.SparsityMask.ones(params.layer_map))
+
+    def test_pruned_mean_of_zero_rejected(self):
+        # the weights of a masked network are 0 wherever the mask is
+        params = self.big_params()
+        mask = tl.random_prune(tl.SparsityMask.ones(params.layer_map), 0.5, seed=1)
+        with pytest.raises(ValueError, match="mean \\|init\\| 0"):
+            tl.survivor_magnitude_ratio(tl.apply_mask(params, mask), mask)

@@ -234,11 +234,19 @@ UNREAD_CASES = [
     ("distiller.seed is never read", with_section("distiller", {
         "kind": "external", "path": "config.json", "seed": 1})),
 ]
+# a scope pruning does not know, and a negative Lloyd round count; appended
+# last so that no earlier case's id changes
+CHOICE_CASES = [
+    ("prune.scope must be one of global, layerwise", with_section("prune", {
+        **BASE_CONFIG["prune"], "scope": "x"})),
+    ("distiller.iterations must be >= 0", with_section("distiller", {
+        "kind": "kmeansHerding", "ipc": 2, "iterations": -3})),
+]
 INVALID = (WRONG_TYPES + MODEL_CASES + RANGE_CASES + FLAG_AND_FINITE_CASES + PAIR_CASES
-           + LATER_CASES + UNREAD_CASES)
+           + LATER_CASES + UNREAD_CASES + CHOICE_CASES)
 INVALID_IDS = [f"{field}-{i}" for i, (field, _) in enumerate(INVALID)]
 PRUNE_CASES = (INVALID[:7] + MODEL_CASES + RANGE_CASES + FLAG_AND_FINITE_CASES
-               + PAIR_CASES + LATER_CASES + UNREAD_CASES)
+               + PAIR_CASES + LATER_CASES + UNREAD_CASES + CHOICE_CASES)
 PRUNE_CASE_IDS = INVALID_IDS[:7] + INVALID_IDS[len(WRONG_TYPES):]
 
 

@@ -215,6 +215,19 @@ class TestDistillers:
             with pytest.raises(ValueError, match="ipc"):
                 tl.DistilledDataset(x, labels, 2, ipc=ipc)
 
+    def test_herding_zero_iterations_gives_the_seeds(self, dataset):
+        dsyn = tl.distill_kmeans_herding(dataset, ipc=3, iterations=0, seed=4)
+        for c in range(dataset.num_classes):
+            points = dataset.examples[dataset.labels == c].reshape(-1, dataset.examples[0].size)
+            seeds = _kmeans_plus_plus(points, 3, np.random.default_rng([4, c]))
+            assert np.array_equal(dsyn.examples[dsyn.labels == c].reshape(3, -1),
+                                  seeds.astype(dsyn.examples.dtype))
+
+    @pytest.mark.parametrize("iterations", [-3, -1, 1.5, True])
+    def test_herding_iterations_must_be_a_count(self, dataset, iterations):
+        with pytest.raises(ValueError, match="iterations must be an integer >= 0"):
+            tl.distill_kmeans_herding(dataset, ipc=2, iterations=iterations)
+
     def test_herding_deterministic(self, dataset):
         a = tl.distill_kmeans_herding(dataset, ipc=3, seed=5)
         b = tl.distill_kmeans_herding(dataset, ipc=3, seed=5)

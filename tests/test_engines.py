@@ -19,7 +19,7 @@ def spec():
 
 
 def make_cfg(desired, amount=0.2, t=2, n=2, k=0, batch_syn=None, cap=40,
-             scope=tl.GLOBAL):
+             scope="global"):
     tc = tl.TrainConfig(epochs=t, learning_rate=0.1, momentum=0.9, batch_size=32,
                         shuffle_seed=3)
     tcf = tl.TrainConfig(epochs=n, learning_rate=0.1, momentum=0.9, batch_size=32,
@@ -104,6 +104,11 @@ class TestImpRun:
         with pytest.raises(ValueError):
             make_cfg(0.5, t=2, k=2)
 
+    @pytest.mark.parametrize("scope", ["x", "Layerwise", None])
+    def test_unknown_scope_rejected_at_construction(self, scope):
+        with pytest.raises(ValueError, match="^prune_scope must be one of global, layerwise$"):
+            make_cfg(0.5, scope=scope)
+
 
 class TestPhaseEpochs:
     """Each phase's epochs are its TrainConfig's."""
@@ -172,7 +177,7 @@ class TestFinetuneReuse:
     @pytest.mark.parametrize("k", [0, 1])
     @pytest.mark.parametrize("scope", ["global", "layerwise"])
     def test_masks_independent_of_finetune_each(self, spec, blobs, k, scope):
-        cfg = make_cfg(0.6, k=k, scope=tl.PruneScope(scope))
+        cfg = make_cfg(0.6, k=k, scope=scope)
         theta = tl.init_params(spec, 0)
         a, b = (tl.imp_run(spec, theta, blobs, cfg, finetune_each=each, seed=0)
                 for each in (False, True))
@@ -238,7 +243,7 @@ class TestDistilledRun:
     @pytest.mark.parametrize("scope", ["global", "layerwise"])
     def test_engine_equivalence_degenerate(self, spec, blobs, scope, finetune_each):
         """D_syn = D_real, t = n, k = 0 must reproduce IMP bit for bit."""
-        cfg = make_cfg(0.6, scope=tl.PruneScope(scope))
+        cfg = make_cfg(0.6, scope=scope)
         for seed in range(3):
             theta = tl.init_params(spec, seed)
             imp = tl.imp_run(spec, theta, blobs, cfg, finetune_each=finetune_each,

@@ -1,10 +1,11 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import ticketlab as tl
 from ticketlab.nn import LayerEntry, ParameterVector
-from ticketlab.pruning import GLOBAL, LAYERWISE, PruneScope
 
 
 def flat_model(values, bias_tail=0):
@@ -116,14 +117,14 @@ class TestMagnitudePrune:
     def test_layerwise_floor_per_layer(self):
         params = two_layer_model([0.1, 0.2, 0.3, 0.4], [10.0, 20.0])
         mask = tl.SparsityMask.ones(params.layer_map)
-        out = tl.magnitude_prune(params, mask, 0.5, LAYERWISE)
+        out = tl.magnitude_prune(params, mask, 0.5, "layerwise")
         # layer A loses 2 (the two smallest), layer B loses 1
         assert list(out.bits) == [0, 0, 1, 1, 0, 1]
 
     def test_global_pools_across_layers(self):
         params = two_layer_model([0.1, 0.2, 0.3, 0.4], [10.0, 20.0])
         mask = tl.SparsityMask.ones(params.layer_map)
-        out = tl.magnitude_prune(params, mask, 0.5, GLOBAL)
+        out = tl.magnitude_prune(params, mask, 0.5, "global")
         # global ranking prunes the three smallest, all in layer A
         assert list(out.bits) == [0, 0, 0, 1, 1, 1]
 
@@ -179,7 +180,7 @@ def _reference_random_prune(mask, amount, seed, scope):
     (one pool in global mode, one per prunable layer in layerwise mode)."""
     rng = np.random.default_rng(seed)
     out = mask.copy()
-    if scope.mode == "global":
+    if scope == "global":
         pools = [np.flatnonzero(mask.prunable_selector(scope) & (mask.bits == 1.0))]
     else:
         pools = []
@@ -214,7 +215,7 @@ class TestRandomPruneOracle:
             mask.bits[e.offset + np.flatnonzero(rng.random(e.length) < dead_fraction)] = 0.0
         return mask
 
-    @pytest.mark.parametrize("scope", [GLOBAL, LAYERWISE], ids=["global", "layerwise"])
+    @pytest.mark.parametrize("scope", ["global", "layerwise"])
     @pytest.mark.parametrize("amount", [0.2, 0.5])
     @pytest.mark.parametrize("dead_fraction", [0.0, 0.4])
     def test_matches_reference(self, scope, amount, dead_fraction):
@@ -224,7 +225,7 @@ class TestRandomPruneOracle:
             want = _reference_random_prune(mask, amount, seed, scope)
             assert got.bits.tobytes() == want.bits.tobytes()
 
-    @pytest.mark.parametrize("scope", [GLOBAL, LAYERWISE], ids=["global", "layerwise"])
+    @pytest.mark.parametrize("scope", ["global", "layerwise"])
     def test_fully_pruned_layer_draws_nothing(self, scope):
         mask = self.mask_with_bias_tails(0.3, 5)
         mask.bits[16:33] = 0.0  # every weight of layer B
@@ -258,6 +259,55 @@ class TestApplyMask:
         other = flat_model([1.0, 2.0, 3.0])
         with pytest.raises(ValueError):
             tl.apply_mask(params, tl.SparsityMask.ones(other.layer_map))
+
+
+@pytest.mark.parametrize("prune", [tl.apply_mask,
+                                   lambda params, mask: tl.magnitude_prune(params, mask, 0.5)],
+                         ids=["apply_mask", "magnitude_prune"])
+def test_mask_of_another_model_of_the_same_length_rejected(foreign_mask, prune):
+    with pytest.raises(ValueError, match="does not match the parameters' layer map"):
+        prune(*foreign_mask)
+
+
+class TestScope:
+    # sha256 of the bits after three 30% rounds of each pruner (random seeds 0,
+    # 1, 2) on init_params(SPEC, 7), pinned so that how a scope is passed or
+    # checked cannot move a bit of either pool choice
+    SPEC = tl.ModelSpec("mlp", (4,), 3, hidden=(8, 6))
+    DIGESTS = {
+        "global": ("05f5886032ac95f23060cc80ff70048133edf0543040a12e177b3cfefab745aa",
+                   "bbc42d573754139d0c314269cc4a22ad6632b1ff314dac5ba3be1429d248aeca"),
+        "layerwise": ("57d78377cf111999ff38a19045f05f3f9614f941c56984a09ec640676af858de",
+                      "8490b83c039cc85f79b7d24590ee09fdeb4f1ba198a178f4953e29312a67aa88"),
+    }
+
+    @pytest.mark.parametrize("scope", ["global", "layerwise"])
+    def test_scope_string_keeps_the_bits(self, scope):
+        params = tl.init_params(self.SPEC, 7)
+        by_magnitude = at_random = tl.SparsityMask.ones(params.layer_map)
+        for seed in range(3):
+            by_magnitude = tl.magnitude_prune(params, by_magnitude, 0.3, scope)
+            at_random = tl.random_prune(at_random, 0.3, seed, scope)
+        assert tuple(hashlib.sha256(m.bits.tobytes()).hexdigest()
+                     for m in (by_magnitude, at_random)) == self.DIGESTS[scope]
+
+    @pytest.mark.parametrize("scope", ["x", "Global", None])
+    def test_unknown_scope_rejected(self, scope):
+        params = flat_model([1.0, 2.0])
+        mask = tl.SparsityMask.ones(params.layer_map)
+        match = "^scope must be one of global, layerwise$"
+        with pytest.raises(ValueError, match=match):
+            tl.magnitude_prune(params, mask, 0.5, scope)
+        with pytest.raises(ValueError, match=match):
+            tl.random_prune(mask, 0.5, 0, scope)
+
+    def test_amount_message_alone_when_scope_is_known(self):
+        params = flat_model([1.0, 2.0])
+        mask = tl.SparsityMask.ones(params.layer_map)
+        with pytest.raises(ValueError, match=r"^amount must be in \(0, 1\)$"):
+            tl.magnitude_prune(params, mask, 1.5, "layerwise")
+        with pytest.raises(ValueError, match="amount must be in .*; scope must be one of"):
+            tl.random_prune(mask, 1.5, 0, "x")
 
 
 class TestLayerStats:
