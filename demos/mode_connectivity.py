@@ -29,15 +29,15 @@ print(f"mask from distilled pruning at sparsity {tl.sparsity(mask):.3f}")
 
 theta_a, theta_b = tl.train_twin(spec, theta, mask, train, tc,
                                  noise_seed_a=1, noise_seed_b=2)
-curve = tl.interpolate_curve(spec, theta_a, theta_b, mask, test,
-                             num_points=21, seed_pair=(1, 2))
+curve = tl.interpolate_curve(spec, theta_a, theta_b, mask, test, num_points=21)
 
 print("\nalpha   accuracy  loss")
 for alpha, acc, loss in zip(curve.alphas, curve.accuracies, curve.losses):
     bar = "#" * int(acc * 40)
     print(f"{alpha:5.2f}   {acc:.3f}    {loss:7.4f}  {bar}")
 
-rep = tl.instability(curve, threshold=0.02)
+threshold = 0.02
+rep = tl.instability(curve, threshold)
 verdict = "stable" if rep.stable else "UNSTABLE"
 print(f"\nerror barrier: {rep.error_barrier:+.4f} "
-      f"({verdict} at threshold {rep.threshold})")
+      f"({verdict} at threshold {threshold})")

@@ -17,7 +17,6 @@ class InterpolationCurve:
     accuracies: np.ndarray
     losses: np.ndarray
     mask_sparsity: float
-    seed_pair: tuple[int, int]
 
     def __post_init__(self):
         self.alphas = np.asarray(self.alphas, dtype=np.float64)
@@ -35,12 +34,10 @@ class InterpolationCurve:
 class InstabilityReport:
     error_barrier: float
     stable: bool
-    threshold: float
 
 
 @dataclass
 class WeightHistogram:
-    layer_name: str
     bin_edges: np.ndarray
     counts: np.ndarray
     sparsity: float
@@ -59,11 +56,12 @@ def train_twin(spec: ModelSpec, theta_rewind: ParameterVector, mask: SparsityMas
 
 def interpolate_curve(spec: ModelSpec, theta_a: ParameterVector,
                       theta_b: ParameterVector, mask: SparsityMask, test_data,
-                      num_points: int = 21,
-                      seed_pair=(0, 1)) -> InterpolationCurve:
+                      num_points: int = 21) -> InterpolationCurve:
     """Evaluate (1-alpha) * theta_a + alpha * theta_b on a uniform alpha grid."""
     if num_points < 2:
         raise ValueError("need at least 2 interpolation points")
+    if theta_b.layer_map != theta_a.layer_map:
+        raise ValueError("theta_b must have the layer map of theta_a")
     alphas = np.linspace(0.0, 1.0, num_points)
     accs = np.empty(num_points)
     losses = np.empty(num_points)
@@ -72,7 +70,7 @@ def interpolate_curve(spec: ModelSpec, theta_a: ParameterVector,
             (1.0 - alpha) * theta_a.values + alpha * theta_b.values,
             theta_a.layer_map)
         accs[i], losses[i] = evaluate(spec, blended, mask, test_data)
-    return InterpolationCurve(alphas, accs, losses, sparsity(mask), tuple(seed_pair))
+    return InterpolationCurve(alphas, accs, losses, sparsity(mask))
 
 
 def instability(curve: InterpolationCurve, threshold: float = 0.02) -> InstabilityReport:
@@ -82,7 +80,7 @@ def instability(curve: InterpolationCurve, threshold: float = 0.02) -> Instabili
     """
     errors = 1.0 - curve.accuracies
     barrier = float(errors.max() - 0.5 * (errors[0] + errors[-1]))
-    return InstabilityReport(barrier, barrier <= threshold, threshold)
+    return InstabilityReport(barrier, barrier <= threshold)
 
 
 def weight_histogram(theta_init: ParameterVector, mask: SparsityMask,
@@ -107,7 +105,7 @@ def weight_histogram(theta_init: ParameterVector, mask: SparsityMask,
         limit = 1.0
     edges = np.linspace(-limit, limit, num_bins + 1)
     counts, _ = np.histogram(survivors, bins=edges)  # all zero if none survive
-    return WeightHistogram(layer_name, edges, counts, 1.0 - survivors.size / e.length)
+    return WeightHistogram(edges, counts, 1.0 - survivors.size / e.length)
 
 
 def survivor_magnitude_ratio(theta_init: ParameterVector, mask: SparsityMask) -> float:

@@ -224,6 +224,12 @@ class ExperimentConfig:
         self.out_dir = get("out_dir", "ticketlab_out", str)
         configured = get("method", "imp", str, choices=METHODS)  # read even if overridden
         self.method = method or configured
+        configured = get("seeds", [0, 1, 2, 3, 4], list)  # read even if overridden
+        self.seeds = tuple(seeds or configured)
+        if not (self.seeds and all(nn.is_whole(s, 0) for s in self.seeds)
+                and len(set(self.seeds)) == len(self.seeds)):
+            self.diagnostics.append(
+                "seeds must be a non-empty list of distinct non-negative integers")
 
         n = len(self.diagnostics)
         get("model", kind=dict)
@@ -236,13 +242,11 @@ class ExperimentConfig:
         n = len(self.diagnostics)
         get("prune", {}, dict)
         train = {key: self._train_config(key) for key in ("mask_train", "finetune")}
-        configured = get("seeds", [0, 1, 2, 3, 4], list)  # read even if overridden
         fields = dict(desired_sparsity=get("prune.desired_sparsity", 0.5),
                       amount=get("prune.amount", 0.2),
                       rewind_epoch=get("prune.rewind_epoch", 0, int),
                       iteration_cap=get("prune.iteration_cap",
-                                        engines.DEFAULT_ITERATION_CAP, int),
-                      seeds=tuple(seeds or configured))
+                                        engines.DEFAULT_ITERATION_CAP, int))
         scope = get("prune.scope", "global", str, choices=pruning.SCOPES)
         self.cfg = self._make(n, "prune: ", lambda: engines.PruneRunConfig(
             prune_scope=scope, train_config_mask=train["mask_train"],
@@ -365,7 +369,7 @@ def _run_seeds(config, finetune_each, count=None):
     spec, cfg, method = config.spec, config.cfg, config.method
     d_syn = config.distilled() if method == "distilled" else None
     records = []
-    for seed in cfg.seeds[:count]:
+    for seed in config.seeds[:count]:
         theta = nn.init_params(spec, seed)
         kw = dict(eval_data=config.test, finetune_each=finetune_each, seed=seed)
         # engines.<name> is looked up per call, so a rebound engine is the one run
@@ -450,13 +454,13 @@ def _emit_lmc(config, record, path):
     ta, tb = analysis.train_twin(spec, record.rewind, mask, config.train,
                                  config.cfg.train_config_finetune, seed_a, seed_b)
     curve = analysis.interpolate_curve(spec, ta, tb, mask, config.test,
-                                       opts["lmc_points"], (seed_a, seed_b))
+                                       opts["lmc_points"])
     rows = [(a, acc, loss, curve.mask_sparsity, seed_a, seed_b)
             for a, acc, loss in zip(curve.alphas, curve.accuracies, curve.losses)]
     atomic_write_text(path, csv_text(LMC_HEADER, rows))
     rep = analysis.instability(curve, opts["threshold"])
     return {"error_barrier": rep.error_barrier, "stable": rep.stable,
-            "threshold": rep.threshold}
+            "threshold": opts["threshold"]}
 
 
 def _emit_histograms(config, record, out_dir):
@@ -477,7 +481,7 @@ def rebuild_summary(out_dir):
     """summarize() of the records in iterations.csv.  A row starts a new
     record unless it has the previous row's method and seed; then its
     iteration must be higher.  A seed starts one record only.  The table
-    holds no masks or configs (None in the records), and no LMC result."""
+    holds no masks (None in the records), and no LMC result."""
     path = os.path.join(out_dir, "iterations.csv")
     records, previous = [], ()
     try:
@@ -497,7 +501,7 @@ def rebuild_summary(out_dir):
             if (method, seed) != previous[:2]:
                 if seed in (rec.seed for rec in records):
                     raise ValueError(f"seed {seed} starts a second record")
-                records.append(engines.RunRecord(method, seed, None))
+                records.append(engines.RunRecord(method, seed))
             elif index <= previous[2]:
                 raise ValueError(f"seed {seed}: iteration {index} after {previous[2]}")
             previous = (method, seed, index)

@@ -50,7 +50,6 @@ class PruneRunConfig:
     train_config_mask: TrainConfig = None
     train_config_finetune: TrainConfig = None
     iteration_cap: int = DEFAULT_ITERATION_CAP
-    seeds: tuple[int, ...] = (0, 1, 2, 3, 4)
 
     def __post_init__(self):
         agree = []
@@ -69,9 +68,7 @@ class PruneRunConfig:
             (self.prune_scope in SCOPES, f"prune_scope must be one of {', '.join(SCOPES)}"),
             (self.rewind_epoch <= 0 or self.rewind_epoch < self.train_config_mask.epochs,
              "rewind_epoch must be < mask_train_epochs"),
-            (len(self.seeds) > 0 and all(is_whole(s, 0) for s in self.seeds)
-             and len(set(self.seeds)) == len(self.seeds),
-             "seeds must be a non-empty list of distinct non-negative integers"),
+            (is_whole(self.iteration_cap, 1), "iteration_cap must be an integer >= 1"),
             *agree,
         ])
 
@@ -90,7 +87,6 @@ class IterationRecord:
 class RunRecord:
     method: str                      # imp | distilled | random
     seed: int
-    config: PruneRunConfig
     iterations: list[IterationRecord] = field(default_factory=list)
     rewind: ParameterVector = None   # where each finetune starts; None if rebuilt
 
@@ -134,7 +130,7 @@ def _prune_loop(spec, theta_init, mask_data, d_real, cfg, rewind_epoch, eval_dat
     pass), or random pruning if it is None.  Finetunes from the rewind point
     on real data if `finetune_each` or the target is reached.  Returns (last
     finetuned params, RunRecord)."""
-    record = RunRecord(method=method, seed=seed, config=cfg)
+    record = RunRecord(method=method, seed=seed)
     mask = SparsityMask.ones(theta_init.layer_map)
     rewind = theta_init
     # a finetune is the next iteration's mask training if both share data and config

@@ -47,7 +47,8 @@ def desk():
         finetune_epochs=4, train_config_mask=desk_train_config(batch_size=16),
         train_config_finetune=tc)
 
-    out = {"spec": spec, "train": train, "test": test, "runs": []}
+    out = {"spec": spec, "train": train, "test": test, "cfg_deep": cfg_deep,
+           "cfg_half": cfg_half, "runs": []}
     for seed in DESK_SEEDS:
         theta = tl.init_params(spec, seed)
         ones = tl.SparsityMask.ones(theta.layer_map)
@@ -166,8 +167,8 @@ def test_criterion_6_time_to_mask_analog(desk):
     ok = True
     for run in desk["runs"]:
         # budget precondition: |D_syn| * t <= |D_real| * n / 5
-        t = run["dist"].config.mask_train_epochs
-        n = run["imp"].config.finetune_epochs
+        t = desk["cfg_half"].mask_train_epochs
+        n = desk["cfg_deep"].finetune_epochs
         assert run["dsyn"].size * t <= desk["train"].size * n / 5
         # IMP mask time through the matched-sparsity iteration
         imp_secs = sum(it.mask_phase_seconds for it in run["imp"].iterations
@@ -190,11 +191,11 @@ def test_criterion_7_lmc_properties(desk, tmp_path):
     tc = desk_train_config()
     # same-seed twins: identical path, exactly zero barrier
     a, b = tl.train_twin(spec, run["theta"], mask, train, tc, 7, 7)
-    same = tl.interpolate_curve(spec, a, b, mask, test, 11, (7, 7))
+    same = tl.interpolate_curve(spec, a, b, mask, test, 11)
     zero_barrier = tl.instability(same).error_barrier == 0.0
     # endpoint exactness against direct evaluation
     a, b = tl.train_twin(spec, run["theta"], mask, train, tc, 1, 2)
-    curve = tl.interpolate_curve(spec, a, b, mask, test, 21, (1, 2))
+    curve = tl.interpolate_curve(spec, a, b, mask, test, 21)
     _, loss_a = tl.evaluate(spec, tl.apply_mask(a, mask), mask, test)
     _, loss_b = tl.evaluate(spec, tl.apply_mask(b, mask), mask, test)
     endpoints = (abs(curve.losses[0] - loss_a) <= 1e-12

@@ -67,17 +67,26 @@ class TestInterpolation:
         with pytest.raises(ValueError):
             tl.interpolate_curve(spec, theta, theta, mask, test, 1)
 
+    def test_theta_b_of_another_model_of_the_same_length_rejected(self):
+        # both models have 10 parameters, laid out differently
+        spec = tl.ModelSpec("mlp", (1,), 2, hidden=(2,))
+        theta_a = tl.init_params(spec, 0)
+        theta_b = tl.init_params(tl.ModelSpec("mlp", (1,), 4, hidden=(1,)), 0)
+        test = tl.LabeledDataset(np.array([[-1.0], [1.0]]), np.array([0, 1]), 2)
+        with pytest.raises(ValueError, match="theta_b"):
+            tl.interpolate_curve(spec, theta_a, theta_b,
+                                 tl.SparsityMask.ones(theta_a.layer_map), test, 3)
+
     def test_alpha_grid_validation(self):
         with pytest.raises(ValueError):
-            InterpolationCurve(np.array([0.0, 0.5]), np.zeros(2), np.zeros(2),
-                               0.5, (0, 1))
+            InterpolationCurve(np.array([0.0, 0.5]), np.zeros(2), np.zeros(2), 0.5)
 
 
 class TestInstability:
     def curve(self, accs):
         n = len(accs)
         return InterpolationCurve(np.linspace(0, 1, n), np.array(accs),
-                                  np.zeros(n), 0.5, (0, 1))
+                                  np.zeros(n), 0.5)
 
     def test_constant_curve_is_stable(self):
         rep = tl.instability(self.curve([0.9, 0.9, 0.9]))

@@ -69,6 +69,16 @@ class TestValidate:
         path = write_config(tmp_path, amount=2.0, desired_sparsity=1.5)
         assert len(cli.validate_config(path)) >= 2
 
+    def test_seeds_diagnosed_apart_from_prune(self, tmp_path):
+        # seeds is a top-level key, and a bad list hides no prune diagnostic
+        path = write_raw(tmp_path, with_section("seeds", []))
+        assert cli.validate_config(path) == [
+            "seeds must be a non-empty list of distinct non-negative integers"]
+        raw = with_section("seeds", 5)
+        raw["prune"]["amount"] = 1.5
+        assert cli.validate_config(write_raw(tmp_path, raw)) == [
+            "seeds must be a list", "prune: amount must be in (0, 1)"]
+
     def test_missing_idx_file(self, tmp_path):
         path = write_config(tmp_path, overrides={
             "dataset": {"source": "idx", "images": "missing.idx",
@@ -234,13 +244,16 @@ UNREAD_CASES = [
     ("distiller.seed is never read", with_section("distiller", {
         "kind": "external", "path": "config.json", "seed": 1})),
 ]
-# a scope pruning does not know, and a negative Lloyd round count; appended
-# last so that no earlier case's id changes
+# a scope pruning does not know, a negative Lloyd round count and an
+# iteration cap that allows no iteration; appended last so that no earlier
+# case's id changes
 CHOICE_CASES = [
     ("prune.scope must be one of global, layerwise", with_section("prune", {
         **BASE_CONFIG["prune"], "scope": "x"})),
     ("distiller.iterations must be >= 0", with_section("distiller", {
         "kind": "kmeansHerding", "ipc": 2, "iterations": -3})),
+    ("prune: iteration_cap must be an integer >= 1", with_section("prune", {
+        **BASE_CONFIG["prune"], "iteration_cap": 0})),
 ]
 INVALID = (WRONG_TYPES + MODEL_CASES + RANGE_CASES + FLAG_AND_FINITE_CASES + PAIR_CASES
            + LATER_CASES + UNREAD_CASES + CHOICE_CASES)

@@ -46,6 +46,13 @@ class TestIdx:
         with pytest.raises(FormatError, match="truncated"):
             tl.load_idx(ip, lp)
 
+    @pytest.mark.parametrize("which", [0, 1], ids=["images", "labels"])
+    def test_trailing_bytes_rejected(self, tmp_path, which):
+        paths = write_idx_fixture(tmp_path)
+        paths[which].write_bytes(paths[which].read_bytes() + b"\x00")
+        with pytest.raises(FormatError, match="trailing bytes"):
+            tl.load_idx(*paths)
+
     def test_count_mismatch(self, tmp_path):
         ip, lp = write_idx_fixture(tmp_path)
         lp.write_bytes(struct.pack(">II", 0x00000801, 1) + bytes([1]))
@@ -423,6 +430,13 @@ class TestDstlFormat:
         tl.save_distilled(dsyn, path)
         path.write_bytes(path.read_bytes()[:-5])
         with pytest.raises(FormatError, match="truncated"):
+            tl.load_distilled(path)
+
+    def test_trailing_bytes_rejected(self, tmp_path, dsyn):
+        path = tmp_path / "d.dstl"
+        tl.save_distilled(dsyn, path)
+        path.write_bytes(path.read_bytes() + b"\x00")
+        with pytest.raises(FormatError, match="trailing bytes"):
             tl.load_distilled(path)
 
     def test_independent_writer(self, tmp_path):

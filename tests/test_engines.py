@@ -100,6 +100,11 @@ class TestImpRun:
         with pytest.raises(SparsityUnreachable):
             tl.imp_run(spec, theta, blobs, make_cfg(0.99, cap=3), seed=0)
 
+    @pytest.mark.parametrize("cap", [0, -1, 1.5, True])
+    def test_iteration_cap_must_be_a_positive_integer(self, cap):
+        with pytest.raises(ValueError, match="^iteration_cap must be an integer >= 1$"):
+            make_cfg(0.5, cap=cap)
+
     def test_rewind_validation(self):
         with pytest.raises(ValueError):
             make_cfg(0.5, t=2, k=2)
@@ -332,12 +337,12 @@ class TestRandomRun:
 
 class TestTimeToMask:
     def test_empty_record(self):
-        rec = RunRecord(method="imp", seed=0, config=make_cfg(0.5))
+        rec = RunRecord(method="imp", seed=0)
         assert tl.time_to_mask(rec, False) == 0.0
         assert tl.time_to_mask(rec, True) == 0.0
 
     def test_final_retrain_toggle(self):
-        rec = RunRecord(method="imp", seed=0, config=make_cfg(0.5))
+        rec = RunRecord(method="imp", seed=0)
         rec.iterations = [
             IterationRecord(1, None, 0.2, 1.5),
             IterationRecord(2, None, 0.36, 2.0, finetune_accuracy=0.9,
@@ -347,7 +352,7 @@ class TestTimeToMask:
         assert tl.time_to_mask(rec, True) == 7.5
 
     def test_record_validation(self):
-        rec = RunRecord(method="imp", seed=0, config=make_cfg(0.5))
+        rec = RunRecord(method="imp", seed=0)
         rec.iterations = [IterationRecord(1, None, 0.4, 0.1),
                           IterationRecord(2, None, 0.3, 0.1)]
         with pytest.raises(ValueError):

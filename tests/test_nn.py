@@ -21,6 +21,7 @@ class TestModelSpec:
         (("mlp", (4,), 2.5), {}, "num_classes must be an integer"),
         (("mlp", (4,), True), {}, "num_classes must be an integer"),
         (("mlp", (4,), 1), {}, "at least 2 classes"),
+        (("convnet", (4, 4), 2), {"channels": (2,)}, r"input_shape must be \(C, H, W\)"),
     ])
     def test_fields_the_model_cannot_use_rejected(self, args, kw, message):
         with pytest.raises(ValueError, match=message):

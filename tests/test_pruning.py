@@ -54,6 +54,14 @@ class TestMaskLayerMap:
             ParameterVector(np.zeros(6), layer_map)
 
 
+@pytest.mark.parametrize("bad", [0.5, -1.0, np.nan])
+def test_mask_entries_must_be_zero_or_one(bad):
+    bits = np.ones(6)
+    bits[2] = bad
+    with pytest.raises(ValueError, match="mask entries must be 0 or 1"):
+        tl.SparsityMask(bits, (LayerEntry("layer", 0, 6, "weight"),))
+
+
 class TestSparsity:
     def test_all_ones_is_zero(self):
         params = flat_model(np.ones(10))
