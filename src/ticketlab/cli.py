@@ -1,7 +1,8 @@
 """Command-line front end and deterministic report emission.
 
-Subcommands: distill, prune, lmc, weights, report, validate.  Configs are
-JSON; reports are CSV tables plus a summary JSON written atomically.  Exit
+Subcommands: distill, prune, report, validate.  Configs are JSON; reports
+are CSV tables plus a summary JSON written atomically, the LMC curve and
+weight histograms among them when the config's report options ask.  Exit
 codes: 0 ok, 2 config error, 3 runtime divergence, 4 I/O failure.
 """
 
@@ -91,7 +92,7 @@ def save_mask(path, mask: pruning.SparsityMask, method="", seed=0):
         "method": method,
         "seed": seed,
     }
-    atomic_write_text(path + ".json", json.dumps(sidecar, indent=2) + "\n")
+    atomic_write_text(path + ".json", json.dumps(sidecar, indent=2, allow_nan=False) + "\n")
 
 
 def load_mask(path) -> pruning.SparsityMask:
@@ -364,14 +365,15 @@ def validate_config(path):
 # ---------------------------------------------------------------------------
 # Experiment orchestration
 
-def _run_seeds(config, finetune_each, count=None):
-    """One RunRecord per configured seed; only the first `count` run."""
-    spec, cfg, method = config.spec, config.cfg, config.method
+def run_experiment(config: ExperimentConfig, out_dir) -> dict:
+    """Run the configured engine over all seeds, write the report into
+    `out_dir` and return its summary."""
+    spec, cfg, method, opts = config.spec, config.cfg, config.method, config.report
     d_syn = config.distilled() if method == "distilled" else None
     records = []
-    for seed in config.seeds[:count]:
+    for seed in config.seeds:
         theta = nn.init_params(spec, seed)
-        kw = dict(eval_data=config.test, finetune_each=finetune_each, seed=seed)
+        kw = dict(eval_data=config.test, finetune_each=opts["finetune_each"], seed=seed)
         # engines.<name> is looked up per call, so a rebound engine is the one run
         if method == "distilled":
             records.append(engines.distilled_prune_run(spec, theta, d_syn, config.train,
@@ -379,14 +381,6 @@ def _run_seeds(config, finetune_each, count=None):
         else:
             run = engines.imp_run if method == "imp" else engines.random_prune_run
             records.append(run(spec, theta, config.train, cfg, **kw))
-    return records
-
-
-def run_experiment(config: ExperimentConfig, out_dir) -> dict:
-    """Run the configured engine over all seeds, write the report into
-    `out_dir` and return its summary."""
-    opts = config.report
-    records = _run_seeds(config, opts["finetune_each"])
 
     rows = [(rec.method, rec.seed, it.index, it.sparsity, it.finetune_accuracy,
              it.mask_phase_seconds, it.finetune_seconds)
@@ -442,7 +436,7 @@ def summarize(records):
 
 def _write_summary(out_dir, summary):
     atomic_write_text(os.path.join(out_dir, "summary.json"),
-                      json.dumps(summary, indent=2, sort_keys=True) + "\n")
+                      json.dumps(summary, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
 def _emit_lmc(config, record, path):
@@ -464,17 +458,16 @@ def _emit_lmc(config, record, path):
 
 
 def _emit_histograms(config, record, out_dir):
-    """Write one histogram per layer; their paths."""
+    """Write one histogram per layer of the record's final mask over its
+    initial weights."""
     theta = nn.init_params(config.spec, record.seed)
     mask = record.final_mask
-    paths = []
     for name in dict.fromkeys(e.name for e in theta.layer_map):
         hist = analysis.weight_histogram(theta, mask, name, config.report["num_bins"])
         rows = [(hist.bin_edges[i], hist.bin_edges[i + 1], int(hist.counts[i]),
                  hist.sparsity) for i in range(len(hist.counts))]
-        paths.append(os.path.join(out_dir, f"hist_{name}.csv"))
-        atomic_write_text(paths[-1], csv_text(HIST_HEADER, rows))
-    return paths
+        atomic_write_text(os.path.join(out_dir, f"hist_{name}.csv"),
+                          csv_text(HIST_HEADER, rows))
 
 
 def rebuild_summary(out_dir):
@@ -510,9 +503,11 @@ def rebuild_summary(out_dir):
                 accuracy, finetune))
         for rec in records:
             rec.validate()
+        summary = summarize(records)
+        json.dumps(summary, allow_nan=False)  # finite seconds may sum to inf
     except (KeyError, ValueError) as e:
         raise data_mod.FormatError(f"{path}: {e!r}") from None
-    return summarize(records)
+    return summary
 
 
 # ---------------------------------------------------------------------------
@@ -522,14 +517,13 @@ def _parser():
     p = argparse.ArgumentParser(prog="ticketlab",
                                 description="Sparse-subnetwork pruning laboratory")
     sub = p.add_subparsers(dest="command", required=True)
-    for name in ("distill", "prune", "lmc", "weights"):
+    for name in ("distill", "prune"):
         sp = sub.add_parser(name)
         sp.add_argument("--config", required=True)
-        if name != "distill":  # the distiller's seed is distiller.seed
-            sp.add_argument("--seed", type=int, action="append", default=None)
         sp.add_argument("--out", default=None)
-        if name == "prune":
-            sp.add_argument("--method", choices=METHODS, default=None)
+    # prune's flags; distill has no --seed, as the distiller's seed is distiller.seed
+    sp.add_argument("--seed", type=int, action="append", default=None)
+    sp.add_argument("--method", choices=METHODS, default=None)
     sp = sub.add_parser("report")
     sp.add_argument("--out", required=True)
     sp = sub.add_parser("validate")
@@ -564,6 +558,7 @@ def _dispatch(args):
         try:
             with open(os.path.join(args.out, "summary.json"), encoding="utf-8") as f:
                 kept = json.load(f)
+            json.dumps(kept, allow_nan=False)  # NaN, Infinity and 1e999 are unreadable too
         except (OSError, ValueError, RecursionError):
             kept = None  # none, or unreadable: the rebuilt summary replaces it
         summary = {**kept, **summary} if isinstance(kept, dict) else summary
@@ -571,7 +566,7 @@ def _dispatch(args):
         print(json.dumps(summary, sort_keys=True))
         return 0
 
-    method = "distilled" if args.command == "distill" else getattr(args, "method", None)
+    method = "distilled" if args.command == "distill" else args.method
     config = ExperimentConfig.load(args.config, method, getattr(args, "seed", None))
     out_dir = args.out or config.out_dir
 
@@ -583,20 +578,7 @@ def _dispatch(args):
                           "provenance": dsyn.provenance}))
         return 0
 
-    if args.command == "prune":
-        print(json.dumps(run_experiment(config, out_dir), sort_keys=True))
-        return 0
-
-    # lmc and weights: one engine run of the first seed, without finetune_each
-    rec, = _run_seeds(config, False, count=1)
-    if args.command == "lmc":
-        result = _emit_lmc(config, rec, os.path.join(out_dir, "lmc.csv"))
-    else:
-        files = _emit_histograms(config, rec, out_dir)
-        ratio = analysis.survivor_magnitude_ratio(nn.init_params(config.spec, rec.seed),
-                                                  rec.final_mask)
-        result = {"survivor_magnitude_ratio": ratio, "files": sorted(files)}
-    print(json.dumps(result, sort_keys=True))
+    print(json.dumps(run_experiment(config, out_dir), sort_keys=True))
     return 0
 
 

@@ -1,10 +1,10 @@
 """Every artifact of one small synthetic run of each command, pinned by its
 sha256 in artifact_hashes.json: `prune` with each method (LMC and
-histograms on), `distill`, `lmc`, `weights`, and `report` over the IMP run;
-then, under convnet/, `prune` with each method and `lmc` of a 1-block
-ConvNet, so the conv chain's bits are pinned too; and, under convnet2/,
-`prune --method imp` and `lmc` of a 2-block ConvNet trained with weight
-decay and a milestone decay, which pins col2im and both decays.
+histograms on), `distill`, and `report` over the IMP run; then, under
+convnet/, `prune` with each method of a 1-block ConvNet, so the conv
+chain's bits are pinned too; and, under convnet2/, `prune --method imp`
+of a 2-block ConvNet trained with weight decay and a milestone decay,
+which pins col2im and both decays.
 Timing is stripped before hashing: the *_seconds columns of each CSV and
 time_to_mask_seconds of each summary.  The hashes hold for one numpy and
 BLAS build; another may round the training arithmetic differently.
@@ -44,7 +44,7 @@ CONFIG = {
 COMMANDS = [("prune_imp", ["prune", "--method", "imp"]),
             ("prune_distilled", ["prune", "--method", "distilled"]),
             ("prune_random", ["prune", "--method", "random"]),
-            ("distill", ["distill"]), ("lmc", ["lmc"]), ("weights", ["weights"])]
+            ("distill", ["distill"])]
 
 CONV_CONFIG = {
     **CONFIG,
@@ -52,7 +52,7 @@ CONV_CONFIG = {
     "model": {"architecture": "convnet", "input_shape": [1, 4, 4], "num_classes": 3,
               "channels": [2]},
 }
-CONV_COMMANDS = COMMANDS[:3] + [("lmc", ["lmc"])]
+CONV_COMMANDS = COMMANDS[:3]
 
 DECAYED = {"batch_size": 16, "weight_decay": 1e-3, "milestones": [1], "gamma": 0.5}
 CONV2_CONFIG = {
@@ -62,7 +62,7 @@ CONV2_CONFIG = {
               "channels": [2, 3]},
     "prune": {**CONFIG["prune"], "mask_train": DECAYED, "finetune": DECAYED},
 }
-CONV2_COMMANDS = [COMMANDS[0], ("lmc", ["lmc"])]
+CONV2_COMMANDS = COMMANDS[:1]
 
 
 def _stripped(path):

@@ -1,14 +1,19 @@
+import argparse
+import contextlib
+import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
+from functools import cache
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import ticketlab as tl
 from ticketlab import cli, engines, nn
@@ -27,6 +32,15 @@ BASE_CONFIG = {
     "seeds": [0, 1],
     "report": {"finetune_each": True, "lmc": False, "histograms": False},
 }
+
+
+def strict_json(text):
+    """json.loads that refuses NaN, Infinity and numbers that overflow to inf."""
+    def refuse(token):
+        raise ValueError(f"non-finite number {token}")
+
+    return json.loads(text, parse_constant=refuse,
+                      parse_float=lambda t: float(t) if math.isfinite(float(t)) else refuse(t))
 
 
 def write_config(tmp_path, overrides=None, **prune_overrides):
@@ -608,23 +622,23 @@ class TestSubcommands:
         assert not (tmp_path / "out").exists()
 
     def test_lmc_writes_curve(self, tmp_path, capsys):
-        path = write_config(tmp_path)
-        code = cli.main(["lmc", "--config", str(path), "--out",
-                         str(tmp_path / "out")])
+        path = write_config(tmp_path, overrides={
+            "report": {"finetune_each": False, "lmc": True}})
+        code = cli.main(["prune", "--config", str(path), "--out",
+                         str(tmp_path / "out"), "--seed", "0"])
         assert code == 0
-        result = json.loads(capsys.readouterr().out.strip())
+        result = json.loads(capsys.readouterr().out.strip())["lmc"]
         assert "error_barrier" in result
         lines = (tmp_path / "out" / "lmc.csv").read_text().splitlines()
         assert lines[0].split(",") == list(cli.LMC_HEADER)
         assert len(lines) == 22  # header + default 21 alpha points
 
-    def test_weights_writes_histograms(self, tmp_path, capsys):
-        path = write_config(tmp_path)
-        code = cli.main(["weights", "--config", str(path), "--out",
-                         str(tmp_path / "out")])
+    def test_weights_writes_histograms(self, tmp_path):
+        path = write_config(tmp_path, overrides={
+            "report": {"finetune_each": False, "histograms": True}})
+        code = cli.main(["prune", "--config", str(path), "--out",
+                         str(tmp_path / "out"), "--seed", "0"])
         assert code == 0
-        result = json.loads(capsys.readouterr().out.strip())
-        assert result["survivor_magnitude_ratio"] > 0
         lines = (tmp_path / "out" / "hist_fc1.csv").read_text().splitlines()
         assert lines[0].split(",") == list(cli.HIST_HEADER)
 
@@ -654,6 +668,17 @@ class TestSubcommands:
         for seed, times in written["time_to_mask_seconds"].items():
             assert rebuilt["time_to_mask_seconds"][seed] == pytest.approx(times, rel=1e-11)
 
+    @pytest.mark.parametrize("kept", ['{"lmc": {"error_barrier": 1e999}}',
+                                      '{"lmc": {"error_barrier": NaN}}', '{"x": -Infinity}'])
+    def test_report_replaces_a_kept_summary_that_is_not_finite(self, tmp_path, kept):
+        # json.load reads all three, but no strict JSON reader can read them back
+        (tmp_path / "iterations.csv").write_text(
+            ",".join(cli.ITERATIONS_HEADER) + "\nimp,0,1,0.2,0.5,0.25,0.5\n")
+        (tmp_path / "summary.json").write_text(kept)
+        assert cli.main(["report", "--out", str(tmp_path)]) == 0
+        rebuilt = strict_json((tmp_path / "summary.json").read_text())
+        assert rebuilt == cli.rebuild_summary(tmp_path)
+
     def test_report_splits_the_table_into_records(self, tmp_path):
         # imp seeds 0 and 1 (its iterations restart), then random seed 2
         (tmp_path / "iterations.csv").write_text(",".join(cli.ITERATIONS_HEADER) + "\n" + "".join(
@@ -682,7 +707,8 @@ class TestSubcommands:
                                                  rewind_epoch):
         # IMP finetunes from its epoch-k snapshot; the other engines from init
         path = write_config(tmp_path, rewind_epoch=rewind_epoch, overrides={
-            "method": method, "distiller": {"ipc": 3}})
+            "method": method, "distiller": {"ipc": 3},
+            "report": {"finetune_each": False, "lmc": True}})
         config = cli.ExperimentConfig.load(path)
         theta = nn.init_params(config.spec, 0)
         if method == "imp":
@@ -697,8 +723,8 @@ class TestSubcommands:
             return train_twin(spec, start, *args)
 
         monkeypatch.setattr(tl.analysis, "train_twin", recording)
-        assert cli.main(["lmc", "--config", str(path), "--out",
-                         str(tmp_path / "out")]) == 0
+        assert cli.main(["prune", "--config", str(path), "--out",
+                         str(tmp_path / "out"), "--seed", "0"]) == 0
         assert [s.values.tobytes() for s in starts] == [theta.values.tobytes()]
 
     def test_invalid_config_exit_code(self, tmp_path):
@@ -731,11 +757,12 @@ class TestSubcommands:
         "imp,0,1,0.2,,0.1,\n",
         ",".join(cli.ITERATIONS_HEADER) + "\nimp,0,1,0.2,,0.1,\nrandom,0,1,0.2,,0.1,\n",
         ",".join(cli.ITERATIONS_HEADER) + "\nimp,0,1,0.2,,0.1,\nimp,0,1,0.2,,0.1,\n",
+        ",".join(cli.ITERATIONS_HEADER) + "\nimp,0,1,0.2,,1e308,\nimp,0,2,0.3,0.5,1e308,0\n",
     ], ids=["empty", "header_only", "bad_seed", "short_row", "sparsity_falls",
             "negative_seconds", "no_iteration_column", "nan_sparsity", "inf_sparsity",
             "nan_seconds", "accuracy_above_one", "sparsity_above_one",
             "negative_finetune_seconds", "not_utf8", "repeated_seed",
-            "seed_under_two_methods", "iteration_repeats"])
+            "seed_under_two_methods", "iteration_repeats", "seconds_sum_to_inf"])
     def test_report_on_bad_iterations_is_io_error(self, tmp_path, capsys, body):
         if isinstance(body, str):
             body = body.encode()
@@ -755,17 +782,19 @@ class TestSubcommands:
         assert err.startswith("runtime failure: non-finite loss")
         assert "learning rate 5e+19" in err and "last finite loss" in err
 
-    @pytest.mark.parametrize("command", ["prune", "lmc"])
+    @pytest.mark.parametrize("report", [BASE_CONFIG["report"],
+                                        {"finetune_each": False, "lmc": True}],
+                             ids=["prune", "lmc"])
     def test_non_finite_logits_are_runtime_error(self, tmp_path, capsys, monkeypatch,
-                                                 command):
+                                                 report):
         # evaluation inputs that overflow the network: the real forward
         # raises FloatingPointError on the non-finite logits
         forward = nn.forward
         monkeypatch.setattr(nn, "forward", lambda spec, params, mask, batch:
                             forward(spec, params, mask, np.asarray(batch) * np.inf))
-        path = write_config(tmp_path)
+        path = write_config(tmp_path, overrides={"report": report})
         with np.errstate(all="ignore"):
-            code = cli.main([command, "--config", str(path), "--out",
+            code = cli.main(["prune", "--config", str(path), "--out",
                              str(tmp_path / "out")])
         assert code == cli.EXIT_RUNTIME
         err = capsys.readouterr().err
@@ -893,9 +922,10 @@ class TestEngineCalls:
     """The CLI reaches each engine through its module attribute at call
     time, so a function bound there in its place is the one that runs."""
 
-    @pytest.mark.parametrize("command,seeds", [("prune", [0, 1]), ("lmc", [0]),
-                                               ("weights", [0])])
-    def test_imp_run_called_per_seed(self, tmp_path, monkeypatch, command, seeds):
+    @pytest.mark.parametrize("argv,seeds", [(["prune"], [0, 1]),
+                                            (["prune", "--seed", "0"], [0])],
+                             ids=["prune-seeds0", "prune_seed0-seeds1"])
+    def test_imp_run_called_per_seed(self, tmp_path, monkeypatch, argv, seeds):
         calls = []
         imp_run = engines.imp_run
 
@@ -905,6 +935,113 @@ class TestEngineCalls:
 
         monkeypatch.setattr(engines, "imp_run", counting)
         path = write_config(tmp_path)
-        assert cli.main([command, "--config", str(path),
-                         "--out", str(tmp_path / "out")]) == 0
+        assert cli.main(argv + ["--config", str(path), "--out", str(tmp_path / "out")]) == 0
         assert calls == seeds
+
+
+def test_docs_name_the_parser_subcommands():
+    """The README's CLI block and cli's docstring list exactly the parser's
+    subcommands."""
+    sub, = (a for a in cli._parser()._actions if isinstance(a, argparse._SubParsersAction))
+    commands = sorted(sub.choices)
+    assert commands == ["distill", "prune", "report", "validate"]
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    assert sorted(line.split()[1] for line in block.splitlines()
+                  if line.startswith("ticketlab ")) == commands
+    listed = re.search(r"Subcommands: ([^.]+)\.", cli.__doc__).group(1)
+    assert sorted(listed.replace("\n", " ").split(", ")) == commands
+
+
+@pytest.mark.parametrize("command", ["lmc", "weights"])
+def test_reports_are_no_subcommands(tmp_path, capsys, command):
+    # the LMC curve and the histograms are report options of prune
+    with pytest.raises(SystemExit) as e:
+        cli.main([command, "--config", str(write_config(tmp_path)),
+                  "--out", str(tmp_path / "out")])
+    assert e.value.code == cli.EXIT_CONFIG
+    assert "invalid choice" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+# A small valid run on IDX files with an external distilled set, and the
+# inputs each command reads; report reads the table and summary of a run.
+CORRUPT_CONFIG = {
+    "dataset": {"source": "idx", "images": "im.idx", "labels": "lb.idx"},
+    "model": {"architecture": "mlp", "input_shape": [2, 2], "num_classes": 3, "hidden": [4]},
+    "prune": {"desired_sparsity": 0.5, "amount": 0.3, "mask_train_epochs": 1,
+              "finetune_epochs": 1, "mask_train": {"batch_size": 8},
+              "finetune": {"batch_size": 8}},
+    "seeds": [0],
+    "distiller": {"kind": "external", "path": "d.dstl"},
+    "report": {"finetune_each": False, "lmc": True, "lmc_points": 3, "histograms": True,
+               "num_bins": 4},
+}
+DATA_INPUTS = ["config.json", "im.idx", "lb.idx", "d.dstl"]
+READS = {"validate": DATA_INPUTS, "distill": DATA_INPUTS, "prune": DATA_INPUTS,
+         "report": ["run/iterations.csv", "run/summary.json"]}
+
+
+@cache
+def pristine_inputs(method):
+    """{relative path: bytes} of every input, for a config of `method`."""
+    with tempfile.TemporaryDirectory() as d:
+        root = Path(d)
+        ds = tl.synth_dataset("gaussianBlobs", 3, 8, 0.6, seed=0, input_shape=(2, 2))
+        tl.write_idx(tl.LabeledDataset(np.clip(ds.examples / 3 + 0.5, 0, 1), ds.labels, 3),
+                     root / "im.idx", root / "lb.idx")
+        tl.save_distilled(tl.distill_class_mean(tl.load_idx(root / "im.idx", root / "lb.idx")),
+                          root / "d.dstl")
+        (root / "config.json").write_text(json.dumps({**CORRUPT_CONFIG, "method": method}))
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["prune", "--config", str(root / "config.json"),
+                             "--out", str(root / "run")]) == 0
+        return {path: (root / path).read_bytes()
+                for path in DATA_INPUTS + READS["report"]}
+
+
+# one splice of one input the command reads: `length` bytes from `start`
+# (modulo the file size plus one) replaced by `payload`
+CORRUPTED_RUNS = st.fixed_dictionaries({
+    "command": st.sampled_from(sorted(READS)), "method": st.sampled_from(cli.METHODS),
+    "index": st.integers(0, 3), "start": st.integers(0, 1 << 12),
+    "length": st.integers(0, 8) | st.just(1 << 30),
+    "payload": st.binary(max_size=8) | st.sampled_from(
+        [b"NaN", b"Infinity", b"1e999", b"-1", b"null", b"[]", b"\xff", b"9"])})
+PREFIX = {cli.EXIT_RUNTIME: "runtime failure:", cli.EXIT_IO: "i/o failure:"}
+
+
+@settings(max_examples=400, deadline=None)
+@given(run=CORRUPTED_RUNS)
+@example(run={"command": "report", "method": "imp", "index": 1, "start": 0,
+              "length": 1 << 30, "payload": b'{"lmc": {"error_barrier": 1e999}}'})
+def test_every_command_is_total_on_one_corrupted_input(run):
+    """Any command on one corrupted input: a documented exit code, no
+    exception, the documented prefix on a runtime or I/O failure, and, on
+    success, strict JSON in every JSON file written and on stdout."""
+    command, inputs = run["command"], READS[run["command"]]
+    target = inputs[run["index"] % len(inputs)]
+    with tempfile.TemporaryDirectory() as d:
+        root = Path(d)
+        (root / "run").mkdir()
+        for path, blob in pristine_inputs(run["method"]).items():
+            if path == target:
+                start = run["start"] % (len(blob) + 1)
+                blob = blob[:start] + run["payload"] + blob[start + run["length"]:]
+            (root / path).write_bytes(blob)
+        argv = [command, "--out", str(root / "run")] if command == "report" else [
+            command, "--config", str(root / "config.json")]
+        argv += ["--out", str(root / "out")] if command in ("distill", "prune") else []
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with (contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr),
+              np.errstate(all="ignore")):
+            code = cli.main(argv)
+        assert code in (0, 2, 3, 4)
+        if code in PREFIX:
+            assert stderr.getvalue().startswith(PREFIX[code]), stderr.getvalue()
+        if code == 0:
+            written = sorted((root / "out").rglob("*.json"))
+            written += [root / "run" / "summary.json"] if command == "report" else []
+            for path in written:
+                strict_json(path.read_text(encoding="utf-8"))
+            strict_json(stdout.getvalue())
