@@ -396,7 +396,7 @@ def run_experiment(config: ExperimentConfig, out_dir) -> dict:
     if opts["lmc"]:
         summary["lmc"] = _emit_lmc(config, records[0], os.path.join(out_dir, "lmc.csv"))
     if opts["histograms"]:
-        _emit_histograms(config, records[0], out_dir)
+        summary["survivor_magnitude_ratio"] = _emit_histograms(config, records, out_dir)
     _write_summary(out_dir, summary)
     return summary
 
@@ -457,17 +457,19 @@ def _emit_lmc(config, record, path):
             "threshold": opts["threshold"]}
 
 
-def _emit_histograms(config, record, out_dir):
-    """Write one histogram per layer of the record's final mask over its
-    initial weights."""
-    theta = nn.init_params(config.spec, record.seed)
-    mask = record.final_mask
+def _emit_histograms(config, records, out_dir):
+    """Write one histogram per layer of the first record's final mask over
+    its initial weights; each record's survivor magnitude ratio, by seed."""
+    thetas = [nn.init_params(config.spec, rec.seed) for rec in records]
+    theta, mask = thetas[0], records[0].final_mask
     for name in dict.fromkeys(e.name for e in theta.layer_map):
         hist = analysis.weight_histogram(theta, mask, name, config.report["num_bins"])
         rows = [(hist.bin_edges[i], hist.bin_edges[i + 1], int(hist.counts[i]),
                  hist.sparsity) for i in range(len(hist.counts))]
         atomic_write_text(os.path.join(out_dir, f"hist_{name}.csv"),
                           csv_text(HIST_HEADER, rows))
+    return {str(rec.seed): analysis.survivor_magnitude_ratio(t, rec.final_mask)
+            for rec, t in zip(records, thetas)}
 
 
 def rebuild_summary(out_dir):

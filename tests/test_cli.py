@@ -637,8 +637,14 @@ class TestSubcommands:
         path = write_config(tmp_path, overrides={
             "report": {"finetune_each": False, "histograms": True}})
         code = cli.main(["prune", "--config", str(path), "--out",
-                         str(tmp_path / "out"), "--seed", "0"])
+                         str(tmp_path / "out")])
         assert code == 0
+        # each seed's ratio is over its own initial weights and final mask;
+        # seed 1's, not the first record's, is pinned bit for bit
+        ratios = json.loads((tmp_path / "out" / "summary.json").read_text())[
+            "survivor_magnitude_ratio"]
+        assert sorted(ratios) == ["0", "1"] and ratios["0"] > 0
+        assert ratios["1"] == 1.9312522404537524
         lines = (tmp_path / "out" / "hist_fc1.csv").read_text().splitlines()
         assert lines[0].split(",") == list(cli.HIST_HEADER)
 
@@ -653,7 +659,8 @@ class TestSubcommands:
 
     def test_report_keeps_the_summary_keys(self, tmp_path, capsys):
         path = write_config(tmp_path, overrides={
-            "report": {"finetune_each": False, "lmc": True, "lmc_points": 3}})
+            "report": {"finetune_each": False, "lmc": True, "lmc_points": 3,
+                       "histograms": True}})
         out = tmp_path / "out"
         assert cli.main(["prune", "--config", str(path), "--out", str(out)]) == 0
         written = json.loads((out / "summary.json").read_text())
@@ -661,7 +668,7 @@ class TestSubcommands:
         rebuilt = json.loads((out / "summary.json").read_text())
         assert rebuilt == json.loads(capsys.readouterr().out.splitlines()[-1])
         assert rebuilt.keys() == written.keys()
-        for key in ("schema_version", "method", "seeds", "lmc"):
+        for key in ("schema_version", "method", "seeds", "lmc", "survivor_magnitude_ratio"):
             assert rebuilt[key] == written[key], key
         assert rebuilt["final_sparsity"] == pytest.approx(written["final_sparsity"],
                                                           rel=1e-11)
