@@ -929,10 +929,13 @@ class TestEngineCalls:
     """The CLI reaches each engine through its module attribute at call
     time, so a function bound there in its place is the one that runs."""
 
-    @pytest.mark.parametrize("argv,seeds", [(["prune"], [0, 1]),
-                                            (["prune", "--seed", "0"], [0])],
-                             ids=["prune-seeds0", "prune_seed0-seeds1"])
-    def test_imp_run_called_per_seed(self, tmp_path, monkeypatch, argv, seeds):
+    # The lmc and weights rows are the prune runs that replace those commands.
+    @pytest.mark.parametrize("argv,report,seeds", [
+        (["prune"], {}, [0, 1]),
+        (["prune", "--seed", "0"], {"finetune_each": False, "lmc": True}, [0]),
+        (["prune", "--seed", "0"], {"finetune_each": False, "histograms": True}, [0])],
+        ids=["prune-seeds0", "lmc-seeds1", "weights-seeds2"])
+    def test_imp_run_called_per_seed(self, tmp_path, monkeypatch, argv, report, seeds):
         calls = []
         imp_run = engines.imp_run
 
@@ -941,7 +944,7 @@ class TestEngineCalls:
             return imp_run(*args, seed=seed, **kwargs)
 
         monkeypatch.setattr(engines, "imp_run", counting)
-        path = write_config(tmp_path)
+        path = write_config(tmp_path, {"report": {**BASE_CONFIG["report"], **report}})
         assert cli.main(argv + ["--config", str(path), "--out", str(tmp_path / "out")]) == 0
         assert calls == seeds
 
