@@ -7,7 +7,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .nn import ModelSpec, ParameterVector, TrainConfig, check_aligned, evaluate, train
+from .nn import (ModelSpec, ParameterVector, TrainConfig, check_aligned, evaluate,
+                 is_whole, train)
 from .pruning import SparsityMask, sparsity
 
 
@@ -58,8 +59,8 @@ def interpolate_curve(spec: ModelSpec, theta_a: ParameterVector,
                       theta_b: ParameterVector, mask: SparsityMask, test_data,
                       num_points: int = 21) -> InterpolationCurve:
     """Evaluate (1-alpha) * theta_a + alpha * theta_b on a uniform alpha grid."""
-    if num_points < 2:
-        raise ValueError("need at least 2 interpolation points")
+    if not is_whole(num_points, 2):
+        raise ValueError(f"num_points must be an integer >= 2, got {num_points!r}")
     if theta_b.layer_map != theta_a.layer_map:
         raise ValueError("theta_b must have the layer map of theta_a")
     alphas = np.linspace(0.0, 1.0, num_points)
@@ -90,8 +91,8 @@ def weight_histogram(theta_init: ParameterVector, mask: SparsityMask,
     Bin edges span the layer's full init range symmetrically about zero.
     """
     check_aligned(theta_init, mask)
-    if num_bins < 1:
-        raise ValueError(f"num_bins must be >= 1, got {num_bins}")
+    if not is_whole(num_bins, 1):
+        raise ValueError(f"num_bins must be an integer >= 1, got {num_bins!r}")
     entries = [e for e in theta_init.layer_map
                if e.name == layer_name and e.kind == "weight"]
     if not entries:

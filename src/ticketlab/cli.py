@@ -142,8 +142,8 @@ class ExperimentConfig:
     through `get`, the model, training, pruning, report and distiller
     settings constructed and the IDX data loaded.  Whatever would stop the
     run, or a key that no field reads, is a diagnostic, and all of them are
-    raised as one ConfigError.  Synthetic data is checked from its fields;
-    a dry build never makes it."""
+    raised as one ConfigError.  Synthetic data takes the model's input shape
+    and classes, and is checked from its fields; a dry build never makes it."""
 
     def __init__(self, raw, base_dir="", method=None, seeds=None, dry=False):
         self.raw, self.base_dir = raw, base_dir
@@ -294,26 +294,26 @@ class ExperimentConfig:
                       max(self.train.num_classes, self.test.num_classes))
             return int(self.train.class_counts().min())
         if source == "synth":
-            kind, classes = get("dataset.kind", kind=str), get("dataset.num_classes", kind=int)
-            per_class = get("dataset.per_class", kind=int)
+            kind, per_class = get("dataset.kind", kind=str), get("dataset.per_class", kind=int)
             test_per_class = get("dataset.test_per_class", (per_class or 0) // 4 or 1, int,
                                  minimum=1)
             noise, seed = get("dataset.noise", 0.5), get("dataset.seed", 0, int)
-            shape = tuple(get("dataset.input_shape", [2], list))
+            if self.spec is None:  # the model diagnostics say why
+                return None
+            shape, classes = self.spec.input_shape, self.spec.num_classes
             self._make(n, "dataset.", lambda: data_mod.check_synth(
                 kind, classes, per_class, noise, seed, shape))
             if len(self.diagnostics) > n:
                 return None
             self._synth = ((kind, classes, per_class, noise, seed, shape),
                            (kind, classes, test_per_class, noise, seed + 10_000, shape))
-            self._fit("dataset", {shape}, classes, exact=True)
             return per_class
 
-    def _fit(self, name, shapes, classes, exact=False):
+    def _fit(self, name, shapes, classes):
         """Diagnose data with these example shapes and this many classes
-        (exactly this many, if `exact`) that the model cannot take."""
+        that the model cannot take."""
         spec = self.spec
-        if spec and (classes > spec.num_classes or exact and classes != spec.num_classes):
+        if spec and classes > spec.num_classes:
             self.diagnostics.append(f"{name}.num_classes {classes} does not fit "
                                     f"model.num_classes {spec.num_classes}")
         for shape in sorted(shapes - {spec.input_shape}) if spec else ():

@@ -12,7 +12,7 @@ import math
 import os
 import struct
 import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -75,18 +75,19 @@ class LabeledDataset:
 
 @dataclass
 class DistilledDataset(LabeledDataset):
-    """A synthetic summary of a larger dataset; ipc = images per class."""
+    """A synthetic summary of a larger dataset: ipc examples of every class."""
 
     provenance: str = "external"
-    ipc: int = 1
+    ipc: int = field(init=False)
 
     def __post_init__(self):
         super().__post_init__()
         if self.provenance not in PROVENANCE_CODES:
             raise ValueError(f"unknown provenance {self.provenance!r}")
-        if self.ipc < 1 or self.size != self.num_classes * self.ipc:
-            raise ValueError(f"{self.size} examples do not make ipc={self.ipc} "
-                             f"for {self.num_classes} classes")
+        counts = self.class_counts()
+        if counts.min() != counts.max():
+            raise ValueError(f"classes hold {counts.min()} to {counts.max()} examples")
+        self.ipc = int(counts[0])
         if not np.all(np.isfinite(self.examples)):
             raise ValueError("distilled examples must be finite")
 
@@ -193,9 +194,9 @@ def check_synth(kind, num_classes, per_class, noise, seed, input_shape=(2,)):
         (seed >= 0, "seed must be >= 0"),
         (whole, "input_shape must be positive integers"),
         (kind != "spirals" or not whole or dim == 2,
-         "input_shape must hold 2 values for spirals"),
+         "kind spirals needs an input_shape of 2 values"),
         (kind != "gaussianBlobs" or not whole or dim >= 2,
-         "input_shape must hold at least 2 values for gaussianBlobs"),
+         "kind gaussianBlobs needs an input_shape of at least 2 values"),
     ])
 
 
@@ -214,7 +215,7 @@ def _per_class(data: LabeledDataset, ipc, provenance, pick) -> DistilledDataset:
         images.append(pick(c, idx))
     return DistilledDataset(np.concatenate(images),
                             np.repeat(np.arange(data.num_classes), ipc),
-                            data.num_classes, provenance=provenance, ipc=ipc)
+                            data.num_classes, provenance=provenance)
 
 
 def distill_random(data: LabeledDataset, ipc: int, seed: int) -> DistilledDataset:
@@ -353,6 +354,6 @@ def load_distilled(path) -> DistilledDataset:
         raise FormatError("labels must be class-major ascending")
     try:
         return DistilledDataset(examples.reshape((n,) + dims), labels, num_classes,
-                                provenance=_CODE_TO_PROVENANCE[code], ipc=ipc)
+                                provenance=_CODE_TO_PROVENANCE[code])
     except ValueError as e:
         raise FormatError(f"{path}: {e}") from None

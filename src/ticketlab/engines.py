@@ -64,7 +64,7 @@ class PruneRunConfig:
         require([
             (0.0 < self.amount < 1.0, "amount must be in (0, 1)"),
             (0.0 < self.desired_sparsity < 1.0, "desired_sparsity must be in (0, 1)"),
-            (self.rewind_epoch >= 0, "rewind_epoch must be >= 0"),
+            (is_whole(self.rewind_epoch, 0), "rewind_epoch must be an integer >= 0"),
             (self.prune_scope in SCOPES, f"prune_scope must be one of {', '.join(SCOPES)}"),
             (self.rewind_epoch <= 0 or self.rewind_epoch < self.train_config_mask.epochs,
              "rewind_epoch must be < mask_train_epochs"),

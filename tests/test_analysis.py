@@ -67,6 +67,12 @@ class TestInterpolation:
         with pytest.raises(ValueError):
             tl.interpolate_curve(spec, theta, theta, mask, test, 1)
 
+    @pytest.mark.parametrize("num_points", [2.5, True])
+    def test_num_points_must_be_an_integer(self, setup, num_points):
+        spec, theta, mask, data, test, cfg = setup
+        with pytest.raises(ValueError, match="num_points must be an integer >= 2"):
+            tl.interpolate_curve(spec, theta, theta, mask, test, num_points)
+
     def test_theta_b_of_another_model_of_the_same_length_rejected(self):
         # both models have 10 parameters, laid out differently
         spec = tl.ModelSpec("mlp", (1,), 2, hidden=(2,))
@@ -155,10 +161,10 @@ class TestWeightHistogram:
         with pytest.raises(KeyError):
             tl.weight_histogram(theta, mask, "nope", 8)
 
-    @pytest.mark.parametrize("num_bins", [0, -1])
+    @pytest.mark.parametrize("num_bins", [0, -1, True, 2.5])
     def test_fewer_than_one_bin_rejected(self, setup, num_bins):
         spec, theta, mask, _, _, _ = setup
-        with pytest.raises(ValueError, match="num_bins must be >= 1"):
+        with pytest.raises(ValueError, match="num_bins must be an integer >= 1"):
             tl.weight_histogram(theta, mask, "fc1", num_bins)
 
 

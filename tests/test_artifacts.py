@@ -30,8 +30,8 @@ from ticketlab import cli
 FIXTURE = Path(__file__).with_name("artifact_hashes.json")
 
 CONFIG = {
-    "dataset": {"source": "synth", "kind": "gaussianBlobs", "num_classes": 3,
-                "per_class": 30, "noise": 0.6, "seed": 0, "input_shape": [2]},
+    "dataset": {"source": "synth", "kind": "gaussianBlobs", "per_class": 30, "noise": 0.6,
+                "seed": 0},
     "model": {"architecture": "mlp", "input_shape": [2], "num_classes": 3, "hidden": [8]},
     "prune": {"desired_sparsity": 0.5, "amount": 0.3, "rewind_epoch": 0,
               "mask_train_epochs": 2, "finetune_epochs": 2,
@@ -48,7 +48,6 @@ COMMANDS = [("prune_imp", ["prune", "--method", "imp"]),
 
 CONV_CONFIG = {
     **CONFIG,
-    "dataset": {**CONFIG["dataset"], "input_shape": [1, 4, 4]},
     "model": {"architecture": "convnet", "input_shape": [1, 4, 4], "num_classes": 3,
               "channels": [2]},
 }
@@ -57,7 +56,6 @@ CONV_COMMANDS = COMMANDS[:3]
 DECAYED = {"batch_size": 16, "weight_decay": 1e-3, "milestones": [1], "gamma": 0.5}
 CONV2_CONFIG = {
     **CONFIG,
-    "dataset": {**CONFIG["dataset"], "input_shape": [2, 4, 4]},
     "model": {"architecture": "convnet", "input_shape": [2, 4, 4], "num_classes": 3,
               "channels": [2, 3]},
     "prune": {**CONFIG["prune"], "mask_train": DECAYED, "finetune": DECAYED},

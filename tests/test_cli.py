@@ -20,8 +20,8 @@ from ticketlab import cli, engines, nn
 
 
 BASE_CONFIG = {
-    "dataset": {"source": "synth", "kind": "gaussianBlobs", "num_classes": 3,
-                "per_class": 60, "noise": 0.6, "seed": 0, "input_shape": [2]},
+    "dataset": {"source": "synth", "kind": "gaussianBlobs", "per_class": 60, "noise": 0.6,
+                "seed": 0},
     "model": {"architecture": "mlp", "input_shape": [2], "num_classes": 3,
               "hidden": [10]},
     "method": "imp",
@@ -154,8 +154,8 @@ def with_model(**fields):
     return with_section("model", {k: v for k, v in model.items() if v is not None})
 
 
-# well-typed sections from which no model can be built, or one the data
-# does not fit
+# well-typed sections from which no model can be built, and synthetic data
+# that restates the model's classes or shape
 MODEL_CASES = [
     ("model.input_shape", with_model(input_shape=None)),
     ("model.architecture", with_model(architecture=None)),
@@ -167,10 +167,10 @@ MODEL_CASES = [
     ("positive integers", with_model(input_shape=[])),
     ("halve evenly", with_model(architecture="convnet", input_shape=[1, 3, 3],
                                 channels=[2])),
-    ("dataset.num_classes", with_section("dataset", {**BASE_CONFIG["dataset"],
-                                                     "num_classes": 4})),
-    ("dataset.input_shape", with_section("dataset", {**BASE_CONFIG["dataset"],
-                                                     "input_shape": [3]})),
+    ("dataset.num_classes is never read", with_section("dataset", {
+        **BASE_CONFIG["dataset"], "num_classes": 3})),
+    ("dataset.input_shape is never read", with_section("dataset", {
+        **BASE_CONFIG["dataset"], "input_shape": [2]})),
     ("dataset.source", with_section("dataset", {k: v for k, v in
                                                 BASE_CONFIG["dataset"].items()
                                                 if k != "source"})),
@@ -204,10 +204,9 @@ RANGE_CASES = [
     ("dataset.test_per_class", with_dataset(test_per_class=0)),
     ("dataset.seed", with_dataset(seed=-1)),
     ("seeds", with_section("seeds", [0, -1])),
-    ("spirals", {**with_dataset(kind="spirals", input_shape=[3]),
+    ("spirals", {**with_dataset(kind="spirals"),
                  "model": {**BASE_CONFIG["model"], "input_shape": [3]}}),
-    ("at least 2 values", {**with_dataset(input_shape=[1]),
-                           "model": {**BASE_CONFIG["model"], "input_shape": [1]}}),
+    ("at least 2 values", with_model(input_shape=[1])),
     ("report.lmc_points", with_section("report", {"lmc": True, "lmc_points": 1})),
     ("report.num_bins", with_section("report", {"histograms": True, "num_bins": -2})),
     ("distiller.ipc", {**with_section("distiller", {"ipc": 0}), "method": "distilled"}),
@@ -292,7 +291,7 @@ class TestValidateTypes:
                          "--out", str(tmp_path / "out")]) == cli.EXIT_CONFIG
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("missing", ["num_classes", "per_class"])
+    @pytest.mark.parametrize("missing", ["per_class"])
     def test_synth_fields_required(self, tmp_path, missing):
         dataset = {k: v for k, v in BASE_CONFIG["dataset"].items() if k != missing}
         path = write_raw(tmp_path, with_section("dataset", dataset))
@@ -372,9 +371,8 @@ def test_validate_is_total_on_json(value):
 TRAIN = {"learning_rate": 0.1, "momentum": 0.9, "weight_decay": 0.0, "batch_size": 8,
          "milestones": [], "gamma": 1.0, "shuffle_seed": 0}
 TINY_CONFIG = {
-    "dataset": {"source": "synth", "kind": "gaussianBlobs", "num_classes": 3,
-                "per_class": 8, "test_per_class": 4, "noise": 0.6, "seed": 0,
-                "input_shape": [2]},
+    "dataset": {"source": "synth", "kind": "gaussianBlobs", "per_class": 8,
+                "test_per_class": 4, "noise": 0.6, "seed": 0},
     "model": {"architecture": "mlp", "input_shape": [2], "num_classes": 3, "hidden": [4],
               "channels": []},
     "method": "imp",
@@ -913,7 +911,8 @@ class TestConfigPaths:
         argv += ["--method", "distilled"] if command == "prune" else []
         assert "distiller.ipc" in self.assert_config_error(capsys, argv, tmp_path / "out")
 
-    @pytest.mark.parametrize("name", ["ipc_zero", "label_out_of_range", "non_finite"])
+    @pytest.mark.parametrize("name", ["ipc_zero", "label_out_of_range", "non_finite",
+                                      "unequal_classes", "empty_class"])
     def test_rejected_external_contents_are_io_errors(self, tmp_path, monkeypatch,
                                                       capsys, name):
         from test_data import BAD_DSTL_CONTENTS

@@ -97,8 +97,8 @@ class TestSynth:
         (("circles", 2, 5, 0.1, 0, (2,)), ["kind"]),
         (("gaussianBlobs", 2, 0, 0.1, -1, (2,)), ["per_class", "seed"]),
         (("gaussianBlobs", 2, 5, float("nan"), 0, (2,)), ["noise"]),
-        (("gaussianBlobs", 2, 5, 0.1, 0, (1,)), ["input_shape"]),
-        (("spirals", 2, 5, 0.1, 0, (1, 2, 2)), ["input_shape"]),
+        (("gaussianBlobs", 2, 5, 0.1, 0, (1,)), ["kind"]),
+        (("spirals", 2, 5, 0.1, 0, (1, 2, 2)), ["kind"]),
         (("gaussianBlobs", 2, 5, 0.1, 0, (2, True)), ["input_shape"]),
     ])
     def test_check_names_each_broken_argument(self, args, broken):
@@ -216,11 +216,13 @@ class TestDistillers:
             prev = obj
 
     def test_ipc_must_match_example_count(self):
-        x, labels = np.zeros((4, 2)), np.array([0, 0, 1, 1])
-        assert tl.DistilledDataset(x, labels, 2, ipc=2).ipc == 2
-        for ipc in (0, 1, 3):
-            with pytest.raises(ValueError, match="ipc"):
-                tl.DistilledDataset(x, labels, 2, ipc=ipc)
+        # ipc is each class's count, so the counts must be equal
+        x = np.zeros((4, 2))
+        assert tl.DistilledDataset(x, [0, 0, 1, 1], 2).ipc == 2
+        assert tl.DistilledDataset(x, [0, 1, 2, 3], 4).ipc == 1
+        for labels, classes in (([0, 0, 0, 1], 2), ([0, 0, 0, 0], 2), ([0, 0, 1, 1], 3)):
+            with pytest.raises(ValueError, match="classes hold"):
+                tl.DistilledDataset(x, labels, classes)
 
     def test_herding_zero_iterations_gives_the_seeds(self, dataset):
         dsyn = tl.distill_kmeans_herding(dataset, ipc=3, iterations=0, seed=4)
@@ -476,6 +478,8 @@ BAD_DSTL_CONTENTS = {
     "ipc_zero": dstl_blob(2, 0, np.zeros((0, 3)), []),
     "label_out_of_range": dstl_blob(2, 1, np.zeros((2, 3)), [0, 2]),
     "non_finite": dstl_blob(2, 1, [[0.0, np.nan, 0.0], [1.0, 1.0, np.inf]], [0, 1]),
+    "unequal_classes": dstl_blob(2, 2, np.zeros((4, 3)), [0, 0, 0, 1]),
+    "empty_class": dstl_blob(2, 2, np.zeros((4, 3)), [0, 0, 0, 0]),
 }
 
 

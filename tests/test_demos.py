@@ -1,6 +1,8 @@
-"""Each demo script runs to completion, from a scratch working directory."""
+"""Each demo script, and the README's python blocks, run to completion from
+a scratch working directory."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -24,3 +26,16 @@ def test_demo_runs(demo, tmp_path):
                          capture_output=True, text=True, timeout=300)
     assert run.returncode == 0, run.stderr
     assert run.stdout
+
+
+def test_readme_python_blocks_run(tmp_path, monkeypatch, capsys):
+    """The README's python blocks run in order, in one namespace, as a
+    reader pasting them into one session would run them."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```", readme, re.S | re.M)
+    assert blocks
+    monkeypatch.chdir(tmp_path)
+    namespace = {}
+    for block in blocks:
+        exec(compile(block, str(ROOT / "README.md"), "exec"), namespace)
+    assert capsys.readouterr().out

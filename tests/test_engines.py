@@ -140,6 +140,12 @@ class TestPhaseEpochs:
             tl.PruneRunConfig(desired_sparsity=0.3, finetune_epochs=1,
                               train_config_finetune=tl.TrainConfig(epochs=2))
 
+    @pytest.mark.parametrize("rewind_epoch", [1.5, True, -1])
+    def test_rewind_epoch_must_be_an_integer(self, rewind_epoch):
+        with pytest.raises(ValueError, match="rewind_epoch must be an integer >= 0"):
+            tl.PruneRunConfig(desired_sparsity=0.3, mask_train_epochs=3,
+                              rewind_epoch=rewind_epoch)
+
 
 def reference_imp(spec, theta, data, cfg, finetune_each):
     """IMP with every training run afresh: (mask bytes, finetune accuracy or
