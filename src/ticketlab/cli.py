@@ -122,9 +122,10 @@ def load_mask(path) -> pruning.SparsityMask:
 # Experiment configuration
 
 METHODS = ("imp", "distilled", "random")
-DISTILLERS = ("kmeansHerding", "classMean", "random", "external")
+DISTILLERS = tuple(data_mod.PROVENANCE_CODES)
 _KINDS = {dict: "an object", list: "a list", str: "a string", bool: "a boolean",
           int: "an integer", float: "a finite number"}
+_UNSET = object()  # get's default for a key whose default the library constructor owns
 
 
 def _is_kind(value, kind):
@@ -140,10 +141,12 @@ class ExperimentConfig:
     """A JSON config and every object a command builds from it, before any
     training: the --method and --seed overrides applied, each field read once
     through `get`, the model, training, pruning, report and distiller
-    settings constructed and the IDX data loaded.  Whatever would stop the
-    run, or a key that no field reads, is a diagnostic, and all of them are
-    raised as one ConfigError.  Synthetic data takes the model's input shape
-    and classes, and is checked from its fields; a dry build never makes it."""
+    settings constructed and the IDX data loaded.  A model, prune or
+    training key the config leaves out is not passed to its constructor,
+    whose default then applies.  Whatever would stop the run, or a key that
+    no field reads, is a diagnostic, and all of them are raised as one
+    ConfigError.  Synthetic data takes the model's input shape and classes,
+    and is checked from its fields; a dry build never makes it."""
 
     def __init__(self, raw, base_dir="", method=None, seeds=None, dry=False):
         self.raw, self.base_dir = raw, base_dir
@@ -210,13 +213,14 @@ class ExperimentConfig:
             elif kind is dict and isinstance(value, dict):
                 self._unread(value, f"{prefix}{key}.")
 
-    def _make(self, since, prefix, build):
-        """build(), else None: untried if a field it reads has a diagnostic
-        (made after `since`), and a diagnostic per rule it reports broken."""
+    def _make(self, since, prefix, build, *args, **fields):
+        """build(*args, **fields), else None: untried if a field it reads has a
+        diagnostic (made after `since`), and a diagnostic per rule it reports
+        broken.  A field read as _UNSET is left out, so build's default applies."""
         if len(self.diagnostics) > since:
             return None
         try:
-            return build()
+            return build(*args, **{k: v for k, v in fields.items() if v is not _UNSET})
         except (ValueError, TypeError) as e:
             self.diagnostics.extend(prefix + rule for rule in str(e).split("; "))
 
@@ -236,22 +240,20 @@ class ExperimentConfig:
         get("model", kind=dict)
         arch, shape = get("model.architecture", kind=str), get("model.input_shape", kind=list)
         classes = get("model.num_classes", kind=int)
-        hidden, channels = get("model.hidden", [], list), get("model.channels", [], list)
-        self.spec = self._make(n, "model: ", lambda: nn.ModelSpec(
-            arch, tuple(shape), classes, tuple(hidden), tuple(channels)))
+        sizes = {key: get(f"model.{key}", _UNSET, list) for key in ("hidden", "channels")}
+        self.spec = self._make(n, "model: ", nn.ModelSpec, arch, shape, classes, **sizes)
 
         n = len(self.diagnostics)
         get("prune", {}, dict)
         train = {key: self._train_config(key) for key in ("mask_train", "finetune")}
         fields = dict(desired_sparsity=get("prune.desired_sparsity", 0.5),
-                      amount=get("prune.amount", 0.2),
-                      rewind_epoch=get("prune.rewind_epoch", 0, int),
-                      iteration_cap=get("prune.iteration_cap",
-                                        engines.DEFAULT_ITERATION_CAP, int))
-        scope = get("prune.scope", "global", str, choices=pruning.SCOPES)
-        self.cfg = self._make(n, "prune: ", lambda: engines.PruneRunConfig(
-            prune_scope=scope, train_config_mask=train["mask_train"],
-            train_config_finetune=train["finetune"], **fields))
+                      amount=get("prune.amount", _UNSET),
+                      rewind_epoch=get("prune.rewind_epoch", _UNSET, int),
+                      iteration_cap=get("prune.iteration_cap", _UNSET, int),
+                      prune_scope=get("prune.scope", _UNSET, str, choices=pruning.SCOPES))
+        self.cfg = self._make(n, "prune: ", engines.PruneRunConfig, **fields,
+                              train_config_mask=train["mask_train"],
+                              train_config_finetune=train["finetune"])
 
         get("report", {}, dict)
         self.report = {key: get(f"report.{key}", default, kind, minimum)
@@ -267,12 +269,10 @@ class ExperimentConfig:
         n = len(self.diagnostics)
         get(name, {}, dict)
         epochs = get(f"{name}_epochs", 3, int)
-        fields = {field: get(f"{name}.{field}", default, kind) for field, default, kind in (
-            ("learning_rate", 0.1, float), ("momentum", 0.9, float),
-            ("weight_decay", 0.0, float), ("batch_size", 32, int),
-            ("milestones", [], list), ("gamma", 1.0, float), ("shuffle_seed", 0, int))}
-        fields["milestones"] = tuple(fields["milestones"])
-        return self._make(n, f"{name}: ", lambda: nn.TrainConfig(epochs, **fields))
+        fields = {field: get(f"{name}.{field}", _UNSET, kind) for field, kind in (
+            ("learning_rate", float), ("momentum", float), ("weight_decay", float),
+            ("batch_size", int), ("milestones", list), ("gamma", float), ("shuffle_seed", int))}
+        return self._make(n, f"{name}: ", nn.TrainConfig, epochs, **fields)
 
     def _data(self):
         """Check the dataset against the model, loading IDX files into
@@ -301,8 +301,8 @@ class ExperimentConfig:
             if self.spec is None:  # the model diagnostics say why
                 return None
             shape, classes = self.spec.input_shape, self.spec.num_classes
-            self._make(n, "dataset.", lambda: data_mod.check_synth(
-                kind, classes, per_class, noise, seed, shape))
+            self._make(n, "dataset.", data_mod.check_synth,
+                       kind, classes, per_class, noise, seed, shape)
             if len(self.diagnostics) > n:
                 return None
             self._synth = ((kind, classes, per_class, noise, seed, shape),

@@ -16,14 +16,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .nn import is_whole, require
+from .nn import is_number, is_whole, require
 
 IMAGE_MAGIC = 0x00000803
 LABEL_MAGIC = 0x00000801
 
 DSTL_MAGIC = b"DSTL"
 DSTL_VERSION = 1
-PROVENANCE_CODES = {"random": 0, "classMean": 1, "kmeansHerding": 2, "external": 3}
+# in the order the CLI lists distiller kinds
+PROVENANCE_CODES = {"kmeansHerding": 2, "classMean": 1, "random": 0, "external": 3}
 _CODE_TO_PROVENANCE = {v: k for k, v in PROVENANCE_CODES.items()}
 
 
@@ -49,7 +50,7 @@ def atomic_write(path, blob):
 
 @dataclass
 class LabeledDataset:
-    """Examples of shape (N, *dims), integer labels, class count."""
+    """Examples of shape (N, *dims), N whole-number labels, class count."""
 
     examples: np.ndarray
     labels: np.ndarray
@@ -57,13 +58,18 @@ class LabeledDataset:
 
     def __post_init__(self):
         self.examples = np.asarray(self.examples, dtype=np.float64)
-        self.labels = np.asarray(self.labels, dtype=np.int64)
-        if self.examples.shape[0] != self.labels.shape[0]:
+        labels = np.asarray(self.labels)
+        if labels.ndim != 1 or labels.shape != self.examples.shape[:1]:
             raise ValueError("examples/labels count mismatch")
-        if self.examples.shape[0] < 1:
+        if labels.size < 1:
             raise ValueError("dataset must be non-empty")
-        if self.labels.min() < 0 or self.labels.max() >= self.num_classes:
+        if not is_whole(self.num_classes, 1):
+            raise ValueError("num_classes must be an integer >= 1")
+        if labels.dtype.kind not in "iuf" or not np.all(labels == np.round(labels)):
+            raise ValueError("labels must be whole numbers")
+        if labels.min() < 0 or labels.max() >= self.num_classes:
             raise ValueError("label out of range")
+        self.labels = labels.astype(np.int64, copy=False)
 
     @property
     def size(self) -> int:
@@ -184,14 +190,14 @@ def synth_dataset(kind, num_classes, per_class, noise, seed,
 def check_synth(kind, num_classes, per_class, noise, seed, input_shape=(2,)):
     """Raise one ValueError naming every rule the synth_dataset arguments
     break; each message starts with the argument's name."""
-    whole = all(is_whole(d, 1) for d in input_shape)
+    whole = isinstance(input_shape, (list, tuple)) and all(is_whole(d, 1) for d in input_shape)
     dim = int(np.prod(input_shape)) if whole else None
     require([
         (kind in ("gaussianBlobs", "spirals"), "kind must be gaussianBlobs or spirals"),
-        (num_classes >= 1, "num_classes must be >= 1"),
-        (per_class >= 1, "per_class must be >= 1"),
-        (np.isfinite(noise), "noise must be finite"),
-        (seed >= 0, "seed must be >= 0"),
+        (is_whole(num_classes, 1), "num_classes must be an integer >= 1"),
+        (is_whole(per_class, 1), "per_class must be an integer >= 1"),
+        (is_number(noise) and np.isfinite(noise), "noise must be finite"),
+        (is_whole(seed, 0), "seed must be an integer >= 0"),
         (whole, "input_shape must be positive integers"),
         (kind != "spirals" or not whole or dim == 2,
          "kind spirals needs an input_shape of 2 values"),
@@ -207,6 +213,8 @@ def _per_class(data: LabeledDataset, ipc, provenance, pick) -> DistilledDataset:
     """The DistilledDataset of `ipc` examples per class, class by class:
     pick(c, idx) gives the (ipc, *dims) examples of class c, whose members
     are data.examples[idx]."""
+    if not is_whole(ipc, 1):
+        raise ValueError(f"ipc must be an integer >= 1, got {ipc!r}")
     images = []
     for c in range(data.num_classes):
         idx = np.flatnonzero(data.labels == c)

@@ -25,10 +25,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .nn import ModelSpec, ParameterVector, TrainConfig, evaluate, is_whole, require, train
+from .nn import (ModelSpec, ParameterVector, TrainConfig, evaluate, is_number, is_whole,
+                 require, train)
 from .pruning import SCOPES, SparsityMask, magnitude_prune, random_prune, sparsity
-
-DEFAULT_ITERATION_CAP = 40
 
 
 class SparsityUnreachable(RuntimeError):
@@ -49,7 +48,7 @@ class PruneRunConfig:
     prune_scope: str = "global"
     train_config_mask: TrainConfig = None
     train_config_finetune: TrainConfig = None
-    iteration_cap: int = DEFAULT_ITERATION_CAP
+    iteration_cap: int = 40
 
     def __post_init__(self):
         agree = []
@@ -62,11 +61,13 @@ class PruneRunConfig:
                           f"{name} must equal {key}.epochs"))
             object.__setattr__(self, name, getattr(self, key).epochs)
         require([
-            (0.0 < self.amount < 1.0, "amount must be in (0, 1)"),
-            (0.0 < self.desired_sparsity < 1.0, "desired_sparsity must be in (0, 1)"),
+            (is_number(self.amount) and 0.0 < self.amount < 1.0, "amount must be in (0, 1)"),
+            (is_number(self.desired_sparsity) and 0.0 < self.desired_sparsity < 1.0,
+             "desired_sparsity must be in (0, 1)"),
             (is_whole(self.rewind_epoch, 0), "rewind_epoch must be an integer >= 0"),
             (self.prune_scope in SCOPES, f"prune_scope must be one of {', '.join(SCOPES)}"),
-            (self.rewind_epoch <= 0 or self.rewind_epoch < self.train_config_mask.epochs,
+            (not is_whole(self.rewind_epoch, 1)
+             or self.rewind_epoch < self.train_config_mask.epochs,
              "rewind_epoch must be < mask_train_epochs"),
             (is_whole(self.iteration_cap, 1), "iteration_cap must be an integer >= 1"),
             *agree,

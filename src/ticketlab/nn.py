@@ -75,6 +75,22 @@ def is_whole(value, minimum):
             and value >= minimum)
 
 
+def is_number(value):
+    """A real number (a bool is not one), for a range check to compare."""
+    return (isinstance(value, (int, float, np.integer, np.floating))
+            and not isinstance(value, bool))
+
+
+def _store_tuple(obj, name):
+    """The list or tuple field `name` of the frozen `obj`, stored as a tuple;
+    None, the field left for its check to reject, if it is neither."""
+    value = getattr(obj, name)
+    if not isinstance(value, (list, tuple)):
+        return None
+    object.__setattr__(obj, name, tuple(value))
+    return getattr(obj, name)
+
+
 def check_layer_map(layer_map, n):
     """Raise ValueError unless the entries tile positions 0..n-1 in order:
     each offset where the previous entry ended, each length an integer >= 0."""
@@ -108,16 +124,20 @@ class TrainConfig:
     shuffle_seed: int = 0
 
     def __post_init__(self):
-        ms = list(self.milestones)
+        ms = _store_tuple(self, "milestones")
         require([
             (is_whole(self.epochs, 0), "epochs must be an integer >= 0"),
-            (0 < self.learning_rate < np.inf, "learning rate must be positive and finite"),
-            (0 <= self.momentum < 1, "momentum must be in [0, 1)"),
-            (0 <= self.weight_decay < np.inf, "weight decay must be non-negative and finite"),
+            (is_number(self.learning_rate) and 0 < self.learning_rate < np.inf,
+             "learning rate must be positive and finite"),
+            (is_number(self.momentum) and 0 <= self.momentum < 1, "momentum must be in [0, 1)"),
+            (is_number(self.weight_decay) and 0 <= self.weight_decay < np.inf,
+             "weight decay must be non-negative and finite"),
             (is_whole(self.batch_size, 1), "batch size must be a positive integer"),
-            (0 < self.gamma <= 1, "gamma must be in (0, 1]"),
+            (is_number(self.gamma) and 0 < self.gamma <= 1, "gamma must be in (0, 1]"),
             (is_whole(self.shuffle_seed, 0), "shuffle_seed must be an integer >= 0"),
-            (all(is_whole(m, 0) and m < self.epochs for m in ms) and ms == sorted(set(ms)),
+            (ms is not None
+             and all(is_whole(m, 0) and is_whole(self.epochs, m + 1) for m in ms)
+             and list(ms) == sorted(set(ms)),
              "milestones must be strictly increasing integers >= 0 and < epochs"),
         ])
 
@@ -139,8 +159,8 @@ class ModelSpec:
             raise ValueError(f"unknown architecture {self.architecture!r}")
         if not is_whole(self.num_classes, 2):
             raise ValueError("num_classes must be an integer: need at least 2 classes")
-        if not self.input_shape or not all(
-                is_whole(d, 1) for d in (*self.input_shape, *self.hidden, *self.channels)):
+        sizes = [_store_tuple(self, key) for key in ("input_shape", "hidden", "channels")]
+        if None in sizes or not sizes[0] or not all(is_whole(d, 1) for s in sizes for d in s):
             raise ValueError("input_shape (non-empty), hidden and channels must be "
                              "positive integers")
         if self.architecture == "convnet":
@@ -197,7 +217,7 @@ def init_params(spec: ModelSpec, seed: int) -> ParameterVector:
 
 def _as_batch(spec: ModelSpec, batch: np.ndarray) -> np.ndarray:
     batch = np.asarray(batch, dtype=np.float64)
-    if batch.shape[1:] != tuple(spec.input_shape):
+    if batch.shape[1:] != spec.input_shape:
         raise ValueError(
             f"batch shape {batch.shape[1:]} does not match input shape {spec.input_shape}")
     return batch

@@ -12,7 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .nn import LayerEntry, ParameterVector, check_aligned, check_layer_map, require
+from .nn import (LayerEntry, ParameterVector, check_aligned, check_layer_map, is_number,
+                 require)
 
 # where pruning ranks candidates: one global pool, or one pool per layer
 SCOPES = ("global", "layerwise")
@@ -93,7 +94,7 @@ def _prune_by_key(mask, amount, scope, key):
     each pool with the smallest key: one pool in global mode, one per layer
     in layerwise mode.  Ties break toward the lower flat index (a stable
     sort of flat-ordered candidates)."""
-    require([(0.0 < amount < 1.0, "amount must be in (0, 1)"),
+    require([(is_number(amount) and 0.0 < amount < 1.0, "amount must be in (0, 1)"),
              (scope in SCOPES, f"scope must be one of {', '.join(SCOPES)}")])
     out = mask.copy()
     candidates = mask.prunable_selector() & (mask.bits == 1.0)

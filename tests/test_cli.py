@@ -69,6 +69,17 @@ class TestValidate:
         raw = {**with_section("distiller", distiller), "method": "distilled"}
         assert cli.validate_config(write_raw(tmp_path, raw)) == []
 
+    def test_omitted_keys_take_the_library_defaults(self):
+        model = {key: BASE_CONFIG["model"][key]
+                 for key in ("architecture", "input_shape", "num_classes")}
+        bare = {key: value for key, value in BASE_CONFIG.items() if key != "prune"}
+        for raw in ({**bare, "model": model}, {**bare, "model": model, "prune": {}}):
+            config = cli.ExperimentConfig(raw, dry=True)
+            assert config.spec == tl.ModelSpec("mlp", (2,), 3)
+            assert config.cfg == tl.PruneRunConfig(
+                0.5, train_config_mask=tl.TrainConfig(3),
+                train_config_finetune=tl.TrainConfig(3))
+
     def test_amount_out_of_range(self, tmp_path):
         path = write_config(tmp_path, amount=1.5)
         diags = cli.validate_config(path)

@@ -100,6 +100,8 @@ class TestSynth:
         (("gaussianBlobs", 2, 5, 0.1, 0, (1,)), ["kind"]),
         (("spirals", 2, 5, 0.1, 0, (1, 2, 2)), ["kind"]),
         (("gaussianBlobs", 2, 5, 0.1, 0, (2, True)), ["input_shape"]),
+        (("gaussianBlobs", 2.5, True, 0.1, 1.5, (2,)), ["num_classes", "per_class", "seed"]),
+        (("gaussianBlobs", None, 5, None, 0, None), ["num_classes", "noise", "input_shape"]),
     ])
     def test_check_names_each_broken_argument(self, args, broken):
         with pytest.raises(ValueError) as info:
@@ -214,6 +216,25 @@ class TestDistillers:
             if prev is not None:
                 assert obj <= prev + 1e-9
             prev = obj
+
+    @pytest.mark.parametrize("ipc", [0, -1, 1.5, True, None])
+    @pytest.mark.parametrize("distill", [tl.distill_random, tl.distill_kmeans_herding])
+    def test_ipc_must_be_a_positive_integer(self, dataset, distill, ipc):
+        with pytest.raises(ValueError, match="^ipc must be an integer >= 1"):
+            distill(dataset, ipc, seed=0)
+
+    @pytest.mark.parametrize("labels,classes,message", [
+        ([0.7, 1.2], 2, "labels must be whole numbers"),
+        ([True, False], 2, "labels must be whole numbers"),
+        ([0, 1], 2.5, "num_classes must be an integer >= 1"),
+        ([0, 1], None, "num_classes must be an integer >= 1")])
+    def test_labels_and_classes_must_be_whole(self, labels, classes, message):
+        with pytest.raises(ValueError, match=message):
+            tl.LabeledDataset(np.zeros((2, 2)), labels, classes)
+
+    def test_whole_float_labels_accepted(self):
+        ds = tl.LabeledDataset(np.zeros((2, 2)), [1.0, 0.0], 2)
+        assert ds.labels.dtype == np.int64 and list(ds.labels) == [1, 0]
 
     def test_ipc_must_match_example_count(self):
         # ipc is each class's count, so the counts must be equal

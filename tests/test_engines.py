@@ -114,6 +114,12 @@ class TestImpRun:
         with pytest.raises(ValueError, match="^prune_scope must be one of global, layerwise$"):
             make_cfg(0.5, scope=scope)
 
+    @pytest.mark.parametrize("field", ["amount", "desired_sparsity"])
+    @pytest.mark.parametrize("value", [None, "0.2", True])
+    def test_fractions_must_be_numbers(self, field, value):
+        with pytest.raises(ValueError, match=rf"^{field} must be in \(0, 1\)$"):
+            tl.PruneRunConfig(**{"desired_sparsity": 0.3, field: value})
+
 
 class TestPhaseEpochs:
     """Each phase's epochs are its TrainConfig's."""
@@ -140,7 +146,7 @@ class TestPhaseEpochs:
             tl.PruneRunConfig(desired_sparsity=0.3, finetune_epochs=1,
                               train_config_finetune=tl.TrainConfig(epochs=2))
 
-    @pytest.mark.parametrize("rewind_epoch", [1.5, True, -1])
+    @pytest.mark.parametrize("rewind_epoch", [1.5, True, -1, None, "1"])
     def test_rewind_epoch_must_be_an_integer(self, rewind_epoch):
         with pytest.raises(ValueError, match="rewind_epoch must be an integer >= 0"):
             tl.PruneRunConfig(desired_sparsity=0.3, mask_train_epochs=3,

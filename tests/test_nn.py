@@ -1,3 +1,4 @@
+import functools
 from dataclasses import replace
 
 import numpy as np
@@ -22,16 +23,57 @@ class TestModelSpec:
         (("mlp", (4,), True), {}, "num_classes must be an integer"),
         (("mlp", (4,), 1), {}, "at least 2 classes"),
         (("convnet", (4, 4), 2), {"channels": (2,)}, r"input_shape must be \(C, H, W\)"),
+        (("mlp", None, 2), {}, r"input_shape \(non-empty\), hidden and channels must be"),
+        (("mlp", (4,), 2), {"hidden": None}, "hidden and channels must be positive integers"),
     ])
     def test_fields_the_model_cannot_use_rejected(self, args, kw, message):
         with pytest.raises(ValueError, match=message):
             tl.ModelSpec(*args, **kw)
+
+    def test_sizes_stored_as_tuples(self):
+        listed = tl.ModelSpec("mlp", [4], 2, hidden=[3])
+        assert listed == tl.ModelSpec("mlp", (4,), 2, hidden=(3,))
+        assert hash(listed) == hash(tl.ModelSpec("mlp", (4,), 2, hidden=(3,)))
+        assert (listed.input_shape, listed.hidden, listed.channels) == ((4,), (3,), ())
 
     def test_empty_unread_widths_accepted(self):
         mlp = tl.ModelSpec("mlp", (4,), 2, hidden=(3,), channels=())
         conv = tl.ModelSpec("convnet", (1, 4, 4), 2, hidden=(), channels=(2,))
         assert (mlp.param_count(), conv.param_count()) == (4 * 3 + 3 + 3 * 2 + 2,
                                                            2 * 9 + 2 + 2 * 8 + 2)
+
+
+# values of the wrong kind or out of range: each replaces one valid argument
+ODD_VALUES = [None, True, "1", float("nan"), float("inf"), -1, 1.5, [1]]
+_BLOBS = tl.synth_dataset("gaussianBlobs", 2, 4, 0.5, seed=0)
+CONSTRUCTORS = [
+    (tl.TrainConfig, dict(epochs=3, learning_rate=0.1, momentum=0.9, weight_decay=0.0,
+                          batch_size=4, milestones=(1,), gamma=0.5, shuffle_seed=0)),
+    (tl.PruneRunConfig, dict(desired_sparsity=0.5, amount=0.2, mask_train_epochs=2,
+                             finetune_epochs=2, rewind_epoch=1, prune_scope="global",
+                             iteration_cap=40)),
+    (tl.ModelSpec, dict(architecture="mlp", input_shape=(4,), num_classes=2, hidden=(3,),
+                        channels=())),
+    (tl.LabeledDataset, dict(examples=np.zeros((2, 2)), labels=[0, 1], num_classes=2)),
+    (tl.synth_dataset, dict(kind="gaussianBlobs", num_classes=2, per_class=2, noise=0.5,
+                            seed=0, input_shape=(2,))),
+    (functools.partial(tl.distill_random, _BLOBS, seed=0), dict(ipc=2)),
+    (functools.partial(tl.distill_kmeans_herding, _BLOBS, seed=0), dict(ipc=2)),
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=st.sampled_from(CONSTRUCTORS), data=st.data())
+def test_constructors_reject_odd_arguments_with_value_error(case, data):
+    # an argument of the wrong kind or range is a ValueError, never a TypeError
+    # or IndexError from a comparison or an index that ran on it
+    build, kwargs = case
+    key = data.draw(st.sampled_from(sorted(kwargs)))
+    value = data.draw(st.sampled_from(ODD_VALUES))
+    try:
+        build(**{**kwargs, key: value})
+    except ValueError:
+        pass
 
 
 class TestInitParams:
@@ -500,6 +542,11 @@ class TestTrain:
             tl.train(blob_mlp_spec, params, ones_mask(params), blobs_2d,
                      self.cfg(epochs=3), snapshots={key: None})
 
+    def test_milestones_stored_as_a_tuple(self):
+        listed = tl.TrainConfig(3, milestones=[1])
+        assert listed == tl.TrainConfig(3, milestones=(1,)) and listed.milestones == (1,)
+        assert hash(listed) == hash(tl.TrainConfig(3, milestones=(1,)))
+
     def test_milestone_validation(self):
         with pytest.raises(ValueError):
             tl.TrainConfig(epochs=3, milestones=(5,))
@@ -514,10 +561,19 @@ class TestTrain:
 
     @pytest.mark.parametrize("field,value", [
         ("epochs", 2.5), ("batch_size", 2.5), ("batch_size", True), ("shuffle_seed", 1.5),
-        ("milestones", (1.5,)), ("milestones", (True,)), ("milestones", (-1,))])
+        ("milestones", (1.5,)), ("milestones", (True,)), ("milestones", (-1,)),
+        ("milestones", None), ("milestones", "1")])
     def test_non_integer_fields_rejected(self, field, value):
         # a milestone of 1.5 never equals an epoch, so its decay would never fire
         with pytest.raises(ValueError, match="integer"):
+            self.cfg(**{field: value})
+
+    @pytest.mark.parametrize("field,value,name", [
+        ("learning_rate", None, "learning rate"), ("learning_rate", True, "learning rate"),
+        ("momentum", "0.9", "momentum"), ("weight_decay", [0.0], "weight decay"),
+        ("gamma", None, "gamma")])
+    def test_non_number_fields_rejected(self, field, value, name):
+        with pytest.raises(ValueError, match=f"^{name} must be"):
             self.cfg(**{field: value})
 
     def test_every_broken_rule_is_named(self):

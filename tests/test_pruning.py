@@ -112,7 +112,7 @@ class TestMagnitudePrune:
     def test_amount_out_of_range(self):
         params = flat_model([1.0, 2.0])
         mask = tl.SparsityMask.ones(params.layer_map)
-        for amount in (0.0, 1.0, -0.2, 1.5):
+        for amount in (0.0, 1.0, -0.2, 1.5, None, "0.5", True):
             with pytest.raises(ValueError):
                 tl.magnitude_prune(params, mask, amount)
 
