@@ -249,7 +249,6 @@ class ExperimentConfig:
         fields = dict(desired_sparsity=get("prune.desired_sparsity", 0.5),
                       amount=get("prune.amount", _UNSET),
                       rewind_epoch=get("prune.rewind_epoch", _UNSET, int),
-                      iteration_cap=get("prune.iteration_cap", _UNSET, int),
                       prune_scope=get("prune.scope", _UNSET, str, choices=pruning.SCOPES))
         self.cfg = self._make(n, "prune: ", engines.PruneRunConfig, **fields,
                               train_config_mask=train["mask_train"],

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .nn import is_number, is_whole, require
+from .nn import check_seed, is_number, is_whole, require
 
 IMAGE_MAGIC = 0x00000803
 LABEL_MAGIC = 0x00000801
@@ -228,7 +228,7 @@ def _per_class(data: LabeledDataset, ipc, provenance, pick) -> DistilledDataset:
 
 def distill_random(data: LabeledDataset, ipc: int, seed: int) -> DistilledDataset:
     """Uniform per-class sample without replacement."""
-    rng = np.random.default_rng(seed)  # one stream, drawn class by class
+    rng = np.random.default_rng(check_seed(seed))  # one stream, drawn class by class
     return _per_class(data, ipc, "random", lambda c, idx: data.examples[
         np.sort(rng.choice(idx, size=ipc, replace=False))])
 
@@ -310,6 +310,8 @@ def distill_kmeans_herding(data: LabeledDataset, ipc: int, iterations: int = 50,
     where every later round would return the same centers."""
     if not is_whole(iterations, 0):
         raise ValueError(f"iterations must be an integer >= 0, got {iterations!r}")
+    check_seed(seed)
+
     def pick(c, idx):
         points = data.examples[idx].reshape(idx.size, -1)
         centers = _kmeans(points, ipc, iterations, np.random.default_rng([seed, c]))

@@ -25,13 +25,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .nn import (ModelSpec, ParameterVector, TrainConfig, evaluate, is_number, is_whole,
-                 require, train)
+from .nn import (ModelSpec, ParameterVector, TrainConfig, check_seed, evaluate, is_number,
+                 is_whole, require, train)
 from .pruning import SCOPES, SparsityMask, magnitude_prune, random_prune, sparsity
 
 
 class SparsityUnreachable(RuntimeError):
-    """Desired sparsity not reached within the iteration cap."""
+    """Desired sparsity out of reach: an iteration pruned no weight."""
 
 
 @dataclass(frozen=True)
@@ -48,12 +48,14 @@ class PruneRunConfig:
     prune_scope: str = "global"
     train_config_mask: TrainConfig = None
     train_config_finetune: TrainConfig = None
-    iteration_cap: int = 40
 
     def __post_init__(self):
+        phases = (("mask_train_epochs", "train_config_mask"),
+                  ("finetune_epochs", "train_config_finetune"))
+        require([(isinstance(getattr(self, key), (TrainConfig, type(None))),
+                  f"{key} must be a TrainConfig") for _, key in phases])
         agree = []
-        for name, key in (("mask_train_epochs", "train_config_mask"),
-                          ("finetune_epochs", "train_config_finetune")):
+        for name, key in phases:
             epochs = getattr(self, name)
             if getattr(self, key) is None:
                 object.__setattr__(self, key, TrainConfig(1 if epochs is None else epochs))
@@ -69,7 +71,6 @@ class PruneRunConfig:
             (not is_whole(self.rewind_epoch, 1)
              or self.rewind_epoch < self.train_config_mask.epochs,
              "rewind_epoch must be < mask_train_epochs"),
-            (is_whole(self.iteration_cap, 1), "iteration_cap must be an integer >= 1"),
             *agree,
         ])
 
@@ -126,22 +127,20 @@ def time_to_mask(record: RunRecord, include_final_retrain: bool) -> float:
 
 def _prune_loop(spec, theta_init, mask_data, d_real, cfg, rewind_epoch, eval_data,
                 finetune_each, method, seed):
-    """Prune until the desired sparsity: magnitude pruning after training
-    on `mask_data` from the rewind point (epoch `rewind_epoch` of the first
-    pass), or random pruning if it is None.  Finetunes from the rewind point
-    on real data if `finetune_each` or the target is reached.  Returns (last
-    finetuned params, RunRecord)."""
-    record = RunRecord(method=method, seed=seed)
+    """Prune until the desired sparsity: magnitude pruning after training on
+    `mask_data` from the rewind point (epoch `rewind_epoch` of the first pass),
+    or random pruning if it is None; finetune from the rewind point on real
+    data if `finetune_each` or at the target.  Returns (last finetuned params,
+    RunRecord); an iteration that prunes no weight raises SparsityUnreachable."""
+    record = RunRecord(method=method, seed=check_seed(seed))
     mask = SparsityMask.ones(theta_init.layer_map)
+    level = sparsity(mask)
     rewind = theta_init
     # a finetune is the next iteration's mask training if both share data and config
     reusable = mask_data is d_real and cfg.train_config_mask == cfg.train_config_finetune
     reused = None  # (params, seconds) of the last finetune, while reusable
-    while sparsity(mask) < cfg.desired_sparsity:
+    while level < cfg.desired_sparsity:
         iteration = len(record.iterations) + 1
-        if iteration > cfg.iteration_cap:
-            raise SparsityUnreachable(
-                f"sparsity {sparsity(mask):.4f} after {cfg.iteration_cap} iterations")
         t0 = time.monotonic()
         charged = 0.0
         if mask_data is None:
@@ -157,8 +156,11 @@ def _prune_loop(spec, theta_init, mask_data, d_real, cfg, rewind_epoch, eval_dat
                 rewind = snaps[rewind_epoch] if snaps else rewind
             mask = magnitude_prune(trained, mask, cfg.amount, cfg.prune_scope)
         seconds = charged + time.monotonic() - t0
-        reused = None
-        rec = IterationRecord(iteration, mask, sparsity(mask), seconds)
+        reused, previous, level = None, level, sparsity(mask)
+        if level <= previous:  # floor(amount * survivors) is 0 in every pool, for good
+            raise SparsityUnreachable(f"sparsity {previous:.4f} after {iteration - 1} "
+                                      f"iterations: amount {cfg.amount} prunes no weight")
+        rec = IterationRecord(iteration, mask, level, seconds)
         if finetune_each or rec.sparsity >= cfg.desired_sparsity:
             t0 = time.monotonic()
             theta = train(spec, rewind, mask, d_real, cfg.train_config_finetune)

@@ -103,6 +103,12 @@ def check_layer_map(layer_map, n):
         raise ValueError(f"layer map covers {covered} positions, not {n}")
 
 
+def check_seed(seed):
+    """`seed`, if it is an integer >= 0; else a ValueError naming it."""
+    require([(is_whole(seed, 0), "seed must be an integer >= 0")])
+    return seed
+
+
 def require(rules):
     """Raise one ValueError naming, joined by "; ", every (holds, message)
     rule that does not hold.  A rule written as a comparison that must be
@@ -207,7 +213,7 @@ class ModelSpec:
 
 def init_params(spec: ModelSpec, seed: int) -> ParameterVector:
     """Scaled-uniform fan-in initialization, biases zero; deterministic in seed."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_seed(seed))
     values = np.zeros(spec.param_count())
     for wshape, ws, _ in _layers(spec):
         bound = 1.0 / np.sqrt(int(np.prod(wshape[1:])))
@@ -215,21 +221,24 @@ def init_params(spec: ModelSpec, seed: int) -> ParameterVector:
     return ParameterVector(values, spec.layer_map())
 
 
-def _as_batch(spec: ModelSpec, batch: np.ndarray) -> np.ndarray:
-    batch = np.asarray(batch, dtype=np.float64)
-    if batch.shape[1:] != spec.input_shape:
-        raise ValueError(
-            f"batch shape {batch.shape[1:]} does not match input shape {spec.input_shape}")
-    return batch
-
-
-def _check_layout(spec: ModelSpec, params: ParameterVector, mask) -> None:
-    """Raise ValueError unless params are laid out as spec's model and mask as
-    params, so that the chain's slices index the vectors it was given."""
+def _check_inputs(spec: ModelSpec, params: ParameterVector, mask, batch, labels=None):
+    """(batch as float64, labels as an array) after checking that params are
+    laid out as spec's model and mask as params, so that the chain's slices
+    index the vectors it was given, that the batch has the model's input
+    shape and, unless labels is None, that the model has a logit for each."""
     if tuple(params.layer_map) != spec.layer_map():
         raise ValueError(f"parameters ({len(params)} positions) do not match the model's "
                          f"layer map ({spec.param_count()} positions)")
     check_aligned(params, mask)
+    batch = np.asarray(batch, dtype=np.float64)
+    if batch.shape[1:] != spec.input_shape:
+        raise ValueError(
+            f"batch shape {batch.shape[1:]} does not match input shape {spec.input_shape}")
+    if labels is not None:
+        labels = np.asarray(labels)
+        if labels.min() < 0 or labels.max() >= spec.num_classes:
+            raise ValueError("labels out of range")
+    return batch, labels
 
 
 def check_aligned(params: ParameterVector, mask) -> None:
@@ -237,13 +246,6 @@ def check_aligned(params: ParameterVector, mask) -> None:
     if tuple(mask.layer_map) != tuple(params.layer_map):
         raise ValueError(f"mask ({mask.bits.size} positions) does not match the "
                          f"parameters' layer map ({len(params)} positions)")
-
-
-def _check_labels(spec: ModelSpec, labels) -> np.ndarray:
-    labels = np.asarray(labels)
-    if labels.min() < 0 or labels.max() >= spec.num_classes:
-        raise ValueError("labels out of range")
-    return labels
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +296,8 @@ def _col2im(dcols, shape):
 def _forward(layers, effective, batch, tape=None):
     """Logits of the chain.  If ``tape`` is a list, one entry per layer is
     appended for _backward: (dense input or conv patch matrix, boolean ReLU
-    mask of the layer's output or None)."""
+    mask of the layer's output or None); without one, non-finite logits are
+    a FloatingPointError."""
     n = batch.shape[0]
     conv_first = len(layers[0][0]) == 4
     x = batch.transpose(1, 2, 3, 0) if conv_first else batch.reshape(n, -1)
@@ -327,6 +330,8 @@ def _forward(layers, effective, batch, tape=None):
             x = z
         if tape is not None:
             tape.append(entry)
+    if tape is None and not np.all(np.isfinite(x)):
+        raise FloatingPointError("non-finite logits in forward pass")
     return x
 
 
@@ -395,19 +400,13 @@ def _loss_and_grad(layers, effective, batch, labels, grad):
 
 def forward(spec: ModelSpec, params: ParameterVector, mask, batch) -> np.ndarray:
     """Logits for a batch, computed with effective weights (params * mask)."""
-    _check_layout(spec, params, mask)
-    batch = _as_batch(spec, batch)
-    out = _forward(_layers(spec), params.values * mask.bits, batch)
-    if not np.all(np.isfinite(out)):
-        raise FloatingPointError("non-finite logits in forward pass")
-    return out
+    batch, _ = _check_inputs(spec, params, mask, batch)
+    return _forward(_layers(spec), params.values * mask.bits, batch)
 
 
 def backward(spec: ModelSpec, params: ParameterVector, mask, batch, labels) -> ParameterVector:
     """Gradient of mean cross-entropy w.r.t. params; zero at masked positions."""
-    _check_layout(spec, params, mask)
-    batch = _as_batch(spec, batch)
-    labels = _check_labels(spec, labels)
+    batch, labels = _check_inputs(spec, params, mask, batch, labels)
     grad = np.empty_like(params.values)
     _loss_and_grad(_layers(spec), params.values * mask.bits, batch, labels, grad)
     # gradient w.r.t. params equals gradient w.r.t. effective weights times mask
@@ -434,14 +433,12 @@ def train(spec, params, mask, data, cfg: TrainConfig, snapshots=None) -> Paramet
     its keys e gets a copy of the parameters after epoch e (0: the masked
     start); a key outside 0..cfg.epochs is a ValueError.
     """
-    _check_layout(spec, params, mask)
     if data.size == 0:
         raise ValueError("empty dataset")
+    examples, _ = _check_inputs(spec, params, mask, data.examples, data.labels)
     snapshots = {} if snapshots is None else snapshots
     if not all(is_whole(e, 0) and e <= cfg.epochs for e in snapshots):
         raise ValueError(f"snapshot epochs {list(snapshots)} not all in 0..{cfg.epochs}")
-    examples = _as_batch(spec, data.examples)
-    _check_labels(spec, data.labels)
     theta = params.copy()
     theta.values *= mask.bits
     if 0 in snapshots:
@@ -488,15 +485,15 @@ def train(spec, params, mask, data, cfg: TrainConfig, snapshots=None) -> Paramet
 
 def evaluate(spec, params, mask, data):
     """(accuracy, mean loss) on a dataset; pure, argmax ties -> lowest class.
-    Each forward call checks the parameters' and mask's layout."""
+    The inputs are checked, and the effective weights formed, once."""
     if data.size == 0:
         raise ValueError("empty dataset")
-    _check_labels(spec, data.labels)
+    examples, labels = _check_inputs(spec, params, mask, data.examples, data.labels)
+    layers, effective = _layers(spec), params.values * mask.bits
     correct, loss_sum = 0, 0.0
     for start in range(0, data.size, 512):
-        xb = data.examples[start:start + 512]
-        yb = data.labels[start:start + 512]
-        logits = forward(spec, params, mask, xb)
+        yb = labels[start:start + 512]
+        logits = _forward(layers, effective, examples[start:start + 512])
         correct += int((logits.argmax(axis=1) == yb).sum())
         loss_sum += float(_nll(logits, yb)[0].sum())
     return correct / data.size, loss_sum / data.size

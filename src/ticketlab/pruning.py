@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .nn import (LayerEntry, ParameterVector, check_aligned, check_layer_map, is_number,
-                 require)
+from .nn import (LayerEntry, ParameterVector, check_aligned, check_layer_map, check_seed,
+                 is_number, require)
 
 # where pruning ranks candidates: one global pool, or one pool per layer
 SCOPES = ("global", "layerwise")
@@ -85,7 +85,7 @@ def random_prune(mask: SparsityMask, amount: float, seed: int,
     measure-zero."""
     key = np.zeros(mask.bits.size)
     candidates = mask.prunable_selector() & (mask.bits == 1.0)
-    key[candidates] = np.random.default_rng(seed).random(int(candidates.sum()))
+    key[candidates] = np.random.default_rng(check_seed(seed)).random(int(candidates.sum()))
     return _prune_by_key(mask, amount, scope, key)
 
 

@@ -269,14 +269,14 @@ UNREAD_CASES = [
         "kind": "external", "path": "config.json", "seed": 1})),
 ]
 # a scope pruning does not know, a negative Lloyd round count and an
-# iteration cap that allows no iteration; appended last so that no earlier
+# iteration cap, which no field reads; appended last so that no earlier
 # case's id changes
 CHOICE_CASES = [
     ("prune.scope must be one of global, layerwise", with_section("prune", {
         **BASE_CONFIG["prune"], "scope": "x"})),
     ("distiller.iterations must be >= 0", with_section("distiller", {
         "kind": "kmeansHerding", "ipc": 2, "iterations": -3})),
-    ("prune: iteration_cap must be an integer >= 1", with_section("prune", {
+    ("prune.iteration_cap is never read", with_section("prune", {
         **BASE_CONFIG["prune"], "iteration_cap": 0})),
 ]
 INVALID = (WRONG_TYPES + MODEL_CASES + RANGE_CASES + FLAG_AND_FINITE_CASES + PAIR_CASES
@@ -349,7 +349,7 @@ CONFIG_KEYS = sorted({"dataset", "model", "prune", "distiller", "report", "seeds
                       # numeric fields
                       "num_classes", "per_class", "test_per_class", "noise", "seed",
                       "amount", "desired_sparsity", "rewind_epoch", "mask_train_epochs",
-                      "finetune_epochs", "iteration_cap", "learning_rate", "momentum",
+                      "finetune_epochs", "learning_rate", "momentum",
                       "weight_decay", "batch_size", "gamma", "shuffle_seed", "ipc",
                       "iterations", "lmc_points", "threshold", "num_bins"})
 
@@ -389,7 +389,7 @@ TINY_CONFIG = {
     "method": "imp",
     "prune": {"desired_sparsity": 0.5, "amount": 0.2, "mask_train_epochs": 1,
               "finetune_epochs": 1, "rewind_epoch": 0, "scope": "global",
-              "iteration_cap": 40, "mask_train": TRAIN, "finetune": TRAIN},
+              "mask_train": TRAIN, "finetune": TRAIN},
     "seeds": [0],
     "distiller": {"kind": "kmeansHerding", "ipc": 2, "iterations": 5, "seed": 0},
     "report": {"finetune_each": False, "lmc": False, "histograms": False,
@@ -748,11 +748,12 @@ class TestSubcommands:
         assert cli.main(["prune", "--config", str(path), "--out",
                          str(tmp_path / "out")]) == cli.EXIT_CONFIG
 
-    def test_unreachable_sparsity_is_runtime_error(self, tmp_path):
-        path = write_config(tmp_path, desired_sparsity=0.99,
-                            **{"iteration_cap": 2})
+    def test_unreachable_sparsity_is_runtime_error(self, tmp_path, capsys):
+        # 50 weights: an iteration that leaves 4 survivors prunes none of them
+        path = write_config(tmp_path, desired_sparsity=0.99)
         assert cli.main(["prune", "--config", str(path), "--out",
                          str(tmp_path / "out")]) == cli.EXIT_RUNTIME
+        assert capsys.readouterr().err.startswith("runtime failure: sparsity 0.9200 after ")
 
     @pytest.mark.parametrize("body", [
         "",
@@ -803,11 +804,12 @@ class TestSubcommands:
                              ids=["prune", "lmc"])
     def test_non_finite_logits_are_runtime_error(self, tmp_path, capsys, monkeypatch,
                                                  report):
-        # evaluation inputs that overflow the network: the real forward
-        # raises FloatingPointError on the non-finite logits
-        forward = nn.forward
-        monkeypatch.setattr(nn, "forward", lambda spec, params, mask, batch:
-                            forward(spec, params, mask, np.asarray(batch) * np.inf))
+        # evaluation inputs that overflow the network: the chain, run
+        # without a tape, raises FloatingPointError on the non-finite logits
+        chain = nn._forward
+        monkeypatch.setattr(nn, "_forward", lambda layers, effective, batch, tape=None:
+                            chain(layers, effective,
+                                  batch * np.inf if tape is None else batch, tape))
         path = write_config(tmp_path, overrides={"report": report})
         with np.errstate(all="ignore"):
             code = cli.main(["prune", "--config", str(path), "--out",

@@ -18,8 +18,7 @@ def spec():
     return tl.ModelSpec("mlp", (2,), 2, hidden=(16,))
 
 
-def make_cfg(desired, amount=0.2, t=2, n=2, k=0, batch_syn=None, cap=40,
-             scope="global"):
+def make_cfg(desired, amount=0.2, t=2, n=2, k=0, batch_syn=None, scope="global"):
     tc = tl.TrainConfig(epochs=t, learning_rate=0.1, momentum=0.9, batch_size=32,
                         shuffle_seed=3)
     tcf = tl.TrainConfig(epochs=n, learning_rate=0.1, momentum=0.9, batch_size=32,
@@ -27,7 +26,7 @@ def make_cfg(desired, amount=0.2, t=2, n=2, k=0, batch_syn=None, cap=40,
     return tl.PruneRunConfig(desired_sparsity=desired, amount=amount,
                              mask_train_epochs=t, finetune_epochs=n,
                              rewind_epoch=k, prune_scope=scope, train_config_mask=tc,
-                             train_config_finetune=tcf, iteration_cap=cap)
+                             train_config_finetune=tcf)
 
 
 class TestImpRun:
@@ -96,14 +95,16 @@ class TestImpRun:
             assert np.all(b.mask.bits <= a.mask.bits)
 
     def test_iteration_cap(self, spec, blobs):
+        # 64 weights stall at 4 survivors, 0.9375 < 0.99: the run stops there
         theta = tl.init_params(spec, 0)
-        with pytest.raises(SparsityUnreachable):
-            tl.imp_run(spec, theta, blobs, make_cfg(0.99, cap=3), seed=0)
+        with pytest.raises(SparsityUnreachable, match=r"^sparsity 0\.9375 after "):
+            tl.imp_run(spec, theta, blobs, make_cfg(0.99), seed=0)
 
-    @pytest.mark.parametrize("cap", [0, -1, 1.5, True])
-    def test_iteration_cap_must_be_a_positive_integer(self, cap):
-        with pytest.raises(ValueError, match="^iteration_cap must be an integer >= 1$"):
-            make_cfg(0.5, cap=cap)
+    @pytest.mark.parametrize("value", [True, 3, "x"])
+    @pytest.mark.parametrize("key", ["train_config_mask", "train_config_finetune"])
+    def test_train_configs_must_be_train_configs(self, key, value):
+        with pytest.raises(ValueError, match=f"^{key} must be a TrainConfig$"):
+            tl.PruneRunConfig(0.3, **{key: value})
 
     def test_rewind_validation(self):
         with pytest.raises(ValueError):
@@ -185,6 +186,32 @@ def count_trainings(monkeypatch):
         return train(spec, params, mask, data, cfg, snapshots)
     monkeypatch.setattr(engines, "train", counted)
     return calls
+
+
+class TestStopsWhenNothingIsPruned:
+    """The loop runs until the target, or until an iteration prunes no
+    weight; the count of iterations is not bounded otherwise."""
+
+    # 2*64 + 64*3 = 320 prunable weights
+    SPEC = tl.ModelSpec("mlp", (2,), 3, hidden=(64,))
+    DATA = tl.synth_dataset("gaussianBlobs", 3, 10, 0.5, seed=0)
+
+    def test_target_reached_after_many_iterations(self):
+        # 5% of the survivors: 0.9 leaves 32, and floor(0.05 * s) > 0 down to 20
+        cfg = tl.PruneRunConfig(0.9, amount=0.05, mask_train_epochs=1, finetune_epochs=1)
+        rec = tl.random_prune_run(self.SPEC, tl.init_params(self.SPEC, 0), self.DATA, cfg,
+                                  seed=0)
+        assert len(rec.iterations) == 52
+        assert rec.iterations[-2].sparsity < 0.9 <= rec.final_sparsity
+
+    def test_unreachable_target_raises_at_the_first_empty_iteration(self, monkeypatch):
+        # 0.2 of the survivors: 22 iterations leave 4, of which floor(0.8) = 0 go
+        calls = count_trainings(monkeypatch)
+        cfg = tl.PruneRunConfig(0.99, mask_train_epochs=1, finetune_epochs=1)
+        with pytest.raises(SparsityUnreachable, match=r"^sparsity 0\.9875 after 22 "
+                                                      r"iterations: amount 0\.2 "):
+            tl.imp_run(self.SPEC, tl.init_params(self.SPEC, 0), self.DATA, cfg, seed=0)
+        assert len(calls) == 23
 
 
 class TestFinetuneReuse:

@@ -46,12 +46,26 @@ class TestModelSpec:
 # values of the wrong kind or out of range: each replaces one valid argument
 ODD_VALUES = [None, True, "1", float("nan"), float("inf"), -1, 1.5, [1]]
 _BLOBS = tl.synth_dataset("gaussianBlobs", 2, 4, 0.5, seed=0)
+_SPEC = tl.ModelSpec("mlp", (2,), 2)
+_THETA = tl.init_params(_SPEC, 0)
+_CFG = tl.PruneRunConfig(0.5)
+# every function that draws from a random stream, all but its seed given
+SEEDED = [
+    functools.partial(tl.init_params, _SPEC),
+    functools.partial(tl.random_prune, tl.SparsityMask.ones(_THETA.layer_map), 0.5),
+    functools.partial(tl.distill_random, _BLOBS, 2),
+    functools.partial(tl.distill_kmeans_herding, _BLOBS, 2),
+    functools.partial(tl.random_prune_run, _SPEC, _THETA, _BLOBS, _CFG),
+    functools.partial(tl.imp_run, _SPEC, _THETA, _BLOBS, _CFG),
+    functools.partial(tl.distilled_prune_run, _SPEC, _THETA, _BLOBS, _BLOBS, _CFG),
+]
 CONSTRUCTORS = [
     (tl.TrainConfig, dict(epochs=3, learning_rate=0.1, momentum=0.9, weight_decay=0.0,
                           batch_size=4, milestones=(1,), gamma=0.5, shuffle_seed=0)),
     (tl.PruneRunConfig, dict(desired_sparsity=0.5, amount=0.2, mask_train_epochs=2,
                              finetune_epochs=2, rewind_epoch=1, prune_scope="global",
-                             iteration_cap=40)),
+                             train_config_mask=tl.TrainConfig(2),
+                             train_config_finetune=tl.TrainConfig(2))),
     (tl.ModelSpec, dict(architecture="mlp", input_shape=(4,), num_classes=2, hidden=(3,),
                         channels=())),
     (tl.LabeledDataset, dict(examples=np.zeros((2, 2)), labels=[0, 1], num_classes=2)),
@@ -59,6 +73,7 @@ CONSTRUCTORS = [
                             seed=0, input_shape=(2,))),
     (functools.partial(tl.distill_random, _BLOBS, seed=0), dict(ipc=2)),
     (functools.partial(tl.distill_kmeans_herding, _BLOBS, seed=0), dict(ipc=2)),
+    *[(draw, dict(seed=0)) for draw in SEEDED[:5]],
 ]
 
 
@@ -74,6 +89,14 @@ def test_constructors_reject_odd_arguments_with_value_error(case, data):
         build(**{**kwargs, key: value})
     except ValueError:
         pass
+
+
+@pytest.mark.parametrize("seed", [None, True, 1.5, -1, "0"])
+@pytest.mark.parametrize("draw", SEEDED, ids=lambda f: f.func.__name__)
+def test_every_random_stream_takes_a_checked_seed(draw, seed):
+    # None would draw from OS entropy, and True would be seed 1
+    with pytest.raises(ValueError, match="^seed must be an integer >= 0$"):
+        draw(seed=seed)
 
 
 class TestInitParams:
