@@ -281,16 +281,17 @@ class ExperimentConfig:
         get("dataset", kind=dict)
         source = get("dataset.source", kind=str, choices=("idx", "synth"))
         if source == "idx":
-            test = ["test_images", "test_labels"]  # both or neither
-            test = test if set(test) & set(self.raw["dataset"]) else []
-            files = [self._file(f"dataset.{key}") for key in ["images", "labels"] + test]
+            keys = ["images", "labels", "test_images", "test_labels"]  # test: both or neither
+            keys = keys if set(keys[2:]) & set(self.raw["dataset"]) else keys[:2]
+            files = [self._file(f"dataset.{key}") for key in keys]
             if len(self.diagnostics) > n:
                 return None
-            self.train = self.test = data_mod.load_idx(*files[:2])
-            if test:
-                self.test = data_mod.load_idx(*files[2:])
-            self._fit("dataset", {d.examples.shape[1:] for d in (self.train, self.test)},
-                      max(self.train.num_classes, self.test.num_classes))
+            sets = [data_mod.load_idx(*files[i:i + 2]) for i in range(0, len(files), 2)]
+            self.train, self.test = sets[0], sets[-1]
+            for i, d in enumerate(sets if self.spec else ()):
+                m = len(self.diagnostics)
+                for key, y in zip(keys[2 * i:], (None, d.labels)):  # labels once images fit
+                    self._make(m, f"dataset.{key}: ", nn.check_data, self.spec, d.examples, y)
             return int(self.train.class_counts().min())
         if source == "synth":
             kind, per_class = get("dataset.kind", kind=str), get("dataset.per_class", kind=int)
@@ -307,17 +308,6 @@ class ExperimentConfig:
             self._synth = ((kind, classes, per_class, noise, seed, shape),
                            (kind, classes, test_per_class, noise, seed + 10_000, shape))
             return per_class
-
-    def _fit(self, name, shapes, classes):
-        """Diagnose data with these example shapes and this many classes
-        that the model cannot take."""
-        spec = self.spec
-        if spec and classes > spec.num_classes:
-            self.diagnostics.append(f"{name}.num_classes {classes} does not fit "
-                                    f"model.num_classes {spec.num_classes}")
-        for shape in sorted(shapes - {spec.input_shape}) if spec else ():
-            self.diagnostics.append(f"{name}.input_shape {list(shape)} must equal "
-                                    f"model.input_shape {list(spec.input_shape)}")
 
     def _distiller(self, smallest):
         """Read the distiller settings; if the method is distilled, check
@@ -345,7 +335,9 @@ class ExperimentConfig:
         if kind == "external":
             dsyn = data_mod.load_distilled(path)
             self.distilled = lambda: dsyn
-            self._fit("distiller", {dsyn.examples.shape[1:]}, dsyn.num_classes)
+            if self.spec:
+                self._make(n, "distiller.path: ", nn.check_data, self.spec, dsyn.examples,
+                           dsyn.labels)
             return
         if smallest is not None and ipc > smallest:
             self.diagnostics.append(f"distiller.ipc {ipc} exceeds the smallest class, "

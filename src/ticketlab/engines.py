@@ -25,8 +25,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .nn import (ModelSpec, ParameterVector, TrainConfig, check_seed, evaluate, is_number,
-                 is_whole, require, train)
+from .nn import (ModelSpec, ParameterVector, TrainConfig, check_data, check_seed, evaluate,
+                 is_number, is_whole, require, train)
 from .pruning import SCOPES, SparsityMask, magnitude_prune, random_prune, sparsity
 
 
@@ -127,12 +127,16 @@ def time_to_mask(record: RunRecord, include_final_retrain: bool) -> float:
 
 def _prune_loop(spec, theta_init, mask_data, d_real, cfg, rewind_epoch, eval_data,
                 finetune_each, method, seed):
-    """Prune until the desired sparsity: magnitude pruning after training on
-    `mask_data` from the rewind point (epoch `rewind_epoch` of the first pass),
-    or random pruning if it is None; finetune from the rewind point on real
-    data if `finetune_each` or at the target.  Returns (last finetuned params,
-    RunRecord); an iteration that prunes no weight raises SparsityUnreachable."""
+    """Check every set against the model, then prune until the desired
+    sparsity: magnitude pruning after training on `mask_data` from the rewind
+    point (epoch `rewind_epoch` of the first pass), or random pruning if it is
+    None; finetune from the rewind point on real data if `finetune_each` or at
+    the target.  Returns (last finetuned params, RunRecord); an iteration that
+    prunes no weight raises SparsityUnreachable."""
     record = RunRecord(method=method, seed=check_seed(seed))
+    eval_data = d_real if eval_data is None else eval_data
+    for data in [d for d in (mask_data, d_real, eval_data) if d is not None]:
+        check_data(spec, data.examples, data.labels)
     mask = SparsityMask.ones(theta_init.layer_map)
     level = sparsity(mask)
     rewind = theta_init
@@ -165,8 +169,7 @@ def _prune_loop(spec, theta_init, mask_data, d_real, cfg, rewind_epoch, eval_dat
             t0 = time.monotonic()
             theta = train(spec, rewind, mask, d_real, cfg.train_config_finetune)
             rec.finetune_seconds = time.monotonic() - t0
-            rec.finetune_accuracy, _ = evaluate(
-                spec, theta, mask, eval_data if eval_data is not None else d_real)
+            rec.finetune_accuracy, _ = evaluate(spec, theta, mask, eval_data)
             if reusable:
                 reused = theta, rec.finetune_seconds
         record.iterations.append(rec)

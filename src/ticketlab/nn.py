@@ -222,23 +222,29 @@ def init_params(spec: ModelSpec, seed: int) -> ParameterVector:
 
 
 def _check_inputs(spec: ModelSpec, params: ParameterVector, mask, batch, labels=None):
-    """(batch as float64, labels as an array) after checking that params are
-    laid out as spec's model and mask as params, so that the chain's slices
-    index the vectors it was given, that the batch has the model's input
-    shape and, unless labels is None, that the model has a logit for each."""
+    """check_data(spec, batch, labels), once params have spec's layer map and mask params'."""
     if tuple(params.layer_map) != spec.layer_map():
         raise ValueError(f"parameters ({len(params)} positions) do not match the model's "
                          f"layer map ({spec.param_count()} positions)")
     check_aligned(params, mask)
-    batch = np.asarray(batch, dtype=np.float64)
-    if batch.shape[1:] != spec.input_shape:
-        raise ValueError(
-            f"batch shape {batch.shape[1:]} does not match input shape {spec.input_shape}")
+    return check_data(spec, batch, labels)
+
+
+def check_data(spec: ModelSpec, examples, labels=None):
+    """(examples as float64, labels as an array) once spec's model can take them:
+    a non-empty set of its input shape, and a logit for each label if given."""
+    examples = np.asarray(examples, dtype=np.float64)
+    if examples.size == 0:
+        raise ValueError("empty dataset")
+    if examples.shape[1:] != spec.input_shape:
+        raise ValueError(f"batch shape {examples.shape[1:]} does not match input shape "
+                         f"{spec.input_shape}")
     if labels is not None:
         labels = np.asarray(labels)
         if labels.min() < 0 or labels.max() >= spec.num_classes:
-            raise ValueError("labels out of range")
-    return batch, labels
+            raise ValueError(f"labels out of range: {labels.min()}..{labels.max()} for "
+                             f"num_classes {spec.num_classes}")
+    return examples, labels
 
 
 def check_aligned(params: ParameterVector, mask) -> None:
@@ -433,8 +439,6 @@ def train(spec, params, mask, data, cfg: TrainConfig, snapshots=None) -> Paramet
     its keys e gets a copy of the parameters after epoch e (0: the masked
     start); a key outside 0..cfg.epochs is a ValueError.
     """
-    if data.size == 0:
-        raise ValueError("empty dataset")
     examples, _ = _check_inputs(spec, params, mask, data.examples, data.labels)
     snapshots = {} if snapshots is None else snapshots
     if not all(is_whole(e, 0) and e <= cfg.epochs for e in snapshots):
@@ -451,33 +455,34 @@ def train(spec, params, mask, data, cfg: TrainConfig, snapshots=None) -> Paramet
     step = np.empty_like(theta.values)
     decay_sel = np.zeros(theta.values.size, dtype=bool)
     for _, ws, _ in layers:
-        decay_sel[ws] = mask.bits[ws] != 0.0
+        decay_sel[ws] = True  # theta is +-0 where masked: its decay term adds nothing
     lr = cfg.learning_rate
     last_loss = None
-    for epoch in range(cfg.epochs):
-        if epoch in cfg.milestones:
-            lr *= cfg.gamma
-        perm = _epoch_order(cfg.shuffle_seed, epoch, data.size)
-        for bi, start in enumerate(range(0, data.size, cfg.batch_size)):
-            idx = perm[start:start + cfg.batch_size]
-            # theta is kept masked, so it is its own effective weight vector
-            loss = _loss_and_grad(layers, theta.values, examples[idx],
-                                  data.labels[idx], grad)
-            if not math.isfinite(loss):
-                raise TrainingDiverged(epoch, bi, loss, lr, last_loss)
-            last_loss = loss
-            grad *= mask.bits
-            g = grad
-            if cfg.weight_decay:
-                g = g + np.where(decay_sel, cfg.weight_decay * theta.values, 0.0)
-            velocity *= cfg.momentum
-            velocity += g
-            np.multiply(velocity, lr, out=step)
-            # g is +-0 at masked positions, so the velocity (from +0) and the
-            # step stay +0 there and theta keeps its masked start, sign and all
-            theta.values -= step
-        if epoch + 1 in snapshots:
-            snapshots[epoch + 1] = theta.copy()
+    with np.errstate(over="ignore", invalid="ignore"):  # the finite checks decide
+        for epoch in range(cfg.epochs):
+            if epoch in cfg.milestones:
+                lr *= cfg.gamma
+            perm = _epoch_order(cfg.shuffle_seed, epoch, data.size)
+            for bi, start in enumerate(range(0, data.size, cfg.batch_size)):
+                idx = perm[start:start + cfg.batch_size]
+                # theta is kept masked, so it is its own effective weight vector
+                loss = _loss_and_grad(layers, theta.values, examples[idx],
+                                      data.labels[idx], grad)
+                if not math.isfinite(loss):
+                    raise TrainingDiverged(epoch, bi, loss, lr, last_loss)
+                last_loss = loss
+                grad *= mask.bits
+                g = grad
+                if cfg.weight_decay:
+                    g = g + np.where(decay_sel, cfg.weight_decay * theta.values, 0.0)
+                velocity *= cfg.momentum
+                velocity += g
+                np.multiply(velocity, lr, out=step)
+                # g is +-0 at masked positions, so the velocity (from +0) and the
+                # step stay +0 there and theta keeps its masked start, sign and all
+                theta.values -= step
+            if epoch + 1 in snapshots:
+                snapshots[epoch + 1] = theta.copy()
     if not np.all(np.isfinite(theta.values)):
         raise TrainingDiverged(cfg.epochs - 1, bi, None, lr, last_loss)
     return theta
@@ -486,14 +491,13 @@ def train(spec, params, mask, data, cfg: TrainConfig, snapshots=None) -> Paramet
 def evaluate(spec, params, mask, data):
     """(accuracy, mean loss) on a dataset; pure, argmax ties -> lowest class.
     The inputs are checked, and the effective weights formed, once."""
-    if data.size == 0:
-        raise ValueError("empty dataset")
     examples, labels = _check_inputs(spec, params, mask, data.examples, data.labels)
     layers, effective = _layers(spec), params.values * mask.bits
     correct, loss_sum = 0, 0.0
-    for start in range(0, data.size, 512):
-        yb = labels[start:start + 512]
-        logits = _forward(layers, effective, examples[start:start + 512])
-        correct += int((logits.argmax(axis=1) == yb).sum())
-        loss_sum += float(_nll(logits, yb)[0].sum())
+    with np.errstate(over="ignore", invalid="ignore"):  # as in train
+        for start in range(0, data.size, 512):
+            yb = labels[start:start + 512]
+            logits = _forward(layers, effective, examples[start:start + 512])
+            correct += int((logits.argmax(axis=1) == yb).sum())
+            loss_sum += float(_nll(logits, yb)[0].sum())
     return correct / data.size, loss_sum / data.size

@@ -91,15 +91,15 @@ def random_prune(mask: SparsityMask, amount: float, seed: int,
 
 def _prune_by_key(mask, amount, scope, key):
     """Zero the floor(amount * survivors) surviving prunable positions of
-    each pool with the smallest key: one pool in global mode, one per layer
-    in layerwise mode.  Ties break toward the lower flat index (a stable
+    each pool with the smallest key: one pool in global mode, one per weight
+    layer in layerwise mode.  Ties break toward the lower flat index (a stable
     sort of flat-ordered candidates)."""
     require([(is_number(amount) and 0.0 < amount < 1.0, "amount must be in (0, 1)"),
              (scope in SCOPES, f"scope must be one of {', '.join(SCOPES)}")])
     out = mask.copy()
     candidates = mask.prunable_selector() & (mask.bits == 1.0)
     pools = [(0, mask.bits.size)] if scope == "global" else [
-        (e.offset, e.offset + e.length) for e in mask.layer_map]
+        (e.offset, e.offset + e.length) for e in mask.layer_map if e.kind == "weight"]
     for start, stop in pools:
         pool = start + np.flatnonzero(candidates[start:stop])
         ranked = pool[np.argsort(key[pool], kind="stable")]

@@ -1,0 +1,136 @@
+"""Mutation probe of the test suite, run by hand; pytest does not collect it.
+
+Each entry of MUTANTS changes one piece of text in one file of src/ and
+names the test expected to fail under it, or says "equivalent: why" for a
+change that no test can see because it changes no result.  The runner
+copies the repository into a temporary directory and applies one mutant
+at a time there; the working tree is never touched.  A mutant with a named
+test runs that test first; if it passes, `pytest -x tests` decides whether
+any other test kills the mutant.  An equivalent mutant runs `pytest -x
+tests` and must survive it.
+
+    python tests/mutants.py           # every mutant, about 2 minutes on 2 cores
+    python tests/mutants.py 0 4       # the mutants at these indexes
+    python tests/mutants.py --list
+
+The exit status is 0 when every mutant with a named test is killed and
+every equivalent one survives.  A rule added to src/ adds its mutant here.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# (file, old text, new text, the test expected to fail or "equivalent: why")
+MUTANTS = [
+    # the three rules of nn.check_data, the one check of data against a model
+    ("src/ticketlab/nn.py", "    if examples.size == 0:\n", "    if examples.size < 0:\n",
+     "tests/test_nn.py::test_check_data_names_the_value_that_does_not_fit"),
+    ("src/ticketlab/nn.py", "if examples.shape[1:] != spec.input_shape:",
+     "if examples.shape[2:] != spec.input_shape[1:]:",
+     "tests/test_nn.py::test_check_data_names_the_value_that_does_not_fit"),
+    ("src/ticketlab/nn.py", "labels.max() >= spec.num_classes:",
+     "labels.max() > spec.num_classes:",
+     "tests/test_nn.py::test_check_data_names_the_value_that_does_not_fit"),
+    # the engines check every set before any training
+    ("src/ticketlab/engines.py", "        check_data(spec, data.examples, data.labels)\n",
+     "        pass\n",
+     "tests/test_engines.py::test_every_set_is_checked_before_any_training"),
+    # the CLI checks the IDX test set and an external distilled set
+    ("src/ticketlab/cli.py", "enumerate(sets if self.spec else ())",
+     "enumerate(sets[:1] if self.spec else ())",
+     "tests/test_cli.py::TestConfigPaths::test_test_labels_may_reach_classes_training_lacks"),
+    ("src/ticketlab/cli.py", "            if self.spec:\n                self._make(n, \"distiller",
+     "            if not self.spec:\n                self._make(n, \"distiller",
+     "tests/test_cli.py::TestConfigPaths::test_external_distilled_set_must_fit_model"),
+    # numpy's overflow and invalid-value warnings stay inside train and evaluate
+    ("src/ticketlab/nn.py",
+     'with np.errstate(over="ignore", invalid="ignore"):  # the finite checks decide',
+     "with np.errstate():  # the finite checks decide",
+     "tests/test_cli.py::TestSubcommands::test_divergence_names_learning_rate"),
+    ("src/ticketlab/nn.py", 'with np.errstate(over="ignore", invalid="ignore"):  # as in train',
+     "with np.errstate():  # as in train",
+     "tests/test_cli.py::TestSubcommands::test_non_finite_logits_are_runtime_error"),
+    # rules that held with no test to notice a change
+    ("src/ticketlab/engines.py", "(all(a < b for a, b in zip(levels, levels[1:])),",
+     "(all(a <= b for a, b in zip(levels, levels[1:])),",
+     "tests/test_engines.py::TestTimeToMask::"
+     "test_record_refuses_equal_consecutive_sparsities"),
+    ("src/ticketlab/analysis.py", "barrier <= threshold", "barrier < threshold",
+     "tests/test_analysis.py::TestInstability::test_barrier_equal_to_threshold_is_stable"),
+    ("src/ticketlab/data.py", "far = int(np.argmax(np.min(d2, axis=1)))",
+     "far = int(np.argmin(np.min(d2, axis=1)))",
+     "tests/test_data.py::TestHerdingOracle::"
+     "test_empty_cluster_reseeded_from_the_farthest_point"),
+    ("src/ticketlab/data.py", "if np.any(np.diff(labels) < 0):",
+     "if np.any(np.diff(labels) < 0) and False:",
+     "tests/test_data.py::TestDstlContents::test_labels_must_be_class_major"),
+    # equivalent: no result can change
+    ("src/ticketlab/nn.py", "decay_sel[ws] = True", "decay_sel[ws] = mask.bits[ws] != 0.0",
+     "equivalent: theta is +-0 at masked positions, so their decay term adds +-0 to a "
+     "+-0 gradient and the velocity there stays +0"),
+    ("src/ticketlab/pruning.py", 'for e in mask.layer_map if e.kind == "weight"]',
+     "for e in mask.layer_map]",
+     "equivalent: a bias pool holds no candidate, so it prunes nothing"),
+]
+
+
+def _pytest(copy, *args):
+    """True if `python -m pytest -x -q args` passes in the copy."""
+    env = dict(os.environ, PYTHONPATH=str(copy / "src"))
+    run = subprocess.run([sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+                          *args], cwd=copy, env=env, capture_output=True)
+    return run.returncode == 0
+
+
+def probe(copy, index):
+    """(ok, verdict) of mutant `index`, applied to the copy and undone."""
+    name, old, new, expected = MUTANTS[index]
+    path = copy / name
+    original = path.read_text(encoding="utf-8")
+    if original.count(old) != 1:
+        return False, f"stale: the old text occurs {original.count(old)} times"
+    path.write_text(original.replace(old, new), encoding="utf-8")
+    try:
+        if expected.startswith("equivalent"):
+            survived = _pytest(copy, "tests")
+            return survived, "survived" if survived else "KILLED, yet listed as equivalent"
+        if not _pytest(copy, expected):
+            return True, "killed by the named test"
+        if not _pytest(copy, "tests"):
+            return False, "killed, but not by the named test"
+        return False, "SURVIVED"
+    finally:
+        path.write_text(original, encoding="utf-8")
+
+
+def main(argv):
+    if argv == ["--list"]:
+        for i, (name, old, new, expected) in enumerate(MUTANTS):
+            print(f"{i:2d} {name}: {old.strip()!r} -> {new.strip()!r}\n   {expected}")
+        return 0
+    indexes = [int(a) for a in argv] or range(len(MUTANTS))
+    failures = 0
+    with tempfile.TemporaryDirectory() as d:
+        copy = Path(d) / "repo"
+        shutil.copytree(ROOT, copy, ignore=shutil.ignore_patterns(
+            ".git", ".bench_out", "__pycache__", ".pytest_cache", ".hypothesis", "*.egg-info"))
+        for i in indexes:
+            t0 = time.monotonic()
+            ok, verdict = probe(copy, i)
+            failures += not ok
+            print(f"{i:2d} {'ok  ' if ok else 'FAIL'} {MUTANTS[i][0]}: {verdict} "
+                  f"({time.monotonic() - t0:.0f} s)", flush=True)
+    return 1 if failures else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

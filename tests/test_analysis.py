@@ -117,6 +117,10 @@ class TestInstability:
         curve = tl.interpolate_curve(spec, a, b, mask, test, 11)
         assert tl.instability(curve).error_barrier == 0.0
 
+    def test_barrier_equal_to_threshold_is_stable(self):
+        rep = tl.instability(self.curve([0.75, 0.5, 0.75]), threshold=0.25)
+        assert rep.error_barrier == 0.25 and rep.stable
+
     def test_threshold_flag(self):
         rep = tl.instability(self.curve([0.9, 0.885, 0.9]), threshold=0.02)
         assert rep.stable

@@ -429,8 +429,7 @@ def test_prune_is_total_on_one_mutated_field(mutation):
     with tempfile.TemporaryDirectory() as d:
         config = Path(d) / "config.json"
         config.write_text(json.dumps(raw))
-        with np.errstate(all="ignore"):
-            code = cli.main(["prune", "--config", str(config), "--out", str(Path(d) / "out")])
+        code = cli.main(["prune", "--config", str(config), "--out", str(Path(d) / "out")])
     assert code in (0, 2, 3, 4)
 
 
@@ -791,9 +790,7 @@ class TestSubcommands:
     def test_divergence_names_learning_rate(self, tmp_path, capsys):
         path = write_config(tmp_path, mask_train={"learning_rate": 1e20, "batch_size": 32,
                                                   "milestones": [1], "gamma": 0.5})
-        with np.errstate(all="ignore"):
-            code = cli.main(["prune", "--config", str(path), "--out",
-                             str(tmp_path / "out")])
+        code = cli.main(["prune", "--config", str(path), "--out", str(tmp_path / "out")])
         assert code == cli.EXIT_RUNTIME
         err = capsys.readouterr().err
         assert err.startswith("runtime failure: non-finite loss")
@@ -811,9 +808,7 @@ class TestSubcommands:
                             chain(layers, effective,
                                   batch * np.inf if tape is None else batch, tape))
         path = write_config(tmp_path, overrides={"report": report})
-        with np.errstate(all="ignore"):
-            code = cli.main(["prune", "--config", str(path), "--out",
-                             str(tmp_path / "out")])
+        code = cli.main(["prune", "--config", str(path), "--out", str(tmp_path / "out")])
         assert code == cli.EXIT_RUNTIME
         err = capsys.readouterr().err
         assert err.startswith("runtime failure: non-finite logits")
@@ -866,6 +861,23 @@ class TestConfigPaths:
         assert cli.main(["prune", "--config", config, "--out", "out"]) == 0
         assert json.loads(capsys.readouterr().out.splitlines()[-1])["method"] == "distilled"
 
+    @pytest.mark.parametrize("classes,shape,problem", [
+        (4, (3, 3), "labels out of range: 0..3 for num_classes 3"),
+        (3, (2, 2), "batch shape (2, 2) does not match input shape (3, 3)"),
+    ], ids=["labels", "shape"])
+    def test_external_distilled_set_must_fit_model(self, tmp_path, monkeypatch, capsys,
+                                                   classes, shape, problem):
+        # the IDX data fit the 3-class (3, 3) model; the external set does not
+        cfg_dir = self.config_dir(tmp_path, monkeypatch, method="distilled",
+                                  distiller={"kind": "external", "path": "d.dstl"})
+        other = tl.synth_dataset("gaussianBlobs", classes, 5, 0.5, seed=0, input_shape=shape)
+        tl.save_distilled(tl.distill_class_mean(other), cfg_dir / "d.dstl")
+        config = str(cfg_dir / "config.json")
+        assert self.assert_config_error(
+            capsys, ["prune", "--config", config, "--out", "out"],
+            tmp_path / "elsewhere" / "out") == f"config error: distiller.path: {problem}\n"
+        assert cli.validate_config(config) == [f"distiller.path: {problem}"]
+
     def assert_config_error(self, capsys, argv, out_dir):
         assert cli.main(argv) == cli.EXIT_CONFIG
         err = capsys.readouterr().err
@@ -873,18 +885,25 @@ class TestConfigPaths:
         assert not out_dir.exists()
         return err
 
-    @pytest.mark.parametrize("model,field", [
-        ({"num_classes": 2}, "dataset.num_classes"),        # labels reach class 2
-        ({"input_shape": [4, 4]}, "dataset.input_shape"),   # images are 3x3
+    @pytest.mark.parametrize("model,key,problem", [
+        pytest.param({"num_classes": 2}, "labels",  # labels reach class 2
+                     "labels out of range: 0..2 for num_classes 2",
+                     id="model0-dataset.num_classes"),
+        pytest.param({"input_shape": [4, 4]}, "images",  # images are 3x3
+                     "batch shape (3, 3) does not match input shape (4, 4)",
+                     id="model1-dataset.input_shape"),
     ])
-    def test_idx_data_must_fit_model(self, tmp_path, monkeypatch, capsys, model, field):
+    def test_idx_data_must_fit_model(self, tmp_path, monkeypatch, capsys, model, key,
+                                     problem):
+        # the train and test sets are the same files: each key is named
         cfg_dir = self.config_dir(tmp_path, monkeypatch, model={
             **with_model(input_shape=[3, 3])["model"], **model})
         config = str(cfg_dir / "config.json")
-        assert field in self.assert_config_error(
+        diagnostics = [f"dataset.{key}: {problem}", f"dataset.test_{key}: {problem}"]
+        assert self.assert_config_error(
             capsys, ["prune", "--config", config, "--out", "out"],
-            tmp_path / "elsewhere" / "out")
-        assert any(field in d for d in cli.validate_config(config))
+            tmp_path / "elsewhere" / "out") == f"config error: {'; '.join(diagnostics)}\n"
+        assert cli.validate_config(config) == diagnostics
 
     @pytest.mark.parametrize("classes", [3, 2])
     def test_test_labels_may_reach_classes_training_lacks(self, tmp_path, monkeypatch,
@@ -903,8 +922,9 @@ class TestConfigPaths:
         if classes == 3:
             assert cli.main(argv) == 0
         else:
-            assert "dataset.num_classes 3 does not fit model.num_classes 2" in \
-                self.assert_config_error(capsys, argv, tmp_path / "elsewhere" / "out")
+            assert self.assert_config_error(capsys, argv, tmp_path / "elsewhere" / "out") == (
+                "config error: dataset.test_labels: labels out of range: 0..2 for "
+                "num_classes 2\n")
 
     def test_idx_ipc_checked_against_smallest_class(self, tmp_path, monkeypatch, capsys):
         # 20 examples per class
@@ -1055,8 +1075,7 @@ def test_every_command_is_total_on_one_corrupted_input(run):
             command, "--config", str(root / "config.json")]
         argv += ["--out", str(root / "out")] if command in ("distill", "prune") else []
         stdout, stderr = io.StringIO(), io.StringIO()
-        with (contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr),
-              np.errstate(all="ignore")):
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
             code = cli.main(argv)
         assert code in (0, 2, 3, 4)
         if code in PREFIX:

@@ -371,6 +371,18 @@ class TestHerdingOracle:
         got = tl.distill_kmeans_herding(ds, ipc=4, seed=seed)
         assert got.examples.tobytes() == _reference_herding(ds, 4, seed=seed).tobytes()
 
+    def test_empty_cluster_reseeded_from_the_farthest_point(self):
+        # seeds 1, 9 and 0: the center at 1 takes {1, 1, 5}, moves to 7/3 and
+        # then loses every member.  Re-seeded at 5, the point farthest from
+        # its nearest center, it settles at 5.5; re-seeded at the nearest
+        # point, 0, the run would end at objective 26/3 instead of 7/6.
+        points = np.array([[0.0], [1.0], [1.0], [5.0], [6.0], [9.0]])
+        seeds = _kmeans_plus_plus(points, 3, np.random.default_rng(141))
+        assert seeds.ravel().tolist() == [1.0, 9.0, 0.0]
+        centers = _kmeans(points, 3, 50, np.random.default_rng(141))
+        assert centers.ravel().tolist() == [5.5, 9.0, 2 / 3]
+        assert kmeans_objective(points, centers) == pytest.approx(7 / 6)
+
     @pytest.mark.parametrize("dim,grid_seed", [(1, 5), (1, 6), (2, 0), (3, 1)])
     def test_grid_points_with_distance_ties(self, dim, grid_seed):
         # on a 0.1 grid many points sit (nearly) halfway between two
@@ -510,6 +522,13 @@ class TestDstlContents:
         path = tmp_path / "bad.dstl"
         path.write_bytes(BAD_DSTL_CONTENTS[name])
         with pytest.raises(FormatError, match="bad.dstl"):
+            tl.load_distilled(path)
+
+    def test_labels_must_be_class_major(self, tmp_path):
+        # two examples of each class, so only the order is wrong
+        path = tmp_path / "descending.dstl"
+        path.write_bytes(dstl_blob(2, 2, np.zeros((4, 3)), [1, 1, 0, 0]))
+        with pytest.raises(FormatError, match="class-major"):
             tl.load_distilled(path)
 
 

@@ -1,7 +1,9 @@
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import ticketlab as tl
 from ticketlab import engines
@@ -374,6 +376,49 @@ class TestRandomRun:
         assert not np.array_equal(a.final_mask.bits, c.final_mask.bits)
 
 
+# the roles each engine gives its sets: the mask trains on "mask" (IMP's is
+# its real set), the finetunes on "real", and "eval" scores them
+ROLES = {"imp": ("real", "eval"), "distilled": ("mask", "real", "eval"),
+         "random": ("real", "eval")}
+# why a set does not fit a 2-class model of input shape (2,)
+BAD_SETS = {"shape": "does not match input shape", "label": "labels out of range",
+            "empty": "empty dataset"}
+
+
+@settings(max_examples=60, deadline=None)
+@given(engine=st.sampled_from(sorted(ROLES)), data=st.data())
+def test_every_set_is_checked_before_any_training(engine, data):
+    """One set that does not fit the model, in any role of any engine, is a
+    ValueError before the engine trains at all."""
+    spec = tl.ModelSpec("mlp", (2,), 2, hidden=(4,))
+    role = data.draw(st.sampled_from(ROLES[engine]), "role")
+    kind = data.draw(st.sampled_from(sorted(BAD_SETS)), "kind")
+    n = data.draw(st.integers(1, 6), "n")
+    x = np.random.default_rng(n).standard_normal((n, 2))
+    if kind == "shape":
+        width = data.draw(st.integers(1, 4).filter(lambda w: w != 2), "width")
+        bad = tl.LabeledDataset(np.ones((n, width)), np.zeros(n, dtype=int), 2)
+    elif kind == "label":
+        label = data.draw(st.integers(2, 9), "label")
+        bad = tl.LabeledDataset(x, np.full(n, label), label + 1)
+    else:  # a duck-typed set, which no LabeledDataset check has seen
+        bad = SimpleNamespace(examples=np.zeros((0, 2)), labels=np.zeros(0, dtype=int),
+                              size=0)
+    good = tl.synth_dataset("gaussianBlobs", 2, 10, 0.5, seed=0)
+    sets = {r: bad if r == role else good for r in ("mask", "real", "eval")}
+    theta, cfg = tl.init_params(spec, 0), make_cfg(0.5, t=1, n=1)
+    with pytest.MonkeyPatch.context() as mp:
+        calls = count_trainings(mp)
+        with pytest.raises(ValueError, match=BAD_SETS[kind]):
+            if engine == "distilled":
+                tl.distilled_prune_run(spec, theta, sets["mask"], sets["real"], cfg,
+                                       eval_data=sets["eval"])
+            else:
+                run = tl.imp_run if engine == "imp" else tl.random_prune_run
+                run(spec, theta, sets["real"], cfg, eval_data=sets["eval"])
+    assert calls == []
+
+
 class TestTimeToMask:
     def test_empty_record(self):
         rec = RunRecord(method="imp", seed=0)
@@ -395,4 +440,11 @@ class TestTimeToMask:
         rec.iterations = [IterationRecord(1, None, 0.4, 0.1),
                           IterationRecord(2, None, 0.3, 0.1)]
         with pytest.raises(ValueError):
+            rec.validate()
+
+    def test_record_refuses_equal_consecutive_sparsities(self):
+        rec = RunRecord(method="imp", seed=0)
+        rec.iterations = [IterationRecord(1, None, 0.3, 0.1),
+                          IterationRecord(2, None, 0.3, 0.1)]
+        with pytest.raises(ValueError, match="strictly increase"):
             rec.validate()

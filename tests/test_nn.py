@@ -166,6 +166,31 @@ class TestForward:
         with pytest.raises(ValueError):
             tl.forward(tiny_mlp_spec, params, ones_mask(params), np.zeros((2, 4)))
 
+    def test_empty_batch_rejected(self, tiny_mlp_spec):
+        params = tl.init_params(tiny_mlp_spec, 0)
+        with pytest.raises(ValueError, match="^empty dataset$"):
+            tl.forward(tiny_mlp_spec, params, ones_mask(params), np.zeros((0, 5)))
+        with pytest.raises(ValueError, match="^empty dataset$"):
+            tl.backward(tiny_mlp_spec, params, ones_mask(params), np.zeros((0, 5)),
+                        np.zeros(0, dtype=int))
+
+
+def test_check_data_names_the_value_that_does_not_fit():
+    """The one check of data against a model: a non-empty set of the
+    model's input shape, with a logit for each label."""
+    spec = tl.ModelSpec("mlp", (2,), 2, hidden=())
+    x, labels = nn.check_data(spec, [[0, 1], [2, 3]], [1, 0])
+    assert x.dtype == np.float64 and labels.tolist() == [1, 0]
+    with pytest.raises(ValueError, match="^empty dataset$"):
+        nn.check_data(spec, np.zeros((0, 2)), np.zeros(0, dtype=int))
+    with pytest.raises(ValueError, match=r"^batch shape \(3,\) does not match input "
+                                         r"shape \(2,\)$"):
+        nn.check_data(spec, np.zeros((4, 3)))
+    for labels, span in (([0, 1, 2], "0..2"), ([-1, 0, 1], "-1..1")):
+        with pytest.raises(ValueError, match=rf"^labels out of range: {span} for "
+                                             r"num_classes 2$"):
+            nn.check_data(spec, np.zeros((3, 2)), labels)
+
 
 class TestBackward:
     @pytest.mark.parametrize("seed", range(3))
@@ -610,7 +635,7 @@ class TestTrain:
         params = tl.init_params(blob_mlp_spec, 0)
         data = tl.LabeledDataset(blobs_2d.examples * 1e200, blobs_2d.labels, 2)
         cfg = self.cfg(epochs=1, learning_rate=1e200, batch_size=data.size)
-        with np.errstate(all="ignore"), pytest.raises(tl.TrainingDiverged) as info:
+        with pytest.raises(tl.TrainingDiverged) as info:
             tl.train(blob_mlp_spec, params, ones_mask(params), data, cfg)
         assert info.value.loss is None and np.isfinite(info.value.last_finite_loss)
         assert str(info.value).startswith("non-finite parameters at epoch 0, batch 0")
@@ -619,7 +644,7 @@ class TestTrain:
                                                                   blobs_2d):
         params = tl.init_params(blob_mlp_spec, 0)
         cfg = self.cfg(epochs=3, learning_rate=1e8, milestones=(1,), gamma=0.5)
-        with np.errstate(all="ignore"), pytest.raises(tl.TrainingDiverged) as info:
+        with pytest.raises(tl.TrainingDiverged) as info:
             tl.train(blob_mlp_spec, params, ones_mask(params), blobs_2d, cfg)
         e = info.value
         # it survives the first epoch, so the milestone has halved the rate
