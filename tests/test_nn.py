@@ -373,6 +373,17 @@ class TestChainOracle:
                                loop_forward(spec, params, mask, x))
         assert [a.tobytes() for a in inputs] == before
 
+    @settings(max_examples=40, deadline=None)
+    @given(spec=chain_specs().filter(lambda s: s.architecture == "convnet"),
+           seed=st.integers(0, 2 ** 16), batch=st.integers(1, 200))
+    def test_inference_logits_equal_taped_logits(self, spec, seed, batch):
+        # evaluate and forward run without a tape; their logits must be the
+        # bits of the taped pass that training takes, at any batch size
+        params, mask, x, _ = chain_inputs(spec, seed, batch)
+        layers, effective = nn._layers(spec), params.values * mask.bits
+        taped = nn._forward(layers, effective, x, [])
+        assert nn._forward(layers, effective, x).tobytes() == taped.tobytes()
+
 
 def slice_loop_im2col(x):
     """_im2col as nine slice copies of the padded (C, H, W, N) input."""
