@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 KSIZE = 3  # convolution kernel size used by the convnet architecture
+CONV_BLOCK = 64  # examples per conv pass of a forward without a tape
 
 
 class TrainingDiverged(RuntimeError):
@@ -302,48 +303,62 @@ def _col2im(dcols, shape):
 def _forward(layers, effective, batch, tape=None):
     """Logits of the chain.  If ``tape`` is a list, one entry per layer is
     appended for _backward: (dense input or conv patch matrix, boolean ReLU
-    mask of the layer's output or None); without one, non-finite logits are
-    a FloatingPointError."""
+    mask of the layer's output or None).  Without one, no ReLU mask is
+    formed, non-finite logits are a FloatingPointError, and the conv layers
+    run on blocks of CONV_BLOCK examples, each block's pooled output going
+    into its slice of the dense input, so their temporaries stop growing
+    with the batch.  The blocks keep every bit: a conv GEMM's output column
+    does not depend on the columns computed with it.  A dense GEMM's bits
+    depend on its row count, so the dense layers take the whole batch."""
     n = batch.shape[0]
-    conv_first = len(layers[0][0]) == 4
-    x = batch.transpose(1, 2, 3, 0) if conv_first else batch.reshape(n, -1)
-    last = len(layers) - 1
-    for i, (wshape, ws, bs) in enumerate(layers):
-        w = effective[ws].reshape(wshape[0], -1)
-        b = effective[bs]
-        if len(wshape) == 4:
-            _, h, wd, _ = x.shape
-            cols = _im2col(x)
+    convs = [(effective[ws].reshape(wshape[0], -1), effective[bs][:, None])
+             for wshape, ws, bs in layers if len(wshape) == 4]
+    x = batch.reshape(n, -1)  # an MLP's dense input
+    step = n if tape is not None else CONV_BLOCK
+    for start in range(0, n if convs else 0, step):
+        xb = batch[start:start + step].transpose(1, 2, 3, 0)
+        for w, b in convs:
+            _, h, wd, nb = xb.shape
+            cols = _im2col(xb)
             z = w @ cols
-            z += b[:, None]
-            # np.maximum: about 10x faster than np.where at these sizes
-            a = np.maximum(z, 0.0, out=z).reshape(wshape[0], h, wd, n)
-            # the pool sums in the order (a00 + a01) + a10 + a11, then scales
-            x = a[:, 0::2, 0::2] + a[:, 0::2, 1::2]
-            x += a[:, 1::2, 0::2]
-            x += a[:, 1::2, 1::2]
-            x *= 0.25
-            entry = (cols, a > 0.0)
-        else:
-            if x.ndim == 4:
-                x = x.reshape(-1, n).T  # (N, C*H*W), a view
-            z = x @ w.T
             z += b
-            entry = (x, None)
-            if i < last:
-                np.maximum(z, 0.0, out=z)
-                entry = (x, z > 0.0)
-            x = z
+            # np.maximum: about 10x faster than np.where at these sizes
+            a = np.maximum(z, 0.0, out=z).reshape(w.shape[0], h, wd, nb)
+            # the pool sums in the order (a00 + a01) + a10 + a11, then scales
+            xb = a[:, 0::2, 0::2] + a[:, 0::2, 1::2]
+            xb += a[:, 1::2, 0::2]
+            xb += a[:, 1::2, 1::2]
+            xb *= 0.25
+            if tape is not None:
+                tape.append((cols, a > 0.0))
+            del cols, z, a  # freed before the next layer or block builds its own
+        if n <= step:
+            x = xb
+        else:
+            if not start:
+                x = np.empty(xb.shape[:3] + (n,))
+            x[..., start:start + step] = xb
+    if convs:
+        x = x.reshape(-1, n).T  # (N, C*H*W), a view
+    last = len(layers) - 1
+    for i in range(len(convs), len(layers)):
+        wshape, ws, bs = layers[i]
+        z = x @ effective[ws].reshape(wshape[0], -1).T
+        z += effective[bs]
+        if i < last:
+            np.maximum(z, 0.0, out=z)
         if tape is not None:
-            tape.append(entry)
+            tape.append((x, z > 0.0 if i < last else None))
+        x = z
     if tape is None and not np.all(np.isfinite(x)):
         raise FloatingPointError("non-finite logits in forward pass")
     return x
 
 
 def _nll(logits, labels, rows=None):
-    """(per-example softmax cross-entropy, softmax probabilities); ``rows``
-    is np.arange(len(labels)), if the caller has it."""
+    """(per-example softmax cross-entropy, exp(logits - row max), its row
+    sums): the softmax is the second over the third.  ``rows`` is
+    np.arange(len(labels)), if the caller has it."""
     if rows is None:
         rows = np.arange(len(labels))
     zmax = np.maximum.reduce(logits, axis=1, keepdims=True)
@@ -351,15 +366,15 @@ def _nll(logits, labels, rows=None):
     np.exp(p, out=p)
     total = np.add.reduce(p, axis=1, keepdims=True)
     nll = zmax[:, 0] + np.log(total[:, 0]) - logits[rows, labels]
-    p /= total
-    return nll, p
+    return nll, p, total
 
 
 def _cross_entropy(logits, labels):
     """(mean softmax cross-entropy, its gradient w.r.t. the logits)."""
     n = len(labels)
     rows = np.arange(n)
-    nll, p = _nll(logits, labels, rows)
+    nll, p, total = _nll(logits, labels, rows)
+    p /= total
     p[rows, labels] -= 1.0
     p /= n
     return float(np.add.reduce(nll)) / n, p

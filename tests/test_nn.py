@@ -1,9 +1,10 @@
 import functools
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import ticketlab as tl
 from ticketlab import autodiff as ad
@@ -343,6 +344,14 @@ class TestChainOracle:
         grad = tl.backward(spec, params, mask, x, y)
         assert max_relative_error(grad.values, tape_gradient(spec, params, mask, x, y)) <= 1e-12
 
+    def test_taped_pass_is_one_block(self):
+        # a training batch larger than an inference block: its gradient is
+        # still the tape's, from one conv pass over the whole batch
+        spec = CHAIN_SPECS[4]
+        params, mask, x, y = chain_inputs(spec, 0, batch=2 * nn.CONV_BLOCK + 1)
+        grad = tl.backward(spec, params, mask, x, y)
+        assert max_relative_error(grad.values, tape_gradient(spec, params, mask, x, y)) <= 1e-12
+
     def test_forward_matches_explicit_loops(self):
         spec = tl.ModelSpec("convnet", (2, 8, 8), 3, channels=(4, 5))
         params = tl.init_params(spec, 0)
@@ -376,6 +385,8 @@ class TestChainOracle:
     @settings(max_examples=40, deadline=None)
     @given(spec=chain_specs().filter(lambda s: s.architecture == "convnet"),
            seed=st.integers(0, 2 ** 16), batch=st.integers(1, 200))
+    @example(spec=CHAIN_SPECS[4], seed=0, batch=nn.CONV_BLOCK + 1)
+    @example(spec=CHAIN_SPECS[4], seed=0, batch=2 * nn.CONV_BLOCK)
     def test_inference_logits_equal_taped_logits(self, spec, seed, batch):
         # evaluate and forward run without a tape; their logits must be the
         # bits of the taped pass that training takes, at any batch size
@@ -715,6 +726,22 @@ class TestEvaluate:
         empty.labels = empty.labels[:0]
         with pytest.raises(ValueError):
             tl.evaluate(blob_mlp_spec, params, mask, empty)
+
+    def test_convnet_memory_does_not_grow_with_the_chunk(self):
+        # the desk ConvNet on one full 512-example chunk: its conv layers run
+        # on 64-example blocks, so the temporaries are one block's (the whole
+        # chunk at once peaked at 4.25 MB)
+        spec = tl.ModelSpec("convnet", (1, 8, 8), 4, channels=(6,))
+        data = tl.synth_dataset("gaussianBlobs", 4, 128, 0.8, seed=0, input_shape=(1, 8, 8))
+        params = tl.init_params(spec, 0)
+        mask = tl.SparsityMask.ones(params.layer_map)
+        tracemalloc.start()
+        try:
+            tl.evaluate(spec, params, mask, data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert data.size == 512 and peak < 2_000_000
 
 
 def test_segment_round_trip(tiny_conv_spec):
