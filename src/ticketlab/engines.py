@@ -25,8 +25,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .nn import (ModelSpec, ParameterVector, TrainConfig, check_data, check_seed, evaluate,
-                 is_number, is_whole, require, train)
+from .nn import (ModelSpec, ParameterVector, TrainConfig, TrainingDiverged, check_data,
+                 check_seed, evaluate, is_number, is_whole, require, train)
 from .pruning import SCOPES, SparsityMask, magnitude_prune, random_prune, sparsity
 
 
@@ -132,7 +132,8 @@ def _prune_loop(spec, theta_init, mask_data, d_real, cfg, rewind_epoch, eval_dat
     point (epoch `rewind_epoch` of the first pass), or random pruning if it is
     None; finetune from the rewind point on real data if `finetune_each` or at
     the target.  Returns (last finetuned params, RunRecord); an iteration that
-    prunes no weight raises SparsityUnreachable."""
+    prunes no weight raises SparsityUnreachable.  Either error, or a
+    TrainingDiverged, ends its message with the seed, iteration and phase."""
     record = RunRecord(method=method, seed=check_seed(seed))
     eval_data = d_real if eval_data is None else eval_data
     for data in [d for d in (mask_data, d_real, eval_data) if d is not None]:
@@ -156,18 +157,21 @@ def _prune_loop(spec, theta_init, mask_data, d_real, cfg, rewind_epoch, eval_dat
             else:
                 # iteration 1 trains from init and keeps epoch k as the rewind point
                 snaps = {rewind_epoch: None} if iteration == 1 else None
-                trained = train(spec, rewind, mask, mask_data, cfg.train_config_mask, snaps)
+                trained = _train(f"seed {seed}, iteration {iteration}, mask training",
+                                 spec, rewind, mask, mask_data, cfg.train_config_mask, snaps)
                 rewind = snaps[rewind_epoch] if snaps else rewind
             mask = magnitude_prune(trained, mask, cfg.amount, cfg.prune_scope)
         seconds = charged + time.monotonic() - t0
         reused, previous, level = None, level, sparsity(mask)
         if level <= previous:  # floor(amount * survivors) is 0 in every pool, for good
             raise SparsityUnreachable(f"sparsity {previous:.4f} after {iteration - 1} "
-                                      f"iterations: amount {cfg.amount} prunes no weight")
+                                      f"iterations: amount {cfg.amount} prunes no weight "
+                                      f"(seed {seed}, iteration {iteration}, pruning)")
         rec = IterationRecord(iteration, mask, level, seconds)
         if finetune_each or rec.sparsity >= cfg.desired_sparsity:
             t0 = time.monotonic()
-            theta = train(spec, rewind, mask, d_real, cfg.train_config_finetune)
+            theta = _train(f"seed {seed}, iteration {iteration}, finetune",
+                           spec, rewind, mask, d_real, cfg.train_config_finetune)
             rec.finetune_seconds = time.monotonic() - t0
             rec.finetune_accuracy, _ = evaluate(spec, theta, mask, eval_data)
             if reusable:
@@ -176,6 +180,15 @@ def _prune_loop(spec, theta_init, mask_data, d_real, cfg, rewind_epoch, eval_dat
     record.rewind = rewind
     record.validate()
     return theta, record
+
+
+def _train(where, *args):
+    """train(*args); a TrainingDiverged it raises ends its message with `where`."""
+    try:
+        return train(*args)
+    except TrainingDiverged as e:
+        e.args = (f"{e} ({where})",)
+        raise
 
 
 def imp_run(spec: ModelSpec, theta_init: ParameterVector, d_real, cfg: PruneRunConfig,

@@ -796,6 +796,17 @@ class TestSubcommands:
         assert err.startswith("runtime failure: non-finite loss")
         assert "learning rate 5e+19" in err and "last finite loss" in err
 
+    @pytest.mark.parametrize("phase,named", [("finetune", "finetune"),
+                                             ("mask_train", "mask training")])
+    def test_divergence_names_seed_iteration_and_phase(self, tmp_path, capsys, phase, named):
+        path = write_config(tmp_path, overrides={"seeds": [5]},
+                            **{phase: {"learning_rate": 1e200, "batch_size": 32}})
+        code = cli.main(["prune", "--config", str(path), "--out", str(tmp_path / "out")])
+        assert code == cli.EXIT_RUNTIME
+        err = capsys.readouterr().err
+        assert err.startswith("runtime failure: non-finite loss")
+        assert err.endswith(f"(seed 5, iteration 1, {named})\n")
+
     @pytest.mark.parametrize("report", [BASE_CONFIG["report"],
                                         {"finetune_each": False, "lmc": True}],
                              ids=["prune", "lmc"])

@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -101,6 +102,14 @@ class TestImpRun:
         theta = tl.init_params(spec, 0)
         with pytest.raises(SparsityUnreachable, match=r"^sparsity 0\.9375 after "):
             tl.imp_run(spec, theta, blobs, make_cfg(0.99), seed=0)
+
+    def test_unreachable_names_seed_and_iteration(self, spec, blobs):
+        theta = tl.init_params(spec, 0)
+        with pytest.raises(SparsityUnreachable) as info:
+            tl.imp_run(spec, theta, blobs, make_cfg(0.99), seed=3)
+        done, where = re.search(r" after (\d+) iterations: .*\(seed 3, iteration (\d+), "
+                                r"pruning\)$", str(info.value)).groups()
+        assert int(where) == int(done) + 1
 
     @pytest.mark.parametrize("value", [True, 3, "x"])
     @pytest.mark.parametrize("key", ["train_config_mask", "train_config_finetune"])
