@@ -59,6 +59,17 @@ MUTANTS = [
     ("src/ticketlab/nn.py", 'with np.errstate(over="ignore", invalid="ignore"):  # as in train',
      "with np.errstate():  # as in train",
      "tests/test_cli.py::TestSubcommands::test_non_finite_logits_are_runtime_error"),
+    # inference runs the conv layers on blocks; training runs one block
+    ("src/ticketlab/nn.py", "for start in range(0, n if convs else 0, step):",
+     "for start in range(0, n - 1 if convs else 0, step):",
+     "tests/test_nn.py::TestChainOracle::test_inference_logits_equal_taped_logits"),
+    ("src/ticketlab/nn.py", "step = n if tape is not None else CONV_BLOCK",
+     "step = CONV_BLOCK",
+     "tests/test_nn.py::TestChainOracle::test_taped_pass_is_one_block"),
+    # a failed run says where it failed
+    ("src/ticketlab/engines.py", 'f"seed {seed}, iteration {iteration}, mask training"',
+     'f"seed {seed}, iteration {iteration}, finetune"',
+     "tests/test_cli.py::TestSubcommands::test_divergence_names_seed_iteration_and_phase"),
     # rules that held with no test to notice a change
     ("src/ticketlab/engines.py", "(all(a < b for a, b in zip(levels, levels[1:])),",
      "(all(a <= b for a, b in zip(levels, levels[1:])),",
