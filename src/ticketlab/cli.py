@@ -531,7 +531,7 @@ def main(argv=None):
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
-    except (nn.TrainingDiverged, engines.SparsityUnreachable, FloatingPointError) as e:
+    except engines.RUNTIME_FAILURES as e:
         print(f"runtime failure: {e}", file=sys.stderr)
         return EXIT_RUNTIME
     except (OSError, data_mod.FormatError) as e:

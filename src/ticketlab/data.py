@@ -104,7 +104,7 @@ class DistilledDataset(LabeledDataset):
 def _read_exact(f, n, what):
     """The next n bytes of f, checked against the file's size before reading."""
     if n > os.fstat(f.fileno()).st_size - f.tell():
-        raise FormatError(f"truncated file while reading {what}")
+        raise FormatError(f"truncated file while reading {what} in {f.name}")
     return f.read(n)
 
 
@@ -127,7 +127,8 @@ def load_idx(images_path, labels_path) -> LabeledDataset:
     images = _load_idx_array(images_path, IMAGE_MAGIC)
     labels = _load_idx_array(labels_path, LABEL_MAGIC)
     if images.shape[0] != labels.shape[0]:
-        raise FormatError("image/label counts differ")
+        raise FormatError(f"image/label counts differ: {images.shape[0]} in {images_path}, "
+                          f"{labels.shape[0]} in {labels_path}")
     try:
         return LabeledDataset(images.astype(np.float64) / 255.0,
                               labels.astype(np.int64), int(labels.max(initial=0)) + 1)
@@ -346,11 +347,11 @@ def load_distilled(path) -> DistilledDataset:
         version, num_classes, ipc, rank = struct.unpack(
             "<IIII", _read_exact(f, 16, "header"))
         if version != DSTL_VERSION:
-            raise FormatError(f"unsupported DSTL version {version}")
+            raise FormatError(f"unsupported DSTL version {version} in {path}")
         dims = struct.unpack(f"<{rank}I", _read_exact(f, 4 * rank, "dims"))
         code, = struct.unpack("<B", _read_exact(f, 1, "provenance"))
         if code not in _CODE_TO_PROVENANCE:
-            raise FormatError(f"unknown provenance code {code}")
+            raise FormatError(f"unknown provenance code {code} in {path}")
         n = num_classes * ipc
         per = math.prod(dims)
         payload = _read_exact(f, 4 * n * per, "image payload")
@@ -361,7 +362,7 @@ def load_distilled(path) -> DistilledDataset:
         examples = np.frombuffer(payload, dtype="<f4").astype(np.float64)
     labels = np.frombuffer(label_bytes, dtype="<u2").astype(np.int64)
     if np.any(np.diff(labels) < 0):
-        raise FormatError("labels must be class-major ascending")
+        raise FormatError(f"labels must be class-major ascending in {path}")
     try:
         return DistilledDataset(examples.reshape((n,) + dims), labels, num_classes,
                                 provenance=_CODE_TO_PROVENANCE[code])

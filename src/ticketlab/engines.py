@@ -11,12 +11,11 @@ per iteration so time-to-mask can be reported with or without the final
 retrain.
 
 When the mask trains on the finetune data with the finetune's TrainConfig
-(IMP with finetune_each), the finetune of iteration i is the very training
-that iteration i+1 would repeat, and training is deterministic; so it is
-reused as that iteration's mask training, as in classic IMP.  The reused
-iteration's mask-phase seconds are charged the reused training's measured
-seconds, so time-to-mask keeps its meaning.
-"""
+(IMP with finetune_each), training is deterministic and each finetune is
+the very training the next iteration would repeat; so it stands in for
+that mask training, as in classic IMP, and its seconds are charged to that
+mask phase.  Failures are named in one place: the loop's one except adds
+the seed, iteration and phase to any of RUNTIME_FAILURES."""
 
 from __future__ import annotations
 
@@ -32,6 +31,10 @@ from .pruning import SCOPES, SparsityMask, magnitude_prune, random_prune, sparsi
 
 class SparsityUnreachable(RuntimeError):
     """Desired sparsity out of reach: an iteration pruned no weight."""
+
+
+# what a pruning run can fail with once its inputs are checked (CLI exit 3)
+RUNTIME_FAILURES = (TrainingDiverged, SparsityUnreachable, FloatingPointError)
 
 
 @dataclass(frozen=True)
@@ -131,9 +134,7 @@ def _prune_loop(spec, theta_init, mask_data, d_real, cfg, rewind_epoch, eval_dat
     sparsity: magnitude pruning after training on `mask_data` from the rewind
     point (epoch `rewind_epoch` of the first pass), or random pruning if it is
     None; finetune from the rewind point on real data if `finetune_each` or at
-    the target.  Returns (last finetuned params, RunRecord); an iteration that
-    prunes no weight raises SparsityUnreachable.  Either error, or a
-    TrainingDiverged, ends its message with the seed, iteration and phase."""
+    the target.  Returns (last finetuned params, RunRecord)."""
     record = RunRecord(method=method, seed=check_seed(seed))
     eval_data = d_real if eval_data is None else eval_data
     for data in [d for d in (mask_data, d_real, eval_data) if d is not None]:
@@ -141,54 +142,46 @@ def _prune_loop(spec, theta_init, mask_data, d_real, cfg, rewind_epoch, eval_dat
     mask = SparsityMask.ones(theta_init.layer_map)
     level = sparsity(mask)
     rewind = theta_init
-    # a finetune is the next iteration's mask training if both share data and config
-    reusable = mask_data is d_real and cfg.train_config_mask == cfg.train_config_finetune
-    reused = None  # (params, seconds) of the last finetune, while reusable
-    while level < cfg.desired_sparsity:
-        iteration = len(record.iterations) + 1
-        t0 = time.monotonic()
-        charged = 0.0
-        if mask_data is None:
-            mask = random_prune(mask, cfg.amount, seed=_iteration_seed(seed, iteration),
-                                scope=cfg.prune_scope)
-        else:
-            if reused is not None:
-                trained, charged = reused
-            else:
+    # each finetune is the next iteration's mask training if both share data and config
+    reuse = (finetune_each and mask_data is d_real
+             and cfg.train_config_mask == cfg.train_config_finetune)
+    try:
+        while level < cfg.desired_sparsity:
+            iteration, phase, charged = len(record.iterations) + 1, "mask training", 0.0
+            t0 = time.monotonic()
+            if reuse and iteration > 1:
+                trained, charged = theta, record.iterations[-1].finetune_seconds
+            elif mask_data is not None:
                 # iteration 1 trains from init and keeps epoch k as the rewind point
                 snaps = {rewind_epoch: None} if iteration == 1 else None
-                trained = _train(f"seed {seed}, iteration {iteration}, mask training",
-                                 spec, rewind, mask, mask_data, cfg.train_config_mask, snaps)
+                trained = train(spec, rewind, mask, mask_data, cfg.train_config_mask, snaps)
                 rewind = snaps[rewind_epoch] if snaps else rewind
-            mask = magnitude_prune(trained, mask, cfg.amount, cfg.prune_scope)
-        seconds = charged + time.monotonic() - t0
-        reused, previous, level = None, level, sparsity(mask)
-        if level <= previous:  # floor(amount * survivors) is 0 in every pool, for good
-            raise SparsityUnreachable(f"sparsity {previous:.4f} after {iteration - 1} "
-                                      f"iterations: amount {cfg.amount} prunes no weight "
-                                      f"(seed {seed}, iteration {iteration}, pruning)")
-        rec = IterationRecord(iteration, mask, level, seconds)
-        if finetune_each or rec.sparsity >= cfg.desired_sparsity:
-            t0 = time.monotonic()
-            theta = _train(f"seed {seed}, iteration {iteration}, finetune",
-                           spec, rewind, mask, d_real, cfg.train_config_finetune)
-            rec.finetune_seconds = time.monotonic() - t0
-            rec.finetune_accuracy, _ = evaluate(spec, theta, mask, eval_data)
-            if reusable:
-                reused = theta, rec.finetune_seconds
-        record.iterations.append(rec)
+            phase = "pruning"
+            if mask_data is None:
+                mask = random_prune(mask, cfg.amount, seed=_iteration_seed(seed, iteration),
+                                    scope=cfg.prune_scope)
+            else:
+                mask = magnitude_prune(trained, mask, cfg.amount, cfg.prune_scope)
+            seconds = charged + time.monotonic() - t0
+            previous, level = level, sparsity(mask)
+            if level <= previous:  # floor(amount * survivors) is 0 in every pool, for good
+                raise SparsityUnreachable(f"sparsity {previous:.4f} after {iteration - 1} "
+                                          f"iterations: amount {cfg.amount} prunes no weight")
+            rec = IterationRecord(iteration, mask, level, seconds)
+            if finetune_each or level >= cfg.desired_sparsity:
+                phase = "finetune"
+                t0 = time.monotonic()
+                theta = train(spec, rewind, mask, d_real, cfg.train_config_finetune)
+                rec.finetune_seconds = time.monotonic() - t0
+                phase = "evaluation"
+                rec.finetune_accuracy, _ = evaluate(spec, theta, mask, eval_data)
+            record.iterations.append(rec)
+    except RUNTIME_FAILURES as e:
+        e.args = (f"{e} (seed {seed}, iteration {iteration}, {phase})",)
+        raise
     record.rewind = rewind
     record.validate()
     return theta, record
-
-
-def _train(where, *args):
-    """train(*args); a TrainingDiverged it raises ends its message with `where`."""
-    try:
-        return train(*args)
-    except TrainingDiverged as e:
-        e.args = (f"{e} ({where})",)
-        raise
 
 
 def imp_run(spec: ModelSpec, theta_init: ParameterVector, d_real, cfg: PruneRunConfig,

@@ -66,10 +66,16 @@ MUTANTS = [
     ("src/ticketlab/nn.py", "step = n if tape is not None else CONV_BLOCK",
      "step = CONV_BLOCK",
      "tests/test_nn.py::TestChainOracle::test_taped_pass_is_one_block"),
-    # a failed run says where it failed
-    ("src/ticketlab/engines.py", 'f"seed {seed}, iteration {iteration}, mask training"',
-     'f"seed {seed}, iteration {iteration}, finetune"',
+    # a failed run says where it failed, and a finetune stands in only for a
+    # mask training that would repeat it
+    ("src/ticketlab/engines.py", 'len(record.iterations) + 1, "mask training", 0.0',
+     'len(record.iterations) + 1, "finetune", 0.0',
      "tests/test_cli.py::TestSubcommands::test_divergence_names_seed_iteration_and_phase"),
+    ("src/ticketlab/engines.py", 'phase = "evaluation"', 'phase = "finetune"',
+     "tests/test_engines.py::test_non_finite_evaluation_names_seed_iteration_and_phase"),
+    ("src/ticketlab/engines.py", "reuse = (finetune_each and mask_data is d_real",
+     "reuse = (mask_data is d_real",
+     "tests/test_engines.py::TestFinetuneReuse::test_matches_reference_loop"),
     # rules that held with no test to notice a change
     ("src/ticketlab/engines.py", "(all(a < b for a, b in zip(levels, levels[1:])),",
      "(all(a <= b for a, b in zip(levels, levels[1:])),",
@@ -84,6 +90,21 @@ MUTANTS = [
     ("src/ticketlab/data.py", "if np.any(np.diff(labels) < 0):",
      "if np.any(np.diff(labels) < 0) and False:",
      "tests/test_data.py::TestDstlContents::test_labels_must_be_class_major"),
+    # input checks that held with no test to reach them
+    ("src/ticketlab/data.py", "if code not in _CODE_TO_PROVENANCE:", "if False:",
+     "tests/test_data.py::TestDstlContents::test_rejected_contents_are_format_errors"),
+    ("src/ticketlab/data.py", "if self.provenance not in PROVENANCE_CODES:", "if False:",
+     "tests/test_data.py::TestDistillers::test_unknown_provenance_rejected"),
+    ("src/ticketlab/analysis.py",
+     "if not (len(self.alphas) == len(self.accuracies) == len(self.losses)):", "if False:",
+     "tests/test_analysis.py::TestInterpolation::test_malformed_curve_rejected"),
+    ("src/ticketlab/analysis.py", "if np.any(np.diff(self.alphas) <= 0):", "if False:",
+     "tests/test_analysis.py::TestInterpolation::test_malformed_curve_rejected"),
+    ("src/ticketlab/analysis.py", "if limit == 0.0:", "if False:",
+     "tests/test_analysis.py::TestWeightHistogram::"
+     "test_all_zero_layer_spans_minus_one_to_one"),
+    ("src/ticketlab/pruning.py", "if total == 0:", "if False:",
+     "tests/test_pruning.py::TestSparsity::test_mask_without_weights_has_no_sparsity"),
     # equivalent: no result can change
     ("src/ticketlab/nn.py", "decay_sel[ws] = True", "decay_sel[ws] = mask.bits[ws] != 0.0",
      "equivalent: theta is +-0 at masked positions, so their decay term adds +-0 to a "

@@ -87,6 +87,15 @@ class TestInterpolation:
         with pytest.raises(ValueError):
             InterpolationCurve(np.array([0.0, 0.5]), np.zeros(2), np.zeros(2), 0.5)
 
+    @pytest.mark.parametrize("alphas,n,message", [
+        ([0.0, 1.0], 3, "equal length"),
+        ([0.0, 0.5, 0.5, 1.0], 4, "strictly increasing"),
+        ([0.0, 0.75, 0.25, 1.0], 4, "strictly increasing")],
+        ids=["unequal_length", "repeated_alpha", "decreasing_alpha"])
+    def test_malformed_curve_rejected(self, alphas, n, message):
+        with pytest.raises(ValueError, match=message):
+            InterpolationCurve(np.array(alphas), np.zeros(n), np.zeros(len(alphas)), 0.5)
+
 
 class TestInstability:
     def curve(self, accs):
@@ -159,6 +168,17 @@ class TestWeightHistogram:
         mask.bits[entry.offset:entry.offset + entry.length] = 0.0
         hist = tl.weight_histogram(theta, mask, "fc1", 8)
         assert hist.counts.sum() == 0 and hist.sparsity == 1.0
+
+    def test_all_zero_layer_spans_minus_one_to_one(self, setup):
+        spec, theta, _, _, _, _ = setup
+        entry = [e for e in theta.layer_map
+                 if e.name == "fc1" and e.kind == "weight"][0]
+        values = theta.values.copy()
+        values[entry.offset:entry.offset + entry.length] = 0.0
+        zero = ParameterVector(values, theta.layer_map)
+        hist = tl.weight_histogram(zero, tl.SparsityMask.ones(zero.layer_map), "fc1", 8)
+        assert hist.bin_edges[0] == -1.0 and hist.bin_edges[-1] == 1.0
+        assert hist.counts.sum() == entry.length
 
     def test_unknown_layer(self, setup):
         spec, theta, mask, _, _, _ = setup

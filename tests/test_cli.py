@@ -807,11 +807,13 @@ class TestSubcommands:
         assert err.startswith("runtime failure: non-finite loss")
         assert err.endswith(f"(seed 5, iteration 1, {named})\n")
 
-    @pytest.mark.parametrize("report", [BASE_CONFIG["report"],
-                                        {"finetune_each": False, "lmc": True}],
+    # 50 prunable weights reach 0.5 in 4 iterations; without finetune_each,
+    # the first evaluation is the last iteration's
+    @pytest.mark.parametrize("report,iteration", [(BASE_CONFIG["report"], 1),
+                                                  ({"finetune_each": False, "lmc": True}, 4)],
                              ids=["prune", "lmc"])
     def test_non_finite_logits_are_runtime_error(self, tmp_path, capsys, monkeypatch,
-                                                 report):
+                                                 report, iteration):
         # evaluation inputs that overflow the network: the chain, run
         # without a tape, raises FloatingPointError on the non-finite logits
         chain = nn._forward
@@ -824,6 +826,7 @@ class TestSubcommands:
         err = capsys.readouterr().err
         assert err.startswith("runtime failure: non-finite logits")
         assert err.count("\n") == 1
+        assert err.endswith(f"(seed 0, iteration {iteration}, evaluation)\n")
 
 
 class TestConfigPaths:
@@ -956,7 +959,7 @@ class TestConfigPaths:
         assert "distiller.ipc" in self.assert_config_error(capsys, argv, tmp_path / "out")
 
     @pytest.mark.parametrize("name", ["ipc_zero", "label_out_of_range", "non_finite",
-                                      "unequal_classes", "empty_class"])
+                                      "unequal_classes", "empty_class", "unknown_provenance"])
     def test_rejected_external_contents_are_io_errors(self, tmp_path, monkeypatch,
                                                       capsys, name):
         from test_data import BAD_DSTL_CONTENTS
@@ -966,6 +969,23 @@ class TestConfigPaths:
         assert cli.main(["prune", "--config", str(cfg_dir / "config.json"),
                          "--out", "out"]) == cli.EXIT_IO
         assert capsys.readouterr().err.startswith("i/o failure:")
+
+    @pytest.mark.parametrize("key", ["images", "test_labels"])
+    def test_truncated_idx_file_is_named(self, tmp_path, monkeypatch, capsys, key):
+        # each key names its own copy of the files; only `key`'s loses 2 bytes
+        cfg_dir = self.config_dir(tmp_path, monkeypatch)
+        raw = json.loads((cfg_dir / "config.json").read_text())
+        for name, path in raw["dataset"].items():
+            if name != "source":
+                (cfg_dir / f"{name}.idx").write_bytes((cfg_dir / path).read_bytes())
+                raw["dataset"][name] = f"{name}.idx"
+        (cfg_dir / "config.json").write_text(json.dumps(raw))
+        short = cfg_dir / f"{key}.idx"
+        short.write_bytes(short.read_bytes()[:-2])
+        for command in ["validate", "prune"]:
+            assert cli.main([command, "--config", str(cfg_dir / "config.json")]) == cli.EXIT_IO
+            assert capsys.readouterr().err == (
+                f"i/o failure: truncated file while reading payload in {short}\n")
 
 
 class TestEngineCalls:

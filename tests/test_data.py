@@ -43,8 +43,9 @@ class TestIdx:
     def test_truncated_file(self, tmp_path):
         ip, lp = write_idx_fixture(tmp_path)
         ip.write_bytes(ip.read_bytes()[:-3])
-        with pytest.raises(FormatError, match="truncated"):
+        with pytest.raises(FormatError, match="truncated") as info:
             tl.load_idx(ip, lp)
+        assert str(info.value) == f"truncated file while reading payload in {ip}"
 
     @pytest.mark.parametrize("which", [0, 1], ids=["images", "labels"])
     def test_trailing_bytes_rejected(self, tmp_path, which):
@@ -56,8 +57,9 @@ class TestIdx:
     def test_count_mismatch(self, tmp_path):
         ip, lp = write_idx_fixture(tmp_path)
         lp.write_bytes(struct.pack(">II", 0x00000801, 1) + bytes([1]))
-        with pytest.raises(FormatError, match="counts differ"):
+        with pytest.raises(FormatError, match="counts differ") as info:
             tl.load_idx(ip, lp)
+        assert str(info.value).endswith(f": 2 in {ip}, 1 in {lp}")
 
     def test_round_trip_bytes(self, tmp_path):
         ip, lp = write_idx_fixture(tmp_path)
@@ -244,6 +246,10 @@ class TestDistillers:
         for labels, classes in (([0, 0, 0, 1], 2), ([0, 0, 0, 0], 2), ([0, 0, 1, 1], 3)):
             with pytest.raises(ValueError, match="classes hold"):
                 tl.DistilledDataset(x, labels, classes)
+
+    def test_unknown_provenance_rejected(self):
+        with pytest.raises(ValueError, match="unknown provenance 'x'"):
+            tl.DistilledDataset(np.zeros((2, 3)), [0, 1], 2, provenance="x")
 
     def test_herding_zero_iterations_gives_the_seeds(self, dataset):
         dsyn = tl.distill_kmeans_herding(dataset, ipc=3, iterations=0, seed=4)
@@ -498,16 +504,17 @@ class TestDstlFormat:
         assert out.read_bytes() == blob
 
 
-def dstl_blob(num_classes, ipc, images, labels, dims=(3,)):
+def dstl_blob(num_classes, ipc, images, labels, dims=(3,), provenance=3):
     """DSTL bytes following the published layout, whatever the contents."""
     blob = DSTL_MAGIC + struct.pack("<IIII", 1, num_classes, ipc, len(dims))
-    blob += struct.pack(f"<{len(dims)}I", *dims) + struct.pack("<B", 3)
+    blob += struct.pack(f"<{len(dims)}I", *dims) + struct.pack("<B", provenance)
     return (blob + np.asarray(images, dtype="<f4").tobytes()
             + np.asarray(labels, dtype="<u2").tobytes())
 
 
-# well-formed files whose contents DistilledDataset rejects
+# files of the DSTL layout whose contents load_distilled rejects
 BAD_DSTL_CONTENTS = {
+    "unknown_provenance": dstl_blob(2, 1, np.zeros((2, 3)), [0, 1], provenance=9),
     "ipc_zero": dstl_blob(2, 0, np.zeros((0, 3)), []),
     "label_out_of_range": dstl_blob(2, 1, np.zeros((2, 3)), [0, 2]),
     "non_finite": dstl_blob(2, 1, [[0.0, np.nan, 0.0], [1.0, 1.0, np.inf]], [0, 1]),

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import ticketlab as tl
-from ticketlab import engines
+from ticketlab import engines, nn
 from ticketlab.engines import IterationRecord, RunRecord, SparsityUnreachable
 
 
@@ -223,6 +223,31 @@ class TestStopsWhenNothingIsPruned:
                                                       r"iterations: amount 0\.2 "):
             tl.imp_run(self.SPEC, tl.init_params(self.SPEC, 0), self.DATA, cfg, seed=0)
         assert len(calls) == 23
+
+
+@pytest.mark.parametrize("engine", ["imp", "distilled", "random"])
+def test_non_finite_evaluation_names_seed_iteration_and_phase(spec, blobs, monkeypatch,
+                                                              engine):
+    """Evaluation inputs that overflow the network: the FloatingPointError of
+    the first evaluation, after the last iteration's finetune, says where."""
+    theta, cfg, dsyn = tl.init_params(spec, 0), make_cfg(0.5), tl.distill_class_mean(blobs)
+
+    def run():
+        if engine == "distilled":
+            return tl.distilled_prune_run(spec, theta, dsyn, blobs, cfg, seed=2)[2]
+        return {"imp": tl.imp_run, "random": tl.random_prune_run}[engine](
+            spec, theta, blobs, cfg, seed=2)
+
+    last = len(run().iterations)
+    assert last > 1
+    chain = nn._forward
+    monkeypatch.setattr(nn, "_forward", lambda layers, effective, batch, tape=None:
+                        chain(layers, effective, batch * np.inf if tape is None else batch,
+                              tape))
+    with pytest.raises(FloatingPointError) as info:
+        run()
+    assert str(info.value) == ("non-finite logits in forward pass "
+                               f"(seed 2, iteration {last}, evaluation)")
 
 
 class TestFinetuneReuse:

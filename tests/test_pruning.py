@@ -81,6 +81,11 @@ class TestSparsity:
         assert tl.sparsity(mask) == pytest.approx(1 - 0.8 ** 3, abs=3 / 1000)
         assert tl.sparsity(mask) == pytest.approx(0.488, abs=0.003)
 
+    def test_mask_without_weights_has_no_sparsity(self):
+        mask = tl.SparsityMask.ones((LayerEntry("layer", 0, 3, "bias"),))
+        with pytest.raises(ValueError, match="no prunable positions"):
+            tl.sparsity(mask)
+
     def test_biases_excluded_from_accounting(self):
         params = flat_model(np.ones(10), bias_tail=5)
         mask = tl.SparsityMask.ones(params.layer_map)
