@@ -460,6 +460,41 @@ def test_layout_of_another_model_rejected(entry, wrong):
         ENTRY_POINTS[entry](spec, params, tl.SparsityMask.ones(layout), data)
 
 
+MASK_READERS = {
+    **ENTRY_POINTS,
+    "magnitude_prune": lambda spec, params, mask, data: tl.magnitude_prune(params, mask, 0.3),
+    "random_prune": lambda spec, params, mask, data: tl.random_prune(mask, 0.3, 0),
+}
+
+
+def result_bytes(out):
+    """The bytes of a mask reader's result; a mask's bits as 0.0/1.0."""
+    if isinstance(out, tuple):
+        return tuple(result_bytes(o) for o in out)
+    if isinstance(out, tl.SparsityMask):
+        return out.bits.astype(np.float64).tobytes()
+    if isinstance(out, tl.ParameterVector):
+        return out.values.tobytes()
+    return out.tobytes() if isinstance(out, np.ndarray) else out
+
+
+@settings(max_examples=80, deadline=None)
+@given(spec=chain_specs(), seed=st.integers(0, 2 ** 16),
+       entry=st.sampled_from(sorted(MASK_READERS)))
+def test_mask_given_as_float_or_bool_gives_the_same_bytes(spec, seed, entry):
+    params, mask, x, y = chain_inputs(spec, seed)
+    data = tl.LabeledDataset(x, y, spec.num_classes)
+    bits = mask.bits.astype(np.float64)
+    masks = [tl.SparsityMask(b, params.layer_map) for b in (bits, bits.astype(bool))]
+    if entry in ENTRY_POINTS:
+        # the training core only multiplies by the bits, so float64 bits set
+        # past the constructor give the bytes of the mask's own storage
+        masks.append(mask.copy())
+        masks[-1].bits = bits
+    results = [result_bytes(MASK_READERS[entry](spec, params, m, data)) for m in masks]
+    assert all(r == results[0] for r in results)
+
+
 class TestTrain:
     def cfg(self, **kw):
         base = dict(epochs=5, learning_rate=0.1, momentum=0.9, batch_size=32)
