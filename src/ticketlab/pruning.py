@@ -1,9 +1,9 @@
-"""Binary sparsity masks, sparsity accounting, and the magnitude / random
-pruning operators.
+"""Bit masks, sparsity accounting, and the magnitude / random pruning
+operators.
 
-Masks are aligned index-for-index with a ParameterVector.  Only weights
-are prunable: biases are never pruned and stay 1 in every mask this module
-produces.  Sparsity is reported over prunable positions only.
+Masks hold one bool per position, aligned with a ParameterVector.  Only
+weights are prunable: biases are never pruned and stay True in every mask
+this module produces.  Sparsity is reported over prunable positions only.
 """
 
 from __future__ import annotations
@@ -21,20 +21,21 @@ SCOPES = ("global", "layerwise")
 
 @dataclass
 class SparsityMask:
-    """0/1 float vector aligned with a ParameterVector, plus its layer map."""
+    """Bools (True: kept) aligned with a ParameterVector, plus its layer map."""
 
     bits: np.ndarray
     layer_map: tuple[LayerEntry, ...]
 
     def __post_init__(self):
-        self.bits = np.asarray(self.bits, dtype=np.float64)
-        if not np.all((self.bits == 0.0) | (self.bits == 1.0)):
+        bits = np.asarray(self.bits)
+        if not np.all((bits == 0) | (bits == 1)):
             raise ValueError("mask entries must be 0 or 1")
+        self.bits = bits.astype(bool, copy=False)
         check_layer_map(self.layer_map, self.bits.size)
 
     @classmethod
     def ones(cls, layer_map) -> "SparsityMask":
-        return cls(np.ones(sum(e.length for e in layer_map)), tuple(layer_map))
+        return cls(np.ones(sum(e.length for e in layer_map), dtype=bool), tuple(layer_map))
 
     def copy(self) -> "SparsityMask":
         return SparsityMask(self.bits.copy(), self.layer_map)
@@ -55,12 +56,12 @@ def sparsity(mask: SparsityMask) -> float:
     total = int(sel.sum())
     if total == 0:
         raise ValueError("no prunable positions")
-    return float((mask.bits[sel] == 0.0).sum()) / total
+    return float((~mask.bits[sel]).sum()) / total
 
 
 def whole_vector_sparsity(mask: SparsityMask) -> float:
     """Zeros over the entire vector, biases included; reporting only."""
-    return float((mask.bits == 0.0).sum()) / mask.bits.size
+    return float((~mask.bits).sum()) / mask.bits.size
 
 
 def magnitude_prune(params: ParameterVector, mask: SparsityMask, amount: float,
@@ -84,7 +85,7 @@ def random_prune(mask: SparsityMask, amount: float, seed: int,
     position draws one key from one stream, in flat order; ties are
     measure-zero."""
     key = np.zeros(mask.bits.size)
-    candidates = mask.prunable_selector() & (mask.bits == 1.0)
+    candidates = mask.prunable_selector() & mask.bits
     key[candidates] = np.random.default_rng(check_seed(seed)).random(int(candidates.sum()))
     return _prune_by_key(mask, amount, scope, key)
 
@@ -97,13 +98,13 @@ def _prune_by_key(mask, amount, scope, key):
     require([(is_number(amount) and 0.0 < amount < 1.0, "amount must be in (0, 1)"),
              (scope in SCOPES, f"scope must be one of {', '.join(SCOPES)}")])
     out = mask.copy()
-    candidates = mask.prunable_selector() & (mask.bits == 1.0)
+    candidates = mask.prunable_selector() & mask.bits
     pools = [(0, mask.bits.size)] if scope == "global" else [
         (e.offset, e.offset + e.length) for e in mask.layer_map if e.kind == "weight"]
     for start, stop in pools:
         pool = start + np.flatnonzero(candidates[start:stop])
         ranked = pool[np.argsort(key[pool], kind="stable")]
-        out.bits[ranked[:int(np.floor(amount * pool.size))]] = 0.0
+        out.bits[ranked[:int(np.floor(amount * pool.size))]] = False
     return out
 
 
@@ -119,7 +120,6 @@ def mask_layer_stats(mask: SparsityMask):
     for e in mask.layer_map:
         if e.kind != "weight":
             continue
-        seg = mask.bits[e.offset:e.offset + e.length]
-        surviving = int(seg.sum())
+        surviving = int(np.count_nonzero(mask.bits[e.offset:e.offset + e.length]))
         stats.append((e.name, (e.length - surviving) / e.length, surviving))
     return stats

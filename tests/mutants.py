@@ -7,7 +7,8 @@ copies the repository into a temporary directory and applies one mutant
 at a time there; the working tree is never touched.  A mutant with a named
 test runs that test first; if it passes, `pytest -x tests` decides whether
 any other test kills the mutant.  An equivalent mutant runs `pytest -x
-tests` and must survive it.
+tests` and must survive it.  A verdict other than the expected one is
+followed by the last lines of the pytest run that gave it.
 
     python tests/mutants.py           # every mutant, about 2 minutes on 2 cores
     python tests/mutants.py 0 4       # the mutants at these indexes
@@ -28,6 +29,7 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+TAIL_LINES = 20  # of a pytest run's output, shown under a verdict not expected
 
 # (file, old text, new text, the test expected to fail or "equivalent: why")
 MUTANTS = [
@@ -105,6 +107,17 @@ MUTANTS = [
      "test_all_zero_layer_spans_minus_one_to_one"),
     ("src/ticketlab/pruning.py", "if total == 0:", "if False:",
      "tests/test_pruning.py::TestSparsity::test_mask_without_weights_has_no_sparsity"),
+    # masks store bools, checked as given; a config holds no closure over itself
+    ("src/ticketlab/pruning.py", "        bits = np.asarray(self.bits)\n",
+     "        bits = np.asarray(self.bits).astype(bool)\n",
+     "tests/test_pruning.py::test_mask_entries_must_be_zero_or_one"),
+    ("src/ticketlab/pruning.py", "self.bits = bits.astype(bool, copy=False)",
+     "self.bits = bits.astype(np.float64)",
+     "tests/test_engines.py::TestImpRun::test_record_masks_hold_one_byte_per_position"),
+    ("src/ticketlab/cli.py", '"classMean": (data_mod.distill_class_mean,),',
+     '"classMean": (lambda _: data_mod.distill_class_mean(self.train),),',
+     "tests/test_cli.py::TestRunExperiment::"
+     "test_dropped_config_frees_its_data_without_the_cyclic_gc"),
     # equivalent: no result can change
     ("src/ticketlab/nn.py", "decay_sel[ws] = True", "decay_sel[ws] = mask.bits[ws] != 0.0",
      "equivalent: theta is +-0 at masked positions, so their decay term adds +-0 to a "
@@ -116,30 +129,33 @@ MUTANTS = [
 
 
 def _pytest(copy, *args):
-    """True if `python -m pytest -x -q args` passes in the copy."""
+    """(passed, its last TAIL_LINES lines of output) of `python -m pytest -x -q
+    args` in the copy."""
     env = dict(os.environ, PYTHONPATH=str(copy / "src"))
     run = subprocess.run([sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
-                          *args], cwd=copy, env=env, capture_output=True)
-    return run.returncode == 0
+                          *args], cwd=copy, env=env, capture_output=True, text=True)
+    return run.returncode == 0, "\n".join((run.stdout + run.stderr).splitlines()[-TAIL_LINES:])
 
 
 def probe(copy, index):
-    """(ok, verdict) of mutant `index`, applied to the copy and undone."""
+    """(ok, verdict, the output of the pytest run that gave a verdict not
+    expected, else "") of mutant `index`, applied to the copy and undone."""
     name, old, new, expected = MUTANTS[index]
     path = copy / name
     original = path.read_text(encoding="utf-8")
     if original.count(old) != 1:
-        return False, f"stale: the old text occurs {original.count(old)} times"
+        return False, f"stale: the old text occurs {original.count(old)} times", ""
     path.write_text(original.replace(old, new), encoding="utf-8")
     try:
         if expected.startswith("equivalent"):
-            survived = _pytest(copy, "tests")
-            return survived, "survived" if survived else "KILLED, yet listed as equivalent"
-        if not _pytest(copy, expected):
-            return True, "killed by the named test"
-        if not _pytest(copy, "tests"):
-            return False, "killed, but not by the named test"
-        return False, "SURVIVED"
+            survived, output = _pytest(copy, "tests")
+            if survived:
+                return True, "survived", ""
+            return False, "KILLED, yet listed as equivalent", output
+        if not _pytest(copy, expected)[0]:
+            return True, "killed by the named test", ""
+        passed, output = _pytest(copy, "tests")
+        return False, "SURVIVED" if passed else "killed, but not by the named test", output
     finally:
         path.write_text(original, encoding="utf-8")
 
@@ -157,10 +173,12 @@ def main(argv):
             ".git", ".bench_out", "__pycache__", ".pytest_cache", ".hypothesis", "*.egg-info"))
         for i in indexes:
             t0 = time.monotonic()
-            ok, verdict = probe(copy, i)
+            ok, verdict, output = probe(copy, i)
             failures += not ok
             print(f"{i:2d} {'ok  ' if ok else 'FAIL'} {MUTANTS[i][0]}: {verdict} "
                   f"({time.monotonic() - t0:.0f} s)", flush=True)
+            if output:
+                print("\n".join("    " + line for line in output.splitlines()), flush=True)
     return 1 if failures else 0
 
 

@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import gc
 import io
 import json
 import math
@@ -8,6 +9,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import weakref
 from functools import cache
 from pathlib import Path
 
@@ -512,6 +514,24 @@ class TestRunExperiment:
         config = cli.ExperimentConfig.load(path, method="random", seeds=[0])
         summary = cli.run_experiment(config, tmp_path / "out")
         assert summary["method"] == "random" and summary["seeds"] == [0]
+
+    @pytest.mark.parametrize("distiller", [
+        {"kind": "classMean"}, {"kind": "random", "ipc": 2},
+        {"kind": "kmeansHerding", "ipc": 2}, {"kind": "external", "path": "d.dstl"}])
+    def test_dropped_config_frees_its_data_without_the_cyclic_gc(self, tmp_path, distiller):
+        # a config is no reference cycle, so its sets go with its last reference
+        tl.save_distilled(tl.distill_class_mean(tl.synth_dataset(
+            "gaussianBlobs", 3, 4, 0.6, seed=0)), tmp_path / "d.dstl")
+        config = cli.ExperimentConfig.load(write_raw(
+            tmp_path, {**with_section("distiller", distiller), "method": "distilled"}))
+        assert config.distilled().size in (3, 6)
+        train = weakref.ref(config.train)
+        gc.disable()
+        try:
+            del config
+            assert train() is None
+        finally:
+            gc.enable()
 
     def test_lf_line_endings(self, tmp_path):
         path = write_config(tmp_path)

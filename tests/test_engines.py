@@ -60,6 +60,14 @@ class TestImpRun:
         survivors = mask.bits == 1.0
         assert np.array_equal(rewound.values[survivors], theta.values[survivors])
 
+    def test_record_masks_hold_one_byte_per_position(self, spec, blobs):
+        # a record keeps every iteration's mask: as float64 they were 8x this
+        theta = tl.init_params(spec, 0)
+        rec = tl.imp_run(spec, theta, blobs, make_cfg(0.5), seed=0)
+        assert len(rec.iterations) > 1
+        assert sum(it.mask.bits.nbytes for it in rec.iterations) == (
+            len(theta) * len(rec.iterations))
+
     def test_rewind_to_epoch_k(self, spec, blobs):
         theta = tl.init_params(spec, 0)
         cfg = make_cfg(0.4, t=3, k=1)

@@ -283,9 +283,9 @@ def test_mask_of_another_model_of_the_same_length_rejected(foreign_mask, prune):
 
 
 class TestScope:
-    # sha256 of the bits after three 30% rounds of each pruner (random seeds 0,
-    # 1, 2) on init_params(SPEC, 7), pinned so that how a scope is passed or
-    # checked cannot move a bit of either pool choice
+    # sha256 of the bits, as float64 0.0/1.0, after three 30% rounds of each
+    # pruner (random seeds 0, 1, 2) on init_params(SPEC, 7), pinned so that how
+    # a scope is passed or checked cannot move a bit of either pool choice
     SPEC = tl.ModelSpec("mlp", (4,), 3, hidden=(8, 6))
     DIGESTS = {
         "global": ("05f5886032ac95f23060cc80ff70048133edf0543040a12e177b3cfefab745aa",
@@ -301,7 +301,7 @@ class TestScope:
         for seed in range(3):
             by_magnitude = tl.magnitude_prune(params, by_magnitude, 0.3, scope)
             at_random = tl.random_prune(at_random, 0.3, seed, scope)
-        assert tuple(hashlib.sha256(m.bits.tobytes()).hexdigest()
+        assert tuple(hashlib.sha256(m.bits.astype(np.float64).tobytes()).hexdigest()
                      for m in (by_magnitude, at_random)) == self.DIGESTS[scope]
 
     @pytest.mark.parametrize("scope", ["x", "Global", None])
