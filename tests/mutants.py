@@ -6,9 +6,10 @@ change that no test can see because it changes no result.  The runner
 copies the repository into a temporary directory and applies one mutant
 at a time there; the working tree is never touched.  A mutant with a named
 test runs that test first; if it passes, `pytest -x tests` decides whether
-any other test kills the mutant.  An equivalent mutant runs `pytest -x
-tests` and must survive it.  A verdict other than the expected one is
-followed by the last lines of the pytest run that gave it.
+any other test kills the mutant, and if it does not run (an id not found),
+the mutant is stale.  An equivalent mutant runs `pytest -x tests` and must
+survive it.  A verdict other than the expected one is followed by the last
+lines of the pytest run that gave it.
 
     python tests/mutants.py           # every mutant, about 2 minutes on 2 cores
     python tests/mutants.py 0 4       # the mutants at these indexes
@@ -129,12 +130,13 @@ MUTANTS = [
 
 
 def _pytest(copy, *args):
-    """(passed, its last TAIL_LINES lines of output) of `python -m pytest -x -q
-    args` in the copy."""
+    """(exit status, its last TAIL_LINES lines of output) of `python -m pytest
+    -x -q args` in the copy: 0 if the tests passed, 1 if one failed; any
+    other status means they did not run (a test id not found is 4)."""
     env = dict(os.environ, PYTHONPATH=str(copy / "src"))
     run = subprocess.run([sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
                           *args], cwd=copy, env=env, capture_output=True, text=True)
-    return run.returncode == 0, "\n".join((run.stdout + run.stderr).splitlines()[-TAIL_LINES:])
+    return run.returncode, "\n".join((run.stdout + run.stderr).splitlines()[-TAIL_LINES:])
 
 
 def probe(copy, index):
@@ -148,14 +150,17 @@ def probe(copy, index):
     path.write_text(original.replace(old, new), encoding="utf-8")
     try:
         if expected.startswith("equivalent"):
-            survived, output = _pytest(copy, "tests")
-            if survived:
+            status, output = _pytest(copy, "tests")
+            if status == 0:
                 return True, "survived", ""
             return False, "KILLED, yet listed as equivalent", output
-        if not _pytest(copy, expected)[0]:
+        status, output = _pytest(copy, expected)
+        if status == 1:
             return True, "killed by the named test", ""
-        passed, output = _pytest(copy, "tests")
-        return False, "SURVIVED" if passed else "killed, but not by the named test", output
+        if status != 0:
+            return False, f"stale: the named test did not run (pytest exit {status})", output
+        status, output = _pytest(copy, "tests")
+        return False, "SURVIVED" if status == 0 else "killed, but not by the named test", output
     finally:
         path.write_text(original, encoding="utf-8")
 
