@@ -61,7 +61,7 @@ class TestImpRun:
         assert np.array_equal(rewound.values[survivors], theta.values[survivors])
 
     def test_record_masks_hold_one_byte_per_position(self, spec, blobs):
-        # a record keeps every iteration's mask: as float64 they were 8x this
+        # a record keeps every iteration's mask, so each must take one byte a position
         theta = tl.init_params(spec, 0)
         rec = tl.imp_run(spec, theta, blobs, make_cfg(0.5), seed=0)
         assert len(rec.iterations) > 1
