@@ -18,6 +18,7 @@ import numpy as np
 
 KSIZE = 3  # convolution kernel size used by the convnet architecture
 CONV_BLOCK = 64  # examples per conv pass of a forward without a tape
+GEMM_ALIGN = 64  # a conv GEMM's columns are computed in groups of this many
 
 
 class TrainingDiverged(RuntimeError):
@@ -287,6 +288,25 @@ def _im2col(x):
     return windows.reshape(c * KSIZE * KSIZE, h * w * n)
 
 
+def _conv_gemm(w, cols):
+    """w @ cols, each column with the bits it has in any other product of w
+    with it.  BLAS computes a GEMM's columns in groups, with one kernel for
+    whole groups and others, whose bits differ, for a partial last group.
+    So the whole groups of GEMM_ALIGN columns are one product, and the
+    rest goes through one more product, padded with zero columns to a
+    whole group."""
+    m = cols.shape[1]
+    tail = m % GEMM_ALIGN
+    if not tail:
+        return w @ cols
+    z = np.empty((w.shape[0], m))
+    np.matmul(w, cols[:, :m - tail], out=z[:, :m - tail])
+    padded = np.zeros((cols.shape[0], GEMM_ALIGN))
+    padded[:, :tail] = cols[:, m - tail:]
+    z[:, m - tail:] = (w @ padded)[:, :tail]
+    return z
+
+
 def _col2im(dcols, shape):
     """Adjoint of _im2col: scatter (C*k*k, H*W*N) patch gradients back onto
     the (C, H, W, N) input."""
@@ -307,9 +327,10 @@ def _forward(layers, effective, batch, tape=None):
     formed, non-finite logits are a FloatingPointError, and the conv layers
     run on blocks of CONV_BLOCK examples, each block's pooled output going
     into its slice of the dense input, so their temporaries stop growing
-    with the batch.  The blocks keep every bit: a conv GEMM's output column
-    does not depend on the columns computed with it.  A dense GEMM's bits
-    depend on its row count, so the dense layers take the whole batch."""
+    with the batch.  The blocks keep every bit, because _conv_gemm gives a
+    column the same bits in a block's product as in the whole batch's.  A
+    dense GEMM's bits depend on its row count, so the dense layers take
+    the whole batch."""
     n = batch.shape[0]
     convs = [(effective[ws].reshape(wshape[0], -1), effective[bs][:, None])
              for wshape, ws, bs in layers if len(wshape) == 4]
@@ -320,7 +341,7 @@ def _forward(layers, effective, batch, tape=None):
         for w, b in convs:
             _, h, wd, nb = xb.shape
             cols = _im2col(xb)
-            z = w @ cols
+            z = _conv_gemm(w, cols)
             z += b
             # np.maximum: about 10x faster than np.where at these sizes
             a = np.maximum(z, 0.0, out=z).reshape(w.shape[0], h, wd, nb)

@@ -69,6 +69,8 @@ MUTANTS = [
     ("src/ticketlab/nn.py", "step = n if tape is not None else CONV_BLOCK",
      "step = CONV_BLOCK",
      "tests/test_nn.py::TestChainOracle::test_taped_pass_is_one_block"),
+    ("src/ticketlab/nn.py", "z = _conv_gemm(w, cols)", "z = w @ cols",
+     "tests/test_nn.py::TestChainOracle::test_inference_logits_equal_taped_logits"),
     # a failed run says where it failed, and a finetune stands in only for a
     # mask training that would repeat it
     ("src/ticketlab/engines.py", 'len(record.iterations) + 1, "mask training", 0.0',

@@ -387,6 +387,10 @@ class TestChainOracle:
            seed=st.integers(0, 2 ** 16), batch=st.integers(1, 200))
     @example(spec=CHAIN_SPECS[4], seed=0, batch=nn.CONV_BLOCK + 1)
     @example(spec=CHAIN_SPECS[4], seed=0, batch=2 * nn.CONV_BLOCK)
+    # a 2x2 image: the whole batch's conv GEMM has 4 * 129 columns, 4 past
+    # a whole group of nn.GEMM_ALIGN, and the last block 4 columns
+    @example(spec=tl.ModelSpec("convnet", (2, 2, 2), 2, channels=(2,)), seed=0,
+             batch=2 * nn.CONV_BLOCK + 1)
     def test_inference_logits_equal_taped_logits(self, spec, seed, batch):
         # evaluate and forward run without a tape; their logits must be the
         # bits of the taped pass that training takes, at any batch size
