@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 KSIZE = 3  # convolution kernel size used by the convnet architecture
-CONV_BLOCK = 64  # examples per conv pass of a forward without a tape
-GEMM_ALIGN = 64  # a conv GEMM's columns are computed in groups of this many
+CONV_BLOCK = 64  # examples per pass of a forward without a tape
+GEMM_ALIGN = 8  # a GEMM's columns are computed in groups of this many
 
 
 class TrainingDiverged(RuntimeError):
@@ -259,11 +259,13 @@ def check_aligned(params: ParameterVector, mask) -> None:
 # ---------------------------------------------------------------------------
 # The layer chain.  Both architectures are a fixed sequence of (weight, bias)
 # layers: conv blocks (3x3 same conv + ReLU + 2x2 average pool) followed by
-# dense layers with a ReLU between them.  Conv activations are kept
-# batch-innermost, (C, H, W, N): a block's conv is one (OC, C*9) @ (C*9, HWN)
-# product, its bias gradient a sum over contiguous rows, and every window
-# copy of im2col, col2im, pooling and unpooling moves runs of W*N elements.
-# The last block's output is already the dense input, transposed.
+# dense layers with a ReLU between them.  Every activation is kept
+# feature-major with the batch innermost: (C, H, W, N) in the conv blocks,
+# (features, N) in the dense layers.  Every layer's product is then one
+# (out, in) @ (in, columns) GEMM through _gemm, a conv bias gradient is a sum
+# over contiguous rows, and every window copy of im2col, col2im, pooling and
+# unpooling moves runs of W*N elements.  The last block's output, read as
+# (C*H*W, N), is the dense input.
 
 def _layers(spec: ModelSpec):
     """(weight shape, weight slice, bias slice) per layer, input to output,
@@ -288,21 +290,21 @@ def _im2col(x):
     return windows.reshape(c * KSIZE * KSIZE, h * w * n)
 
 
-def _conv_gemm(w, cols):
-    """w @ cols, each column with the bits it has in any other product of w
-    with it.  BLAS computes a GEMM's columns in groups, with one kernel for
-    whole groups and others, whose bits differ, for a partial last group.
-    So the whole groups of GEMM_ALIGN columns are one product, and the
-    rest goes through one more product, padded with zero columns to a
-    whole group."""
-    m = cols.shape[1]
+def _gemm(w, x):
+    """w @ x for a contiguous x, each column with the bits it has in any
+    other product of w with it.  BLAS computes a GEMM's columns in groups,
+    with one kernel for whole groups and others, whose bits differ, for a
+    partial last group.  So the whole groups of GEMM_ALIGN columns are one
+    product, and the rest goes through one more product, padded with zero
+    columns to a whole group."""
+    m = x.shape[1]
     tail = m % GEMM_ALIGN
     if not tail:
-        return w @ cols
+        return w @ x
     z = np.empty((w.shape[0], m))
-    np.matmul(w, cols[:, :m - tail], out=z[:, :m - tail])
-    padded = np.zeros((cols.shape[0], GEMM_ALIGN))
-    padded[:, :tail] = cols[:, m - tail:]
+    np.matmul(w, x[:, :m - tail], out=z[:, :m - tail])
+    padded = np.zeros((x.shape[0], GEMM_ALIGN))
+    padded[:, :tail] = x[:, m - tail:]
     z[:, m - tail:] = (w @ padded)[:, :tail]
     return z
 
@@ -321,59 +323,52 @@ def _col2im(dcols, shape):
 
 
 def _forward(layers, effective, batch, tape=None):
-    """Logits of the chain.  If ``tape`` is a list, one entry per layer is
+    """(N, classes) logits of the chain.  Each layer's output column holds
+    one example and _gemm gives it the same bits in any product, so an
+    example's logits do not depend on the batch around it.  If ``tape`` is
+    a list, the whole batch is one block and one entry per layer is
     appended for _backward: (dense input or conv patch matrix, boolean ReLU
     mask of the layer's output or None).  Without one, no ReLU mask is
-    formed, non-finite logits are a FloatingPointError, and the conv layers
-    run on blocks of CONV_BLOCK examples, each block's pooled output going
-    into its slice of the dense input, so their temporaries stop growing
-    with the batch.  The blocks keep every bit, because _conv_gemm gives a
-    column the same bits in a block's product as in the whole batch's.  A
-    dense GEMM's bits depend on its row count, so the dense layers take
-    the whole batch."""
+    formed, non-finite logits are a FloatingPointError, and the chain runs
+    on blocks of CONV_BLOCK examples, each writing its logits into its
+    slice, so the temporaries stop growing with the batch."""
     n = batch.shape[0]
-    convs = [(effective[ws].reshape(wshape[0], -1), effective[bs][:, None])
-             for wshape, ws, bs in layers if len(wshape) == 4]
-    x = batch.reshape(n, -1)  # an MLP's dense input
     step = n if tape is not None else CONV_BLOCK
-    for start in range(0, n if convs else 0, step):
-        xb = batch[start:start + step].transpose(1, 2, 3, 0)
-        for w, b in convs:
-            _, h, wd, nb = xb.shape
-            cols = _im2col(xb)
-            z = _conv_gemm(w, cols)
-            z += b
-            # np.maximum: about 10x faster than np.where at these sizes
-            a = np.maximum(z, 0.0, out=z).reshape(w.shape[0], h, wd, nb)
-            # the pool sums in the order (a00 + a01) + a10 + a11, then scales
-            xb = a[:, 0::2, 0::2] + a[:, 0::2, 1::2]
-            xb += a[:, 1::2, 0::2]
-            xb += a[:, 1::2, 1::2]
-            xb *= 0.25
-            if tape is not None:
-                tape.append((cols, a > 0.0))
-            del cols, z, a  # freed before the next layer or block builds its own
-        if n <= step:
-            x = xb
-        else:
-            if not start:
-                x = np.empty(xb.shape[:3] + (n,))
-            x[..., start:start + step] = xb
-    if convs:
-        x = x.reshape(-1, n).T  # (N, C*H*W), a view
+    logits = np.empty((n, layers[-1][0][0]))
     last = len(layers) - 1
-    for i in range(len(convs), len(layers)):
-        wshape, ws, bs = layers[i]
-        z = x @ effective[ws].reshape(wshape[0], -1).T
-        z += effective[bs]
-        if i < last:
-            np.maximum(z, 0.0, out=z)
-        if tape is not None:
-            tape.append((x, z > 0.0 if i < last else None))
-        x = z
-    if tape is None and not np.all(np.isfinite(x)):
+    for start in range(0, n, step):
+        x = np.moveaxis(batch[start:start + step], 0, -1)  # a view, batch innermost
+        for i, (wshape, ws, bs) in enumerate(layers):
+            w, b = effective[ws].reshape(wshape[0], -1), effective[bs][:, None]
+            if len(wshape) == 4:
+                _, h, wd, nb = x.shape
+                cols = _im2col(x)
+                z = _gemm(w, cols)
+                z += b
+                # np.maximum: about 10x faster than np.where at these sizes
+                a = np.maximum(z, 0.0, out=z).reshape(wshape[0], h, wd, nb)
+                # the pool sums in the order (a00 + a01) + a10 + a11, then scales
+                x = a[:, 0::2, 0::2] + a[:, 0::2, 1::2]
+                x += a[:, 1::2, 0::2]
+                x += a[:, 1::2, 1::2]
+                x *= 0.25
+                if tape is not None:
+                    tape.append((cols, a > 0.0))
+                del cols, z, a  # freed before the next layer or block builds its own
+            else:
+                # (features, N); an MLP's input is copied, as _gemm needs
+                x = np.ascontiguousarray(x.reshape(-1, x.shape[-1]))
+                z = _gemm(w, x)
+                z += b
+                if i < last:
+                    np.maximum(z, 0.0, out=z)
+                if tape is not None:
+                    tape.append((x, z > 0.0 if i < last else None))
+                x = z
+        logits[start:start + step] = x.T
+    if tape is None and not np.all(np.isfinite(logits)):
         raise FloatingPointError("non-finite logits in forward pass")
-    return x
+    return logits
 
 
 def _nll(logits, labels, rows=None):
@@ -402,9 +397,10 @@ def _cross_entropy(logits, labels):
 
 
 def _backward(layers, effective, tape, g, grad):
-    """Backpropagate g = d loss / d logits through the chain, writing each
-    layer's gradient into its slices of the flat buffer ``grad``.  The
-    gradient w.r.t. the input batch is never formed."""
+    """Backpropagate g = d loss / d logits, (classes, N) like the tape,
+    through the chain, writing each layer's gradient into its slices of the
+    flat buffer ``grad``.  The gradient w.r.t. the input batch is never
+    formed."""
     for i in range(len(layers) - 1, -1, -1):
         wshape, ws, bs = layers[i]
         x, keep = tape[i]
@@ -423,12 +419,11 @@ def _backward(layers, effective, tape, g, grad):
                 g = _col2im(w.T @ gz, (x.shape[0] // KSIZE ** 2, h, wd, n))
         else:
             if keep is not None:
-                g *= keep  # g is a fresh g @ w here, never the caller's array
-            np.matmul(g.T, x, out=gw)
-            g.sum(axis=0, out=grad[bs])
+                g *= keep  # g is a fresh w.T @ g here, never the caller's array
+            np.matmul(g, x.T, out=gw)
+            g.sum(axis=1, out=grad[bs])
             if i:
-                # into a conv block as (C*H*W, N), its own layout
-                g = w.T @ g.T if len(layers[i - 1][0]) == 4 else g @ w
+                g = w.T @ g
 
 
 def _loss_and_grad(layers, effective, batch, labels, grad):
@@ -436,7 +431,7 @@ def _loss_and_grad(layers, effective, batch, labels, grad):
     weights is written into the flat buffer ``grad``."""
     tape = []
     loss, dlogits = _cross_entropy(_forward(layers, effective, batch, tape), labels)
-    _backward(layers, effective, tape, dlogits, grad)
+    _backward(layers, effective, tape, dlogits.T, grad)
     return loss
 
 
@@ -528,12 +523,7 @@ def evaluate(spec, params, mask, data):
     """(accuracy, mean loss) on a dataset; pure, argmax ties -> lowest class.
     The inputs are checked, and the effective weights formed, once."""
     examples, labels = _check_inputs(spec, params, mask, data.examples, data.labels)
-    layers, effective = _layers(spec), params.values * mask.bits
-    correct, loss_sum = 0, 0.0
     with np.errstate(over="ignore", invalid="ignore"):  # as in train
-        for start in range(0, data.size, 512):
-            yb = labels[start:start + 512]
-            logits = _forward(layers, effective, examples[start:start + 512])
-            correct += int((logits.argmax(axis=1) == yb).sum())
-            loss_sum += float(_nll(logits, yb)[0].sum())
-    return correct / data.size, loss_sum / data.size
+        logits = _forward(_layers(spec), params.values * mask.bits, examples)
+        loss_sum = float(_nll(logits, labels)[0].sum())
+    return int((logits.argmax(axis=1) == labels).sum()) / data.size, loss_sum / data.size

@@ -62,15 +62,20 @@ MUTANTS = [
     ("src/ticketlab/nn.py", 'with np.errstate(over="ignore", invalid="ignore"):  # as in train',
      "with np.errstate():  # as in train",
      "tests/test_cli.py::TestSubcommands::test_non_finite_logits_are_runtime_error"),
-    # inference runs the conv layers on blocks; training runs one block
-    ("src/ticketlab/nn.py", "for start in range(0, n if convs else 0, step):",
-     "for start in range(0, n - 1 if convs else 0, step):",
+    # inference runs the chain on blocks; training runs one block; every
+    # layer's product goes through the aligned GEMM
+    ("src/ticketlab/nn.py", "for start in range(0, n, step):",
+     "for start in range(0, n - 1, step):",
      "tests/test_nn.py::TestChainOracle::test_inference_logits_equal_taped_logits"),
     ("src/ticketlab/nn.py", "step = n if tape is not None else CONV_BLOCK",
      "step = CONV_BLOCK",
      "tests/test_nn.py::TestChainOracle::test_taped_pass_is_one_block"),
-    ("src/ticketlab/nn.py", "z = _conv_gemm(w, cols)", "z = w @ cols",
+    ("src/ticketlab/nn.py", "z = _gemm(w, cols)", "z = w @ cols",
      "tests/test_nn.py::TestChainOracle::test_inference_logits_equal_taped_logits"),
+    ("src/ticketlab/nn.py", "z = _gemm(w, x)", "z = w @ x",
+     "tests/test_nn.py::TestChainOracle::test_logits_do_not_depend_on_the_batch"),
+    ("src/ticketlab/nn.py", "GEMM_ALIGN = 8  #", "GEMM_ALIGN = 4  #",
+     "tests/test_nn.py::TestChainOracle::test_logits_do_not_depend_on_the_batch"),
     # a failed run says where it failed, and a finetune stands in only for a
     # mask training that would repeat it
     ("src/ticketlab/engines.py", 'len(record.iterations) + 1, "mask training", 0.0',

@@ -399,6 +399,51 @@ class TestChainOracle:
         taped = nn._forward(layers, effective, x, [])
         assert nn._forward(layers, effective, x).tobytes() == taped.tobytes()
 
+    @settings(max_examples=40, deadline=None)
+    @given(spec=chain_specs(), seed=st.integers(0, 2 ** 16), batch=st.integers(1, 300))
+    # found by hypothesis against a chain whose dense layers ran as x @ W.T
+    # and whose GEMMs were aligned to 64 columns, then to 4
+    @example(spec=tl.ModelSpec("mlp", (2,), 2), seed=0, batch=2)
+    @example(spec=tl.ModelSpec("convnet", (1, 4, 2), 2, channels=(1,)), seed=0, batch=2)
+    @example(spec=tl.ModelSpec("convnet", (1, 2, 4), 2, channels=(1,)), seed=0, batch=9)
+    @example(spec=tl.ModelSpec("convnet", (1, 4, 4), 2, channels=(2, 2)), seed=0, batch=2)
+    @example(spec=tl.ModelSpec("convnet", (2, 2, 2), 2, channels=(2,)), seed=0, batch=2)
+    def test_logits_do_not_depend_on_the_batch(self, spec, seed, batch):
+        # an example's logits are the bits of its own one-example pass, in
+        # any batch and at any position in it
+        params, mask, x, _ = chain_inputs(spec, seed, batch)
+        logits = tl.forward(spec, params, mask, x)
+        for i in range(batch):
+            alone = tl.forward(spec, params, mask, x[i:i + 1])
+            assert logits[i].tobytes() == alone[0].tobytes(), f"row {i}"
+
+
+# (out, in) of every weight matrix in this file's and conftest's models
+GEMM_SHAPES = sorted({(wshape[0], int(np.prod(wshape[1:])))
+                      for spec in CHAIN_SPECS + [
+                          tl.ModelSpec("mlp", (5,), 3, hidden=(7,)),
+                          tl.ModelSpec("mlp", (2,), 2, hidden=(16,)),
+                          tl.ModelSpec("convnet", (2, 4, 4), 3, channels=(3,)),
+                          tl.ModelSpec("convnet", (1, 8, 8), 4, channels=(6,))]
+                      for wshape, _, _ in nn._layers(spec)})
+
+
+@pytest.mark.parametrize("shape", GEMM_SHAPES, ids=str)
+def test_gemm_gives_any_aligned_column_range_the_bits_of_the_whole_product(shape):
+    # the chain's batch invariance rests on this: a range of columns that
+    # starts at a multiple of nn.GEMM_ALIGN, of any length, computed as its
+    # own product gets the bits those columns have in the whole product
+    rng = np.random.default_rng(0)
+    w, x = rng.standard_normal(shape), rng.standard_normal((shape[1], 300))
+    whole = nn._gemm(w, x)
+    for start in range(0, 300, nn.GEMM_ALIGN):
+        for stop in range(start + 1, 301):
+            part = nn._gemm(w, np.ascontiguousarray(x[:, start:stop]))
+            assert part.tobytes() == np.ascontiguousarray(whole[:, start:stop]).tobytes(), (
+                f"columns {start}..{stop - 1} of a {shape} @ {x.shape} product differ from "
+                f"the whole product's: this BLAS does not compute a GEMM's columns in "
+                f"groups of nn.GEMM_ALIGN = {nn.GEMM_ALIGN}")
+
 
 def slice_loop_im2col(x):
     """_im2col as nine slice copies of the padded (C, H, W, N) input."""
@@ -767,9 +812,9 @@ class TestEvaluate:
             tl.evaluate(blob_mlp_spec, params, mask, empty)
 
     def test_convnet_memory_does_not_grow_with_the_chunk(self):
-        # the desk ConvNet on one full 512-example chunk: its conv layers run
-        # on 64-example blocks, so the temporaries are one block's (the whole
-        # chunk at once peaked at 4.25 MB)
+        # the desk ConvNet on 512 examples: the chain runs on 64-example
+        # blocks, so the temporaries are one block's (all 512 at once peaked
+        # at 4.25 MB)
         spec = tl.ModelSpec("convnet", (1, 8, 8), 4, channels=(6,))
         data = tl.synth_dataset("gaussianBlobs", 4, 128, 0.8, seed=0, input_shape=(1, 8, 8))
         params = tl.init_params(spec, 0)
