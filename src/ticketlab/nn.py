@@ -56,7 +56,7 @@ class ParameterVector:
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.float64)
-        check_layer_map(self.layer_map, self.values.size)
+        check_layer_map(self.layer_map, self.values, "values")
 
     def __len__(self):
         return self.values.size
@@ -93,10 +93,13 @@ def _store_tuple(obj, name):
     return getattr(obj, name)
 
 
-def check_layer_map(layer_map, n):
-    """Raise ValueError unless the entries tile positions 0..n-1 in order:
-    each offset where the previous entry ended, each length an integer >= 0."""
-    covered = 0
+def check_layer_map(layer_map, array, name):
+    """Raise ValueError unless `array`, the field `name`, is a vector whose
+    positions the entries tile in order: each offset where the previous
+    entry ended, each length an integer >= 0."""
+    if array.ndim != 1:
+        raise ValueError(f"{name} must be a vector, not of shape {array.shape}")
+    n, covered = array.size, 0
     for e in layer_map:
         if e.offset != covered or not (is_whole(e.offset, 0) and is_whole(e.length, 0)):
             raise ValueError(f"layer map not contiguous at {e.name}.{e.kind}")

@@ -31,7 +31,7 @@ class SparsityMask:
         if not np.all((bits == 0) | (bits == 1)):
             raise ValueError("mask entries must be 0 or 1")
         self.bits = bits.astype(bool, copy=False)
-        check_layer_map(self.layer_map, self.bits.size)
+        check_layer_map(self.layer_map, self.bits, "bits")
 
     @classmethod
     def ones(cls, layer_map) -> "SparsityMask":

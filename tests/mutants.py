@@ -115,6 +115,9 @@ MUTANTS = [
      "test_all_zero_layer_spans_minus_one_to_one"),
     ("src/ticketlab/pruning.py", "if total == 0:", "if False:",
      "tests/test_pruning.py::TestSparsity::test_mask_without_weights_has_no_sparsity"),
+    # a parameter vector and a mask are vectors
+    ("src/ticketlab/nn.py", "    if array.ndim != 1:\n", "    if False:\n",
+     "tests/test_nn.py::test_constructors_reject_odd_arguments_with_value_error"),
     # masks store bools, checked as given; a config holds no closure over itself
     ("src/ticketlab/pruning.py", "        bits = np.asarray(self.bits)\n",
      "        bits = np.asarray(self.bits).astype(bool)\n",

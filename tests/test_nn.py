@@ -69,7 +69,16 @@ CONSTRUCTORS = [
                              train_config_finetune=tl.TrainConfig(2))),
     (tl.ModelSpec, dict(architecture="mlp", input_shape=(4,), num_classes=2, hidden=(3,),
                         channels=())),
-    (tl.LabeledDataset, dict(examples=np.zeros((2, 2)), labels=[0, 1], num_classes=2)),
+    (tl.LabeledDataset, dict(examples=np.zeros((2, 2)), labels=np.array([0, 1]),
+                             num_classes=2)),
+    (functools.partial(tl.ParameterVector, layer_map=_THETA.layer_map),
+     dict(values=_THETA.values)),
+    (functools.partial(tl.SparsityMask, layer_map=_THETA.layer_map),
+     dict(bits=np.ones(len(_THETA), dtype=bool))),
+    (functools.partial(tl.forward, _SPEC, _THETA, tl.SparsityMask.ones(_THETA.layer_map)),
+     dict(batch=np.zeros((2, 2)))),
+    (functools.partial(tl.backward, _SPEC, _THETA, tl.SparsityMask.ones(_THETA.layer_map),
+                       labels=[0, 1]), dict(batch=np.zeros((2, 2)))),
     (tl.synth_dataset, dict(kind="gaussianBlobs", num_classes=2, per_class=2, noise=0.5,
                             seed=0, input_shape=(2,))),
     (functools.partial(tl.distill_random, _BLOBS, seed=0), dict(ipc=2)),
@@ -82,10 +91,18 @@ CONSTRUCTORS = [
 @given(case=st.sampled_from(CONSTRUCTORS), data=st.data())
 def test_constructors_reject_odd_arguments_with_value_error(case, data):
     # an argument of the wrong kind or range is a ValueError, never a TypeError
-    # or IndexError from a comparison or an index that ran on it
+    # or IndexError from a comparison or an index that ran on it; an array
+    # with an axis more, or none, is one that names its field
     build, kwargs = case
     key = data.draw(st.sampled_from(sorted(kwargs)))
-    value = data.draw(st.sampled_from(ODD_VALUES))
+    given = kwargs[key]
+    wrong_rank = ([given[None], given.ravel()[:1].reshape(())]
+                  if isinstance(given, np.ndarray) else [])
+    value = data.draw(st.sampled_from(ODD_VALUES + wrong_rank))
+    if isinstance(value, np.ndarray):
+        with pytest.raises(ValueError, match=key):
+            build(**{**kwargs, key: value})
+        return
     try:
         build(**{**kwargs, key: value})
     except ValueError:
