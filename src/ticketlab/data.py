@@ -143,7 +143,9 @@ def write_idx(data: LabeledDataset, images_path, labels_path):
         raise ValueError(f"IDX images must be (N, H, W), got shape {data.examples.shape}")
     if data.labels.max() > 255:
         raise ValueError(f"IDX labels must be at most 255, got {data.labels.max()}")
-    images = np.clip(np.round(data.examples * 255.0), 0, 255).astype(np.uint8)
+    images = np.multiply(data.examples, 255.0)  # scaled, rounded and clipped in place
+    np.clip(np.round(images, out=images), 0, 255, out=images)
+    images = images.astype(np.uint8)
     atomic_write(images_path, struct.pack(">4I", IMAGE_MAGIC, *images.shape)
                  + images.tobytes())
     atomic_write(labels_path, struct.pack(">2I", LABEL_MAGIC, data.size)
@@ -178,7 +180,11 @@ def synth_dataset(kind, num_classes, per_class, noise, seed,
             basis = q.T  # orthonormal 2-plane to carry the circle
         angles = 2.0 * np.pi * np.arange(num_classes) / num_classes
         means = 3.0 * (np.stack([np.cos(angles), np.sin(angles)], axis=1) @ basis)
-        x = means[labels] + noise * rng.standard_normal((n, dim))
+        # in place, one class-major block per mean: the noise is the only array
+        x = rng.standard_normal((n, dim))
+        x *= noise
+        blocks = x.reshape(num_classes, per_class, dim)
+        blocks += means[:, None]
     else:
         t = np.tile(np.linspace(0.25, 1.0, per_class), num_classes)
         theta = 3.0 * np.pi * t + 2.0 * np.pi * labels / num_classes

@@ -1,5 +1,6 @@
 import struct
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -85,6 +86,19 @@ class TestIdx:
             tl.write_idx(ds, ip, lp)
         assert not ip.exists() and not lp.exists()
 
+    def test_write_peaks_under_one_and_a_half_inputs(self, tmp_path):
+        # the images are scaled, rounded and clipped in one float buffer; as
+        # three arrays they peaked at twice the input's bytes
+        rng = np.random.default_rng(0)
+        ds = tl.LabeledDataset(rng.uniform(-0.2, 1.2, (500, 16, 16)), np.zeros(500, int), 1)
+        tracemalloc.start()
+        try:
+            tl.write_idx(ds, tmp_path / "images.idx", tmp_path / "labels.idx")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * ds.examples.nbytes
+
     def test_empty_file_is_format_error(self, tmp_path):
         images = tmp_path / "images.idx"
         labels = tmp_path / "labels.idx"
@@ -110,6 +124,19 @@ class TestSynth:
             tl.synth_dataset(*args)
         rules = str(info.value).split("; ")
         assert [rule.split()[0] for rule in rules] == broken
+
+    def test_blobs_peak_under_one_and_a_half_results(self):
+        # the noise is drawn, scaled and shifted by its class means in place;
+        # with the means gathered per example it peaked at twice the result
+        tl.synth_dataset("gaussianBlobs", 4, 1, 0.8, seed=0, input_shape=(16, 16))  # warm
+        tracemalloc.start()
+        try:
+            ds = tl.synth_dataset("gaussianBlobs", 4, 125, 0.8, seed=0, input_shape=(16, 16))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * ds.examples.nbytes
+
     def test_noise_zero_collapses_to_means(self):
         ds = tl.synth_dataset("gaussianBlobs", 3, 5, 0.0, seed=0)
         for c in range(3):
