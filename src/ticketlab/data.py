@@ -180,11 +180,9 @@ def synth_dataset(kind, num_classes, per_class, noise, seed,
             basis = q.T  # orthonormal 2-plane to carry the circle
         angles = 2.0 * np.pi * np.arange(num_classes) / num_classes
         means = 3.0 * (np.stack([np.cos(angles), np.sin(angles)], axis=1) @ basis)
-        # in place, one class-major block per mean: the noise is the only array
         x = rng.standard_normal((n, dim))
-        x *= noise
-        blocks = x.reshape(num_classes, per_class, dim)
-        blocks += means[:, None]
+        x *= noise  # then each class-major block gets its mean, in place
+        x.reshape(num_classes, per_class, dim)[...] += means[:, None]
     else:
         t = np.tile(np.linspace(0.25, 1.0, per_class), num_classes)
         theta = 3.0 * np.pi * t + 2.0 * np.pi * labels / num_classes
