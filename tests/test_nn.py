@@ -92,12 +92,12 @@ CONSTRUCTORS = [
 def test_constructors_reject_odd_arguments_with_value_error(case, data):
     # an argument of the wrong kind or range is a ValueError, never a TypeError
     # or IndexError from a comparison or an index that ran on it; an array
-    # with an axis more, or none, is one that names its field
+    # argument given one axis more, or as a 0-d array, is one naming its field
     build, kwargs = case
     key = data.draw(st.sampled_from(sorted(kwargs)))
-    given = kwargs[key]
-    wrong_rank = ([given[None], given.ravel()[:1].reshape(())]
-                  if isinstance(given, np.ndarray) else [])
+    valid = kwargs[key]
+    wrong_rank = ([valid[None], valid.ravel()[:1].reshape(())]
+                  if isinstance(valid, np.ndarray) else [])
     value = data.draw(st.sampled_from(ODD_VALUES + wrong_rank))
     if isinstance(value, np.ndarray):
         with pytest.raises(ValueError, match=key):
