@@ -96,16 +96,13 @@ def save_mask(path, mask: pruning.SparsityMask, method="", seed=0):
 
 def load_mask(path) -> pruning.SparsityMask:
     with open(path, "rb") as f:
-        blob = f.read()
-    if blob[:4] != MASK_MAGIC:
-        raise data_mod.FormatError(f"bad magic in {path}")
-    if len(blob) < 8:
-        raise data_mod.FormatError(f"truncated header in {path}")
-    n, = struct.unpack("<I", blob[4:8])
-    if len(blob) - 8 != -(-n // 8):
-        raise data_mod.FormatError(
-            f"{path}: {len(blob) - 8} payload bytes for {n} bits")
-    bits = np.unpackbits(np.frombuffer(blob[8:], dtype=np.uint8), count=n)
+        if data_mod.read_exact(f, 4, "magic") != MASK_MAGIC:
+            raise data_mod.FormatError(f"bad magic in {path}")
+        n, = struct.unpack("<I", data_mod.read_exact(f, 4, "bit count"))
+        payload = data_mod.read_exact(f, -(-n // 8), "payload")
+        if f.read(1):
+            raise data_mod.FormatError(f"trailing bytes in {path}")
+    bits = np.unpackbits(np.frombuffer(payload, dtype=np.uint8), count=n)
     try:
         with open(path + ".json", encoding="utf-8") as f:
             entries = json.load(f)["layer_map"]

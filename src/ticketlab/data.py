@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .nn import check_seed, is_number, is_whole, require
+from .nn import check_labels, check_seed, is_number, is_whole, require
 
 IMAGE_MAGIC = 0x00000803
 LABEL_MAGIC = 0x00000801
@@ -29,7 +29,7 @@ _CODE_TO_PROVENANCE = {v: k for k, v in PROVENANCE_CODES.items()}
 
 
 class FormatError(ValueError):
-    """Malformed IDX or DSTL file."""
+    """Malformed IDX, DSTL or MASK file."""
 
 
 def atomic_write(path, blob):
@@ -58,18 +58,12 @@ class LabeledDataset:
 
     def __post_init__(self):
         self.examples = np.asarray(self.examples, dtype=np.float64)
-        labels = np.asarray(self.labels)
-        if labels.ndim != 1 or labels.shape != self.examples.shape[:1]:
-            raise ValueError("examples/labels count mismatch")
-        if labels.size < 1:
-            raise ValueError("dataset must be non-empty")
+        if self.examples.ndim == 0 or self.examples.shape[0] < 1:
+            raise ValueError(f"dataset must be non-empty, not examples of shape "
+                             f"{self.examples.shape}")
         if not is_whole(self.num_classes, 1):
             raise ValueError("num_classes must be an integer >= 1")
-        if labels.dtype.kind not in "iuf" or not np.all(labels == np.round(labels)):
-            raise ValueError("labels must be whole numbers")
-        if labels.min() < 0 or labels.max() >= self.num_classes:
-            raise ValueError("label out of range")
-        self.labels = labels.astype(np.int64, copy=False)
+        self.labels = check_labels(self.labels, self.examples.shape[0], self.num_classes)
 
     @property
     def size(self) -> int:
@@ -101,8 +95,9 @@ class DistilledDataset(LabeledDataset):
 # ---------------------------------------------------------------------------
 # IDX files
 
-def _read_exact(f, n, what):
-    """The next n bytes of f, checked against the file's size before reading."""
+def read_exact(f, n, what):
+    """The next n bytes of f, checked against the file's size before reading;
+    IDX, DSTL and MASK files are all read through it."""
     if n > os.fstat(f.fileno()).st_size - f.tell():
         raise FormatError(f"truncated file while reading {what} in {f.name}")
     return f.read(n)
@@ -110,12 +105,12 @@ def _read_exact(f, n, what):
 
 def _load_idx_array(path, expected_magic):
     with open(path, "rb") as f:
-        magic, = struct.unpack(">I", _read_exact(f, 4, "magic"))
+        magic, = struct.unpack(">I", read_exact(f, 4, "magic"))
         if magic != expected_magic:
             raise FormatError(f"bad magic 0x{magic:08x} in {path}")
         ndim = magic & 0xFF
-        dims = struct.unpack(f">{ndim}I", _read_exact(f, 4 * ndim, "dimensions"))
-        payload = _read_exact(f, math.prod(dims), "payload")
+        dims = struct.unpack(f">{ndim}I", read_exact(f, 4 * ndim, "dimensions"))
+        payload = read_exact(f, math.prod(dims), "payload")
         if f.read(1):
             raise FormatError(f"trailing bytes in {path}")
     return np.frombuffer(payload, dtype=np.uint8).reshape(dims)
@@ -346,20 +341,20 @@ def save_distilled(dsyn: DistilledDataset, path):
 
 def load_distilled(path) -> DistilledDataset:
     with open(path, "rb") as f:
-        if _read_exact(f, 4, "magic") != DSTL_MAGIC:
+        if read_exact(f, 4, "magic") != DSTL_MAGIC:
             raise FormatError(f"bad magic in {path}")
         version, num_classes, ipc, rank = struct.unpack(
-            "<IIII", _read_exact(f, 16, "header"))
+            "<IIII", read_exact(f, 16, "header"))
         if version != DSTL_VERSION:
             raise FormatError(f"unsupported DSTL version {version} in {path}")
-        dims = struct.unpack(f"<{rank}I", _read_exact(f, 4 * rank, "dims"))
-        code, = struct.unpack("<B", _read_exact(f, 1, "provenance"))
+        dims = struct.unpack(f"<{rank}I", read_exact(f, 4 * rank, "dims"))
+        code, = struct.unpack("<B", read_exact(f, 1, "provenance"))
         if code not in _CODE_TO_PROVENANCE:
             raise FormatError(f"unknown provenance code {code} in {path}")
         n = num_classes * ipc
         per = math.prod(dims)
-        payload = _read_exact(f, 4 * n * per, "image payload")
-        label_bytes = _read_exact(f, 2 * n, "labels")
+        payload = read_exact(f, 4 * n * per, "image payload")
+        label_bytes = read_exact(f, 2 * n, "labels")
         if f.read(1):
             raise FormatError(f"trailing bytes in {path}")
     with np.errstate(invalid="ignore"):  # a signaling NaN: rejected below as non-finite

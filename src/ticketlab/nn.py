@@ -64,12 +64,6 @@ class ParameterVector:
     def copy(self) -> "ParameterVector":
         return ParameterVector(self.values.copy(), self.layer_map)
 
-    def segment(self, name: str, kind: str) -> np.ndarray:
-        for e in self.layer_map:
-            if e.name == name and e.kind == kind:
-                return self.values[e.offset:e.offset + e.length]
-        raise KeyError(f"no segment {name}.{kind}")
-
 
 def is_whole(value, minimum):
     """An integer (a bool is not one) of at least `minimum`."""
@@ -236,8 +230,9 @@ def _check_inputs(spec: ModelSpec, params: ParameterVector, mask, batch, labels=
 
 
 def check_data(spec: ModelSpec, examples, labels=None):
-    """(examples as float64, labels as an array) once spec's model can take them:
-    a non-empty set of its input shape, and a logit for each label if given."""
+    """(examples as float64, labels as check_labels gives them) once spec's
+    model can take them: a non-empty set of its input shape, and a logit for
+    each example's label if given."""
     examples = np.asarray(examples, dtype=np.float64)
     if examples.size == 0:
         raise ValueError("empty dataset")
@@ -245,11 +240,22 @@ def check_data(spec: ModelSpec, examples, labels=None):
         raise ValueError(f"batch shape {examples.shape[1:]} does not match input shape "
                          f"{spec.input_shape}")
     if labels is not None:
-        labels = np.asarray(labels)
-        if labels.min() < 0 or labels.max() >= spec.num_classes:
-            raise ValueError(f"labels out of range: {labels.min()}..{labels.max()} for "
-                             f"num_classes {spec.num_classes}")
+        labels = check_labels(labels, examples.shape[0], spec.num_classes)
     return examples, labels
+
+
+def check_labels(labels, count, num_classes):
+    """`labels` as an int64 vector once it holds `count` (at least 1) whole
+    numbers in 0..num_classes-1; else a ValueError that starts with "labels"."""
+    labels = np.asarray(labels)
+    if labels.shape != (count,):
+        raise ValueError(f"labels of shape {labels.shape} for {count} examples")
+    if labels.dtype.kind not in "iuf" or not np.all(labels == np.round(labels)):
+        raise ValueError("labels must be whole numbers")
+    if labels.min() < 0 or labels.max() >= num_classes:
+        raise ValueError(f"labels out of range: {labels.min()}..{labels.max()} for "
+                         f"num_classes {num_classes}")
+    return labels.astype(np.int64, copy=False)
 
 
 def check_aligned(params: ParameterVector, mask) -> None:
@@ -297,19 +303,14 @@ def _gemm(w, x):
     """w @ x for a contiguous x, each column with the bits it has in any
     other product of w with it.  BLAS computes a GEMM's columns in groups,
     with one kernel for whole groups and others, whose bits differ, for a
-    partial last group.  So the whole groups of GEMM_ALIGN columns are one
-    product, and the rest goes through one more product, padded with zero
-    columns to a whole group."""
+    partial last group.  So x is padded with zero columns to whole groups
+    of GEMM_ALIGN, and the padding's columns are dropped from the product."""
     m = x.shape[1]
-    tail = m % GEMM_ALIGN
-    if not tail:
+    if not m % GEMM_ALIGN:
         return w @ x
-    z = np.empty((w.shape[0], m))
-    np.matmul(w, x[:, :m - tail], out=z[:, :m - tail])
-    padded = np.zeros((x.shape[0], GEMM_ALIGN))
-    padded[:, :tail] = x[:, m - tail:]
-    z[:, m - tail:] = (w @ padded)[:, :tail]
-    return z
+    padded = np.zeros((x.shape[0], -(-m // GEMM_ALIGN) * GEMM_ALIGN))
+    padded[:, :m] = x
+    return (w @ padded)[:, :m]
 
 
 def _col2im(dcols, shape):
@@ -376,27 +377,23 @@ def _forward(layers, effective, batch, tape=None):
     return logits
 
 
-def _nll(logits, labels, rows=None):
+def _nll(logits, labels):
     """(per-example softmax cross-entropy, exp(logits - row max), its row
-    sums): the softmax is the second over the third.  ``rows`` is
-    np.arange(len(labels)), if the caller has it."""
-    if rows is None:
-        rows = np.arange(len(labels))
+    sums): the softmax is the second over the third."""
     zmax = np.maximum.reduce(logits, axis=1, keepdims=True)
     p = logits - zmax
     np.exp(p, out=p)
     total = np.add.reduce(p, axis=1, keepdims=True)
-    nll = zmax[:, 0] + np.log(total[:, 0]) - logits[rows, labels]
+    nll = zmax[:, 0] + np.log(total[:, 0]) - logits[np.arange(len(labels)), labels]
     return nll, p, total
 
 
 def _cross_entropy(logits, labels):
     """(mean softmax cross-entropy, its gradient w.r.t. the logits)."""
     n = len(labels)
-    rows = np.arange(n)
-    nll, p, total = _nll(logits, labels, rows)
+    nll, p, total = _nll(logits, labels)
     p /= total
-    p[rows, labels] -= 1.0
+    p[np.arange(n), labels] -= 1.0
     p /= n
     return float(np.add.reduce(nll)) / n, p
 

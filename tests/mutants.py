@@ -34,15 +34,20 @@ TAIL_LINES = 20  # of a pytest run's output, shown under a verdict not expected
 
 # (file, old text, new text, the test expected to fail or "equivalent: why")
 MUTANTS = [
-    # the three rules of nn.check_data, the one check of data against a model
+    # the rules of nn.check_data, the one check of data against a model, and
+    # of nn.check_labels, the one label rule of a batch and a dataset
     ("src/ticketlab/nn.py", "    if examples.size == 0:\n", "    if examples.size < 0:\n",
      "tests/test_nn.py::test_check_data_names_the_value_that_does_not_fit"),
     ("src/ticketlab/nn.py", "if examples.shape[1:] != spec.input_shape:",
      "if examples.shape[2:] != spec.input_shape[1:]:",
      "tests/test_nn.py::test_check_data_names_the_value_that_does_not_fit"),
-    ("src/ticketlab/nn.py", "labels.max() >= spec.num_classes:",
-     "labels.max() > spec.num_classes:",
+    ("src/ticketlab/nn.py", "labels.max() >= num_classes:", "labels.max() > num_classes:",
      "tests/test_nn.py::test_check_data_names_the_value_that_does_not_fit"),
+    ("src/ticketlab/nn.py", "if labels.shape != (count,):", "if labels.ndim != 1:",
+     "tests/test_nn.py::test_labels_that_do_not_fit_the_batch_are_named"),
+    # a MASK file ends where its bits do, like an IDX or DSTL file
+    ("src/ticketlab/cli.py", "        if f.read(1):\n", "        if False:\n",
+     "tests/test_cli.py::TestMaskFiles::test_trailing_payload_rejected"),
     # the engines check every set before any training
     ("src/ticketlab/engines.py", "        check_data(spec, data.examples, data.labels)\n",
      "        pass\n",

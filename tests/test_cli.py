@@ -578,18 +578,21 @@ class TestMaskFiles:
         cli.save_mask(str(path), mask)
         return path
 
-    @pytest.mark.parametrize("keep", [6, 10, 16])
+    @pytest.mark.parametrize("keep", [2, 6, 10, 16])
     def test_truncated_payload_rejected(self, tmp_path, keep):
-        # 66 bits need 9 payload bytes after the 8-byte header
+        # 66 bits need 9 payload bytes after the 8-byte header; the text is
+        # that of a truncated IDX or DSTL file
         path = self.saved_mask(tmp_path)
         path.write_bytes(path.read_bytes()[:keep])
-        with pytest.raises(tl.FormatError):
+        what = {2: "magic", 6: "bit count"}.get(keep, "payload")
+        with pytest.raises(tl.FormatError, match=f"^truncated file while reading {what} "
+                                                 f"in {re.escape(str(path))}$"):
             cli.load_mask(str(path))
 
     def test_trailing_payload_rejected(self, tmp_path):
         path = self.saved_mask(tmp_path)
         path.write_bytes(path.read_bytes() + b"\x00")
-        with pytest.raises(tl.FormatError):
+        with pytest.raises(tl.FormatError, match=f"^trailing bytes in {re.escape(str(path))}$"):
             cli.load_mask(str(path))
 
     @pytest.mark.parametrize("edit", ["drop_last", "shift_offset", "no_length"])

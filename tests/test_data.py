@@ -613,6 +613,7 @@ class TestCorruptFiles:
     @pytest.mark.parametrize("fmt,at,value", [
         ("idx", 4, 0xFFFFFFFF), ("idx", 8, 0xFFFFFFFF), ("idx", 12, 0xFFFFFFFF),
         ("dstl", 8, 0xFFFFFFFF), ("dstl", 12, 0xFFFFFFFF), ("dstl", 16, 0x7FFFFFFF),
+        ("mask", 4, 0xFFFFFFFF),
     ])
     def test_huge_declared_sizes_are_format_errors(self, tmp_path, fmt, at, value):
         # a size or rank field set far beyond the file: nothing that large is read

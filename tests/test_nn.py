@@ -210,6 +210,23 @@ def test_check_data_names_the_value_that_does_not_fit():
             nn.check_data(spec, np.zeros((3, 2)), labels)
 
 
+@pytest.mark.parametrize("labels", [[[0, 1, 2]], [0, 1], 0, [0, 1, 2, 0], [0.5, 1, 2]],
+                         ids=["rank_2", "too_few", "rank_0", "too_many", "not_whole"])
+def test_labels_that_do_not_fit_the_batch_are_named(labels):
+    # one label rule for a batch and a dataset: a ValueError naming the
+    # labels, never an error from inside numpy, and the same text from both
+    spec = tl.ModelSpec("mlp", (2,), 3)
+    params = tl.init_params(spec, 0)
+    x = np.zeros((3, 2))
+    with pytest.raises(ValueError, match="^labels") as from_backward:
+        tl.backward(spec, params, ones_mask(params), x, labels)
+    with pytest.raises(ValueError) as from_dataset:
+        tl.LabeledDataset(x, labels, 3)
+    with pytest.raises(ValueError) as from_check:
+        nn.check_data(spec, x, labels)
+    assert str(from_dataset.value) == str(from_check.value) == str(from_backward.value)
+
+
 class TestBackward:
     @pytest.mark.parametrize("seed", range(3))
     def test_finite_difference_oracle_mlp(self, seed):
@@ -843,13 +860,6 @@ class TestEvaluate:
         finally:
             tracemalloc.stop()
         assert data.size == 512 and peak < 2_000_000
-
-
-def test_segment_round_trip(tiny_conv_spec):
-    params = tl.init_params(tiny_conv_spec, 0)
-    rebuilt = np.concatenate([params.segment(e.name, e.kind)
-                              for e in params.layer_map])
-    assert np.array_equal(rebuilt, params.values)
 
 
 def test_reference_loss_matches_internal(tiny_mlp_spec):
