@@ -3,7 +3,7 @@
 Subcommands: distill, prune, report, validate.  Configs are JSON; reports
 are CSV tables plus a summary JSON written atomically, the LMC curve and
 weight histograms among them when the config's report options ask.  Exit
-codes: 0 ok, 2 config error, 3 runtime divergence, 4 I/O failure.
+codes: 0 ok, 2 config error, 3 runtime failure, 4 I/O failure.
 """
 
 from __future__ import annotations
@@ -530,7 +530,7 @@ def main(argv=None):
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
-    except engines.RUNTIME_FAILURES as e:
+    except (*engines.RUNTIME_FAILURES, MemoryError, OverflowError) as e:
         print(f"runtime failure: {e}", file=sys.stderr)
         return EXIT_RUNTIME
     except (OSError, data_mod.FormatError) as e:

@@ -75,13 +75,16 @@ class LabeledDataset:
 
 @dataclass
 class DistilledDataset(LabeledDataset):
-    """A synthetic summary of a larger dataset: ipc examples of every class."""
+    """A synthetic summary of a larger dataset: ipc examples of every class,
+    class-major (labels ascending), the order a DSTL file stores."""
 
     provenance: str = "external"
     ipc: int = field(init=False)
 
     def __post_init__(self):
         super().__post_init__()
+        if np.any(np.diff(self.labels) < 0):
+            raise ValueError("labels must be class-major ascending")
         if self.provenance not in PROVENANCE_CODES:
             raise ValueError(f"unknown provenance {self.provenance!r}")
         counts = self.class_counts()
@@ -325,18 +328,15 @@ def distill_kmeans_herding(data: LabeledDataset, ipc: int, iterations: int = 50,
 
 def save_distilled(dsyn: DistilledDataset, path):
     """Write the DSTL format: magic, version, counts, dims, provenance,
-    float32 payload in class-major order, u16 labels."""
-    order = np.argsort(dsyn.labels, kind="stable")
-    examples = dsyn.examples[order]
-    labels = dsyn.labels[order]
-    dims = examples.shape[1:]
+    float32 payload, u16 labels, in the set's own (class-major) order."""
+    dims = dsyn.examples.shape[1:]
     atomic_write(path, b"".join([
         DSTL_MAGIC,
         struct.pack("<IIII", DSTL_VERSION, dsyn.num_classes, dsyn.ipc, len(dims)),
         struct.pack(f"<{len(dims)}I", *dims),
         struct.pack("<B", PROVENANCE_CODES[dsyn.provenance]),
-        examples.astype("<f4").tobytes(),
-        labels.astype("<u2").tobytes()]))
+        dsyn.examples.astype("<f4").tobytes(),
+        dsyn.labels.astype("<u2").tobytes()]))
 
 
 def load_distilled(path) -> DistilledDataset:
@@ -360,8 +360,6 @@ def load_distilled(path) -> DistilledDataset:
     with np.errstate(invalid="ignore"):  # a signaling NaN: rejected below as non-finite
         examples = np.frombuffer(payload, dtype="<f4").astype(np.float64)
     labels = np.frombuffer(label_bytes, dtype="<u2").astype(np.int64)
-    if np.any(np.diff(labels) < 0):
-        raise FormatError(f"labels must be class-major ascending in {path}")
     try:
         return DistilledDataset(examples.reshape((n,) + dims), labels, num_classes,
                                 provenance=_CODE_TO_PROVENANCE[code])

@@ -171,11 +171,8 @@ class ModelSpec:
         if self.architecture == "convnet":
             if len(self.input_shape) != 3:
                 raise ValueError("convnet input_shape must be (C, H, W)")
-            h, w = self.input_shape[1:]
-            for _ in self.channels:
-                if h % 2 or w % 2:
-                    raise ValueError("spatial dims must halve evenly at each pool")
-                h, w = h // 2, w // 2
+            if any(d % 2 ** len(self.channels) for d in self.input_shape[1:]):
+                raise ValueError("spatial dims must halve evenly at each pool")
         unread = "channels" if self.architecture == "mlp" else "hidden"
         if getattr(self, unread):
             raise ValueError(f"{unread} is not read by the {self.architecture} architecture")

@@ -830,6 +830,25 @@ class TestSubcommands:
         assert err.startswith("runtime failure: non-finite loss")
         assert err.endswith(f"(seed 5, iteration 1, {named})\n")
 
+    def test_refused_allocation_is_runtime_error(self, tmp_path, capsys, monkeypatch):
+        # numpy refuses an array it cannot hold; neither case allocates one
+        def refuse(*args):
+            raise MemoryError("Unable to allocate 21.3 PiB")
+
+        path = write_config(tmp_path)
+        with monkeypatch.context() as m:
+            m.setattr(tl.data, "synth_dataset", refuse)
+            assert cli.main(["prune", "--config", str(path), "--out",
+                             str(tmp_path / "out")]) == cli.EXIT_RUNTIME
+        assert capsys.readouterr().err == "runtime failure: Unable to allocate 21.3 PiB\n"
+        # a count numpy cannot convert fails before anything is allocated
+        path = write_config(tmp_path, overrides={"dataset": {**BASE_CONFIG["dataset"],
+                                                             "per_class": 10**19}})
+        assert cli.main(["prune", "--config", str(path), "--out",
+                         str(tmp_path / "out")]) == cli.EXIT_RUNTIME
+        err = capsys.readouterr().err
+        assert err.startswith("runtime failure: ") and err.count("\n") == 1
+
     # 50 prunable weights reach 0.5 in 4 iterations; without finetune_each,
     # the first evaluation is the last iteration's
     @pytest.mark.parametrize("report,iteration", [(BASE_CONFIG["report"], 1),

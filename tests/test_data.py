@@ -274,6 +274,11 @@ class TestDistillers:
             with pytest.raises(ValueError, match="classes hold"):
                 tl.DistilledDataset(x, labels, classes)
 
+    def test_labels_must_ascend(self):
+        # balanced classes, but not in class-major order
+        with pytest.raises(ValueError, match="^labels must be class-major"):
+            tl.DistilledDataset(np.zeros((4, 2)), [1, 1, 0, 0], 2)
+
     def test_unknown_provenance_rejected(self):
         with pytest.raises(ValueError, match="unknown provenance 'x'"):
             tl.DistilledDataset(np.zeros((2, 3)), [0, 1], 2, provenance="x")

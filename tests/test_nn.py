@@ -26,10 +26,16 @@ class TestModelSpec:
         (("convnet", (4, 4), 2), {"channels": (2,)}, r"input_shape must be \(C, H, W\)"),
         (("mlp", None, 2), {}, r"input_shape \(non-empty\), hidden and channels must be"),
         (("mlp", (4,), 2), {"hidden": None}, "hidden and channels must be positive integers"),
+        # the first pool halves 6 to 3, which the second cannot halve
+        (("convnet", (1, 6, 6), 2), {"channels": (2, 2)}, "halve evenly"),
     ])
     def test_fields_the_model_cannot_use_rejected(self, args, kw, message):
         with pytest.raises(ValueError, match=message):
             tl.ModelSpec(*args, **kw)
+
+    def test_input_halving_at_every_pool_accepted(self):
+        spec = tl.ModelSpec("convnet", (1, 4, 12), 2, channels=(2, 2))
+        assert spec.layer_shapes()[-2] == ("fc", "weight", (2, 2 * 1 * 3))
 
     def test_sizes_stored_as_tuples(self):
         listed = tl.ModelSpec("mlp", [4], 2, hidden=[3])
