@@ -297,13 +297,11 @@ class ExperimentConfig:
             if self.spec is None:  # the model diagnostics say why
                 return None
             shape, classes = self.spec.input_shape, self.spec.num_classes
-            self._make(n, "dataset.", data_mod.check_synth,
-                       kind, classes, per_class, noise, seed, shape)
-            if len(self.diagnostics) > n:
-                return None
             self._synth = ((kind, classes, per_class, noise, seed, shape),
                            (kind, classes, test_per_class, noise, seed + 10_000, shape))
-            return per_class
+            for prefix, args in zip(("dataset.", "dataset.test_"), self._synth):
+                self._make(n, prefix, data_mod.check_synth, *args)
+            return per_class if len(self.diagnostics) == n else None
 
     def _distiller(self, smallest):
         """Read the distiller settings; if the method is distilled, check
@@ -530,7 +528,7 @@ def main(argv=None):
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
-    except (*engines.RUNTIME_FAILURES, MemoryError, OverflowError) as e:
+    except engines.RUNTIME_FAILURES as e:
         print(f"runtime failure: {e}", file=sys.stderr)
         return EXIT_RUNTIME
     except (OSError, data_mod.FormatError) as e:

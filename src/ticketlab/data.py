@@ -165,7 +165,7 @@ def synth_dataset(kind, num_classes, per_class, noise, seed,
     """
     check_synth(kind, num_classes, per_class, noise, seed, input_shape)
     rng = np.random.default_rng(seed)
-    dim = int(np.prod(input_shape))
+    dim = math.prod(input_shape)
     n = num_classes * per_class
     labels = np.repeat(np.arange(num_classes), per_class)
 
@@ -194,11 +194,14 @@ def check_synth(kind, num_classes, per_class, noise, seed, input_shape=(2,)):
     """Raise one ValueError naming every rule the synth_dataset arguments
     break; each message starts with the argument's name."""
     whole = isinstance(input_shape, (list, tuple)) and all(is_whole(d, 1) for d in input_shape)
-    dim = int(np.prod(input_shape)) if whole else None
+    dim = math.prod(map(int, input_shape)) if whole else None
+    counts = whole and is_whole(num_classes, 1) and is_whole(per_class, 1)
     require([
         (kind in ("gaussianBlobs", "spirals"), "kind must be gaussianBlobs or spirals"),
         (is_whole(num_classes, 1), "num_classes must be an integer >= 1"),
         (is_whole(per_class, 1), "per_class must be an integer >= 1"),
+        (not counts or 8 * int(num_classes) * int(per_class) * dim <= np.iinfo(np.intp).max,
+         f"per_class {per_class} makes examples past numpy's largest array"),
         (is_number(noise) and np.isfinite(noise), "noise must be finite"),
         (is_whole(seed, 0), "seed must be an integer >= 0"),
         (whole, "input_shape must be positive integers"),

@@ -15,7 +15,8 @@ When the mask trains on the finetune data with the finetune's TrainConfig
 the very training the next iteration would repeat; so it stands in for
 that mask training, as in classic IMP, and its seconds are charged to that
 mask phase.  Failures are named in one place: the loop's one except adds
-the seed, iteration and phase to any of RUNTIME_FAILURES."""
+the seed, iteration and phase to any of RUNTIME_FAILURES, the one list of
+what the CLI exits 3 on, a MemoryError from numpy included."""
 
 from __future__ import annotations
 
@@ -33,8 +34,8 @@ class SparsityUnreachable(RuntimeError):
     """Desired sparsity out of reach: an iteration pruned no weight."""
 
 
-# what a pruning run can fail with once its inputs are checked (CLI exit 3)
-RUNTIME_FAILURES = (TrainingDiverged, SparsityUnreachable, FloatingPointError)
+# what a checked pruning run can fail with, numpy's refused allocation too: CLI exit 3
+RUNTIME_FAILURES = (TrainingDiverged, SparsityUnreachable, FloatingPointError, MemoryError)
 
 
 @dataclass(frozen=True)
@@ -96,7 +97,7 @@ class RunRecord:
     rewind: ParameterVector = None   # where each finetune starts; None if rebuilt
 
     def validate(self):
-        """Check the ranges of the fields; each rule is a comparison NaN fails."""
+        """Check the ranges of a record read from a file; each rule is a comparison NaN fails."""
         its = self.iterations
         levels = [it.sparsity for it in its]
         require([
@@ -180,7 +181,6 @@ def _prune_loop(spec, theta_init, mask_data, d_real, cfg, rewind_epoch, eval_dat
         e.args = (f"{e} (seed {seed}, iteration {iteration}, {phase})",)
         raise
     record.rewind = rewind
-    record.validate()
     return theta, record
 
 

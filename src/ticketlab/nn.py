@@ -176,35 +176,37 @@ class ModelSpec:
         unread = "channels" if self.architecture == "mlp" else "hidden"
         if getattr(self, unread):
             raise ValueError(f"{unread} is not read by the {self.architecture} architecture")
+        if 8 * self.param_count() > np.iinfo(np.intp).max:  # float64 bytes
+            raise ValueError(f"{self.param_count()} parameters exceed numpy's largest array")
 
     def layer_shapes(self):
-        """Canonical (name, kind, shape) sequence defining the flatten order."""
-        out = []
+        """Canonical (name, kind, shape) flatten order, in Python ints that cannot wrap."""
+        out, classes = [], int(self.num_classes)
         if self.architecture == "mlp":
-            dims = [int(np.prod(self.input_shape))] + list(self.hidden) + [self.num_classes]
+            dims = [math.prod(map(int, self.input_shape)), *map(int, self.hidden), classes]
             for i in range(len(dims) - 1):
                 out.append((f"fc{i + 1}", "weight", (dims[i + 1], dims[i])))
                 out.append((f"fc{i + 1}", "bias", (dims[i + 1],)))
         else:
-            c, h, w = self.input_shape
-            for i, oc in enumerate(self.channels):
+            c, h, w = map(int, self.input_shape)
+            for i, oc in enumerate(map(int, self.channels)):
                 out.append((f"conv{i + 1}", "weight", (oc, c, KSIZE, KSIZE)))
                 out.append((f"conv{i + 1}", "bias", (oc,)))
                 c, h, w = oc, h // 2, w // 2
-            out.append(("fc", "weight", (self.num_classes, c * h * w)))
-            out.append(("fc", "bias", (self.num_classes,)))
+            out.append(("fc", "weight", (classes, c * h * w)))
+            out.append(("fc", "bias", (classes,)))
         return out
 
     def layer_map(self) -> tuple[LayerEntry, ...]:
         entries, offset = [], 0
         for name, kind, shape in self.layer_shapes():
-            length = int(np.prod(shape))
+            length = math.prod(shape)
             entries.append(LayerEntry(name, offset, length, kind))
             offset += length
         return tuple(entries)
 
     def param_count(self) -> int:
-        return sum(int(np.prod(s)) for _, _, s in self.layer_shapes())
+        return sum(e.length for e in self.layer_map())
 
 
 def init_params(spec: ModelSpec, seed: int) -> ParameterVector:
@@ -212,7 +214,7 @@ def init_params(spec: ModelSpec, seed: int) -> ParameterVector:
     rng = np.random.default_rng(check_seed(seed))
     values = np.zeros(spec.param_count())
     for wshape, ws, _ in _layers(spec):
-        bound = 1.0 / np.sqrt(int(np.prod(wshape[1:])))
+        bound = 1.0 / np.sqrt(math.prod(wshape[1:]))
         values[ws] = rng.uniform(-bound, bound, size=ws.stop - ws.start)
     return ParameterVector(values, spec.layer_map())
 

@@ -110,9 +110,29 @@ MUTANTS = [
     ("src/ticketlab/nn.py", "d % 2 ** len(self.channels)", "d % 2",
      "tests/test_nn.py::TestModelSpec::test_fields_the_model_cannot_use_rejected"),
     # an allocation numpy refuses is a runtime failure, not a traceback
-    ("src/ticketlab/cli.py", "(*engines.RUNTIME_FAILURES, MemoryError, OverflowError)",
-     "(*engines.RUNTIME_FAILURES, OverflowError)",
+    ("src/ticketlab/engines.py", "FloatingPointError, MemoryError)", "FloatingPointError)",
      "tests/test_cli.py::TestSubcommands::test_refused_allocation_is_runtime_error"),
+    # a size past numpy's largest array is refused from the config, in exact
+    # Python ints, for the model and for each split of a synthetic set
+    ("src/ticketlab/nn.py", "if 8 * self.param_count() > np.iinfo(np.intp).max:",
+     "if False:",
+     "tests/test_nn.py::TestModelSpec::test_fields_the_model_cannot_use_rejected"),
+    ("src/ticketlab/data.py", "(not counts or 8 * int(num_classes)",
+     "(True or 8 * int(num_classes)",
+     "tests/test_data.py::TestSynth::test_check_names_each_broken_argument"),
+    ("src/ticketlab/cli.py", 'zip(("dataset.", "dataset.test_"), self._synth)',
+     'zip(("dataset.",), self._synth)',
+     "tests/test_cli.py::TestSubcommands::"
+     "test_sizes_past_numpy_largest_array_are_config_errors"),
+    ("src/ticketlab/nn.py", "            length = math.prod(shape)\n",
+     "            length = int(np.prod(shape))\n",
+     "tests/test_nn.py::TestModelSpec::test_fields_the_model_cannot_use_rejected"),
+    ("src/ticketlab/nn.py", "[math.prod(map(int, self.input_shape)), *map(int, self.hidden),",
+     "[math.prod(self.input_shape), *self.hidden,",
+     "tests/test_nn.py::TestModelSpec::test_fields_the_model_cannot_use_rejected"),
+    # a bias has no row of per-layer sparsity
+    ("src/ticketlab/pruning.py", 'if e.kind != "weight":', "if False:",
+     "tests/test_pruning.py::TestLayerStats::test_biases_have_no_row"),
     # input checks that held with no test to reach them
     ("src/ticketlab/data.py", "if code not in _CODE_TO_PROVENANCE:", "if False:",
      "tests/test_data.py::TestDstlContents::test_rejected_contents_are_format_errors"),

@@ -831,23 +831,49 @@ class TestSubcommands:
         assert err.endswith(f"(seed 5, iteration 1, {named})\n")
 
     def test_refused_allocation_is_runtime_error(self, tmp_path, capsys, monkeypatch):
-        # numpy refuses an array it cannot hold; neither case allocates one
+        # 10**15 examples per class fit numpy's index, so numpy refuses their
+        # memory: the rebound generator refuses it without allocating
         def refuse(*args):
             raise MemoryError("Unable to allocate 21.3 PiB")
 
-        path = write_config(tmp_path)
-        with monkeypatch.context() as m:
-            m.setattr(tl.data, "synth_dataset", refuse)
-            assert cli.main(["prune", "--config", str(path), "--out",
-                             str(tmp_path / "out")]) == cli.EXIT_RUNTIME
-        assert capsys.readouterr().err == "runtime failure: Unable to allocate 21.3 PiB\n"
-        # a count numpy cannot convert fails before anything is allocated
+        monkeypatch.setattr(tl.data, "synth_dataset", refuse)
         path = write_config(tmp_path, overrides={"dataset": {**BASE_CONFIG["dataset"],
-                                                             "per_class": 10**19}})
+                                                             "per_class": 10**15}})
         assert cli.main(["prune", "--config", str(path), "--out",
                          str(tmp_path / "out")]) == cli.EXIT_RUNTIME
-        err = capsys.readouterr().err
-        assert err.startswith("runtime failure: ") and err.count("\n") == 1
+        # refused before the loop, the message is numpy's alone
+        assert capsys.readouterr().err == "runtime failure: Unable to allocate 21.3 PiB\n"
+
+    def test_refused_allocation_names_seed_iteration_and_phase(self, tmp_path, capsys,
+                                                               monkeypatch):
+        def refuse(*args):
+            raise MemoryError("Unable to allocate 1.00 TiB")
+
+        monkeypatch.setattr(engines, "train", refuse)
+        path = write_config(tmp_path, overrides={"seeds": [5]})
+        assert cli.main(["prune", "--config", str(path), "--out",
+                         str(tmp_path / "out")]) == cli.EXIT_RUNTIME
+        assert capsys.readouterr().err == ("runtime failure: Unable to allocate 1.00 TiB "
+                                           "(seed 5, iteration 1, mask training)\n")
+
+    @pytest.mark.parametrize("section,values,named", [
+        ("dataset", {"per_class": 10**18}, "dataset.per_class 10"),
+        ("dataset", {"test_per_class": 10**18}, "dataset.test_per_class 10"),
+        ("dataset", {"per_class": 10**19}, "dataset.per_class 10"),
+        ("model", {"hidden": [10**19]}, "model: "),
+        ("model", {"hidden": [2**62]}, "model: "),
+    ], ids=["per_class", "test_per_class", "per_class_past_int64", "hidden_past_int64",
+            "hidden_wraps_in_int64"])
+    def test_sizes_past_numpy_largest_array_are_config_errors(self, tmp_path, capsys,
+                                                             section, values, named):
+        # each is refused from the config, before numpy is asked for an array
+        path = write_config(tmp_path, overrides={section: {**BASE_CONFIG[section], **values}})
+        assert cli.main(["validate", "--config", str(path)]) == cli.EXIT_CONFIG
+        [diagnostic] = json.loads(capsys.readouterr().out)["diagnostics"]
+        assert diagnostic.startswith(named) and "numpy's largest array" in diagnostic
+        assert cli.main(["prune", "--config", str(path), "--out",
+                         str(tmp_path / "out")]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: {diagnostic}\n"
 
     # 50 prunable weights reach 0.5 in 4 iterations; without finetune_each,
     # the first evaluation is the last iteration's

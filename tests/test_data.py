@@ -118,6 +118,10 @@ class TestSynth:
         (("gaussianBlobs", 2, 5, 0.1, 0, (2, True)), ["input_shape"]),
         (("gaussianBlobs", 2.5, True, 0.1, 1.5, (2,)), ["num_classes", "per_class", "seed"]),
         (("gaussianBlobs", None, 5, None, 0, None), ["num_classes", "noise", "input_shape"]),
+        # examples past numpy's largest array; the last case's 2**67 bytes are 0 in int64
+        (("gaussianBlobs", 4, 10**18, 0.5, 0, (2,)), ["per_class"]),
+        (("gaussianBlobs", 4, 10**19, 0.5, 0, (2,)), ["per_class"]),
+        (("gaussianBlobs", np.int64(4), np.int64(2**61), 0.5, 0, (2,)), ["per_class"]),
     ])
     def test_check_names_each_broken_argument(self, args, broken):
         with pytest.raises(ValueError) as info:

@@ -28,6 +28,10 @@ class TestModelSpec:
         (("mlp", (4,), 2), {"hidden": None}, "hidden and channels must be positive integers"),
         # the first pool halves 6 to 3, which the second cannot halve
         (("convnet", (1, 6, 6), 2), {"channels": (2, 2)}, "halve evenly"),
+        # past numpy's largest array; in int64 each has a length that wraps negative
+        (("mlp", (2,), 3), {"hidden": (2**62,)}, "parameters exceed numpy's largest array"),
+        (("mlp", (np.int64(2),), 3), {"hidden": (np.int64(2**62),)}, "numpy's largest array"),
+        (("convnet", (1, 2**31, 2**31), 3), {"channels": (4,)}, "numpy's largest array"),
     ])
     def test_fields_the_model_cannot_use_rejected(self, args, kw, message):
         with pytest.raises(ValueError, match=message):
@@ -36,6 +40,12 @@ class TestModelSpec:
     def test_input_halving_at_every_pool_accepted(self):
         spec = tl.ModelSpec("convnet", (1, 4, 12), 2, channels=(2, 2))
         assert spec.layer_shapes()[-2] == ("fc", "weight", (2, 2 * 1 * 3))
+
+    def test_sizes_are_exact_up_to_numpy_largest_array(self):
+        # 5 * 2**57 + 2 float64 values fill about 5/8 of numpy's largest array
+        spec = tl.ModelSpec("mlp", (np.int64(2),), np.int64(2), hidden=(2**57,))
+        assert [e.length for e in spec.layer_map()] == [2**58, 2**57, 2**58, 2]
+        assert spec.param_count() == 5 * 2**57 + 2
 
     def test_sizes_stored_as_tuples(self):
         listed = tl.ModelSpec("mlp", [4], 2, hidden=[3])

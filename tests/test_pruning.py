@@ -344,6 +344,13 @@ class TestLayerStats:
         assert stats == [("A", 0.5, 2), ("B", 0.5, 1)]
         assert tl.sparsity(mask) == 0.5
 
+    def test_biases_have_no_row(self):
+        # the desk ConvNet: conv1 (54 weights, 6 biases) and fc (384 weights, 4 biases)
+        spec = tl.ModelSpec("convnet", (1, 8, 8), 4, channels=(6,))
+        mask = tl.SparsityMask.ones(spec.layer_map())
+        mask.bits[[54, 59, 444, 447]] = False  # two biases of each layer
+        assert tl.mask_layer_stats(mask) == [("conv1", 0.0, 54), ("fc", 0.0, 384)]
+
     def test_weighted_mean_matches_global(self):
         rng = np.random.default_rng(3)
         params = two_layer_model(rng.standard_normal(41), rng.standard_normal(17))
