@@ -8,7 +8,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .nn import (ModelSpec, ParameterVector, TrainConfig, check_aligned, evaluate,
-                 is_whole, train)
+                 is_whole, require, train)
 from .pruning import SparsityMask, sparsity
 
 
@@ -55,12 +55,22 @@ def train_twin(spec: ModelSpec, theta_rewind: ParameterVector, mask: SparsityMas
     return theta_a, theta_b
 
 
+def check_grid(num_points=21, num_bins=30):
+    """Raise one ValueError naming every rule the grid sizes of interpolate_curve
+    and weight_histogram break: at least 2 points and 1 bin, and no float64
+    grid (of num_bins + 1 edges) past numpy's largest array."""
+    grids = (("num_points", num_points, 2), ("num_bins", num_bins, 1))
+    require([rule for name, size, least in grids for rule in (
+        (is_whole(size, least), f"{name} must be an integer >= {least}, got {size!r}"),
+        (not is_whole(size, least) or 8 * (int(size) + 1) <= np.iinfo(np.intp).max,
+         f"{name} {size} makes a grid past numpy's largest array"))])
+
+
 def interpolate_curve(spec: ModelSpec, theta_a: ParameterVector,
                       theta_b: ParameterVector, mask: SparsityMask, test_data,
                       num_points: int = 21) -> InterpolationCurve:
     """Evaluate (1-alpha) * theta_a + alpha * theta_b on a uniform alpha grid."""
-    if not is_whole(num_points, 2):
-        raise ValueError(f"num_points must be an integer >= 2, got {num_points!r}")
+    check_grid(num_points=num_points)
     if theta_b.layer_map != theta_a.layer_map:
         raise ValueError("theta_b must have the layer map of theta_a")
     alphas = np.linspace(0.0, 1.0, num_points)
@@ -91,8 +101,7 @@ def weight_histogram(theta_init: ParameterVector, mask: SparsityMask,
     Bin edges span the layer's full init range symmetrically about zero.
     """
     check_aligned(theta_init, mask)
-    if not is_whole(num_bins, 1):
-        raise ValueError(f"num_bins must be an integer >= 1, got {num_bins!r}")
+    check_grid(num_bins=num_bins)
     entries = [e for e in theta_init.layer_map
                if e.name == layer_name and e.kind == "weight"]
     if not entries:

@@ -121,7 +121,7 @@ METHODS = ("imp", "distilled", "random")
 DISTILLERS = tuple(data_mod.PROVENANCE_CODES)
 _KINDS = {dict: "an object", list: "a list", str: "a string", bool: "a boolean",
           int: "an integer", float: "a finite number"}
-_UNSET = object()  # get's default for a key whose default the library constructor owns
+_UNSET = object()  # a field left to the default of the library function _make calls
 
 
 def _is_kind(value, kind):
@@ -165,11 +165,11 @@ class ExperimentConfig:
             raise ConfigError([f"invalid JSON: {e}"]) from None
         return cls(raw, os.path.dirname(path), method, seeds, dry)
 
-    def get(self, name, default=None, kind=float, minimum=None, choices=None):
+    def get(self, name, default=None, kind=float, choices=None):
         """The field at dotted `name`, or `default` (None: required) if absent.
-        A missing required field or a value not of `kind`, below `minimum` or
-        not among `choices` adds a diagnostic and gives `default`, as does,
-        without one, any field under a section that is not an object."""
+        A missing required field or a value not of `kind` or not among `choices`
+        adds a diagnostic and gives `default`, as does, without one, any field
+        under a section that is not an object; other rules are run by `_make`."""
         self._read[name] = kind
         *parents, key = name.split(".")
         section = self.raw
@@ -182,8 +182,6 @@ class ExperimentConfig:
         value = section[key]
         if not _is_kind(value, kind):
             problem = f"must be {_KINDS[kind]}"
-        elif minimum is not None and value < minimum:
-            problem = f"must be >= {minimum}"
         elif choices is not None and value not in choices:
             problem = f"must be one of {', '.join(choices)}"
         else:
@@ -251,11 +249,12 @@ class ExperimentConfig:
                               train_config_finetune=train["finetune"])
 
         get("report", {}, dict)
-        self.report = {key: get(f"report.{key}", default, kind, minimum)
-                       for key, default, kind, minimum in (
-                           ("finetune_each", True, bool, None), ("lmc", False, bool, None),
-                           ("histograms", False, bool, None), ("lmc_points", 21, int, 2),
-                           ("threshold", 0.02, float, None), ("num_bins", 30, int, 1))}
+        self.report = {key: get(f"report.{key}", default, kind) for key, default, kind in (
+            ("finetune_each", True, bool), ("lmc", False, bool), ("histograms", False, bool),
+            ("lmc_points", 21, int), ("threshold", 0.02, float), ("num_bins", 30, int))}
+        for key, grid in (("lmc_points", "num_points"), ("num_bins", "num_bins")):
+            self._make(len(self.diagnostics), f"report.{key}: ", analysis.check_grid,
+                       **{grid: self.report[key]})
         self._distiller(self._data())
 
     def _train_config(self, key):
@@ -291,8 +290,7 @@ class ExperimentConfig:
             return int(self.train.class_counts().min())
         if source == "synth":
             kind, per_class = get("dataset.kind", kind=str), get("dataset.per_class", kind=int)
-            test_per_class = get("dataset.test_per_class", (per_class or 0) // 4 or 1, int,
-                                 minimum=1)
+            test_per_class = get("dataset.test_per_class", (per_class or 0) // 4 or 1, int)
             noise, seed = get("dataset.noise", 0.5), get("dataset.seed", 0, int)
             if self.spec is None:  # the model diagnostics say why
                 return None
@@ -304,18 +302,17 @@ class ExperimentConfig:
             return per_class if len(self.diagnostics) == n else None
 
     def _distiller(self, smallest):
-        """Read the distiller settings; if the method is distilled, check
-        them against the data, loading an external distilled set."""
+        """Read and check the distiller settings; if the method is distilled,
+        check them against the data too, loading an external distilled set."""
         get = self.get
         n = len(self.diagnostics)
         get("distiller", {}, dict)
         kind = get("distiller.kind", "kmeansHerding", str, choices=DISTILLERS)
         # a kind reads only the fields it uses; classMean distills one per class
         picks = kind in ("random", "kmeansHerding")
-        ipc = get("distiller.ipc", 10, int, minimum=1) if picks else 1
-        seed = get("distiller.seed", 0, int, minimum=0) if picks else None
-        iterations = (get("distiller.iterations", 50, int, minimum=0)
-                      if kind == "kmeansHerding" else None)
+        ipc = get("distiller.ipc", 10, int) if picks else 1
+        seed = get("distiller.seed", 0, int) if picks else _UNSET
+        iterations = get("distiller.iterations", 50, int) if kind == "kmeansHerding" else _UNSET
         path = self._file("distiller.path") if kind == "external" else None
         # (distiller, its arguments after self.train): no closure over self to make a cycle
         self._distill = {
@@ -323,18 +320,17 @@ class ExperimentConfig:
             "random": (data_mod.distill_random, ipc, seed),
             "kmeansHerding": (data_mod.distill_kmeans_herding, ipc, iterations, seed),
         }.get(kind)
-        if self.method != "distilled" or len(self.diagnostics) > n:
-            return
-        if kind == "external":
+        distills = self.method == "distilled"
+        # every rule runs; the class bound only on a section read without a diagnostic
+        bound = distills and kind != "external" and len(self.diagnostics) == n
+        self._make(len(self.diagnostics), "distiller.", data_mod.check_distiller, ipc=ipc,
+                   seed=seed, iterations=iterations, smallest=smallest if bound else None)
+        if distills and kind == "external" and len(self.diagnostics) == n:
             dsyn = data_mod.load_distilled(path)
             self._distill = (lambda _: dsyn,)
             if self.spec:
                 self._make(n, "distiller.path: ", nn.check_data, self.spec, dsyn.examples,
                            dsyn.labels)
-            return
-        if smallest is not None and ipc > smallest:
-            self.diagnostics.append(f"distiller.ipc {ipc} exceeds the smallest class, "
-                                    f"of {smallest} examples")
 
     def distilled(self):
         """The set the mask trains on, made from self.train by the distiller."""

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .nn import check_labels, check_seed, is_number, is_whole, require
+from .nn import check_labels, is_number, is_whole, require
 
 IMAGE_MAGIC = 0x00000803
 LABEL_MAGIC = 0x00000801
@@ -215,18 +215,23 @@ def check_synth(kind, num_classes, per_class, noise, seed, input_shape=(2,)):
 # ---------------------------------------------------------------------------
 # Distillers
 
+def check_distiller(ipc=1, seed=0, iterations=0, smallest=None):
+    """Raise one ValueError naming every rule the distiller arguments break,
+    each message starting with the argument's name: `ipc` from 1 to `smallest`,
+    the smallest class size (if given), and `seed` and k-means `iterations` >= 0."""
+    whole = is_whole(ipc, 1)
+    require([(whole, f"ipc must be an integer >= 1, got {ipc!r}"),
+             (not whole or smallest is None or ipc <= smallest,
+              f"ipc {ipc} exceeds the smallest class, of {smallest} examples"),
+             (is_whole(seed, 0), "seed must be an integer >= 0"),
+             (is_whole(iterations, 0),
+              f"iterations must be an integer >= 0, got {iterations!r}")])
+
+
 def _per_class(data: LabeledDataset, ipc, provenance, pick) -> DistilledDataset:
-    """The DistilledDataset of `ipc` examples per class, class by class:
-    pick(c, idx) gives the (ipc, *dims) examples of class c, whose members
-    are data.examples[idx]."""
-    if not is_whole(ipc, 1):
-        raise ValueError(f"ipc must be an integer >= 1, got {ipc!r}")
-    images = []
-    for c in range(data.num_classes):
-        idx = np.flatnonzero(data.labels == c)
-        if ipc > idx.size:
-            raise ValueError(f"ipc={ipc} exceeds class size {idx.size}")
-        images.append(pick(c, idx))
+    """The DistilledDataset of `ipc` examples per class: pick(c, idx) gives
+    the (ipc, *dims) examples of class c, whose members are data.examples[idx]."""
+    images = [pick(c, np.flatnonzero(data.labels == c)) for c in range(data.num_classes)]
     return DistilledDataset(np.concatenate(images),
                             np.repeat(np.arange(data.num_classes), ipc),
                             data.num_classes, provenance=provenance)
@@ -234,13 +239,15 @@ def _per_class(data: LabeledDataset, ipc, provenance, pick) -> DistilledDataset:
 
 def distill_random(data: LabeledDataset, ipc: int, seed: int) -> DistilledDataset:
     """Uniform per-class sample without replacement."""
-    rng = np.random.default_rng(check_seed(seed))  # one stream, drawn class by class
+    check_distiller(ipc, seed, smallest=int(data.class_counts().min()))
+    rng = np.random.default_rng(seed)  # one stream, drawn class by class
     return _per_class(data, ipc, "random", lambda c, idx: data.examples[
         np.sort(rng.choice(idx, size=ipc, replace=False))])
 
 
 def distill_class_mean(data: LabeledDataset) -> DistilledDataset:
     """One synthetic image per class: the arithmetic mean of the class."""
+    check_distiller(smallest=int(data.class_counts().min()))
     return _per_class(data, 1, "classMean",
                       lambda c, idx: data.examples[idx].mean(axis=0, keepdims=True))
 
@@ -314,9 +321,7 @@ def distill_kmeans_herding(data: LabeledDataset, ipc: int, iterations: int = 50,
     `iterations` (0: k-means++ seeds only) caps the Lloyd rounds per class;
     a class stops at the first round whose centers equal the previous ones,
     where every later round would return the same centers."""
-    if not is_whole(iterations, 0):
-        raise ValueError(f"iterations must be an integer >= 0, got {iterations!r}")
-    check_seed(seed)
+    check_distiller(ipc, seed, iterations, int(data.class_counts().min()))
 
     def pick(c, idx):
         points = data.examples[idx].reshape(idx.size, -1)

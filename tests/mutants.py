@@ -130,6 +130,34 @@ MUTANTS = [
     ("src/ticketlab/nn.py", "[math.prod(map(int, self.input_shape)), *map(int, self.hidden),",
      "[math.prod(self.input_shape), *self.hidden,",
      "tests/test_nn.py::TestModelSpec::test_fields_the_model_cannot_use_rejected"),
+    # each config rule is stated once, by the library function that uses the
+    # value, and the config build runs it: the grid sizes of the LMC curve and
+    # the histograms, in exact Python ints, and the distiller's arguments,
+    # whose ipc the smallest class bounds only when the run distills
+    ("src/ticketlab/analysis.py",
+     "(not is_whole(size, least) or 8 * (int(size) + 1) <= np.iinfo(np.intp).max,",
+     "(True,", "tests/test_analysis.py::test_grid_past_numpy_largest_array_is_named"),
+    ("src/ticketlab/analysis.py", "8 * (int(size) + 1)", "8 * (size + 1)",
+     "tests/test_analysis.py::test_grid_past_numpy_largest_array_is_named"),
+    ("src/ticketlab/data.py", "(not whole or smallest is None or ipc <= smallest,", "(True,",
+     "tests/test_data.py::TestDistillers::test_ipc_past_the_smallest_class_rejected"),
+    ("src/ticketlab/cli.py",
+     'for key, grid in (("lmc_points", "num_points"), ("num_bins", "num_bins")):',
+     "for key, grid in ():",
+     "tests/test_cli.py::TestSubcommands::test_each_rule_names_its_key_then_its_owners_text"),
+    ("src/ticketlab/cli.py", "data_mod.check_distiller, ipc=ipc", "dict, ipc=ipc",
+     "tests/test_cli.py::TestSubcommands::test_each_rule_names_its_key_then_its_owners_text"),
+    ("src/ticketlab/cli.py", 'bound = distills and kind != "external" and',
+     "bound = False and",
+     "tests/test_cli.py::TestSubcommands::test_each_rule_names_its_key_then_its_owners_text"),
+    ("src/ticketlab/cli.py", 'bound = distills and kind != "external" and',
+     "bound = kind != \"external\" and",
+     "tests/test_cli.py::TestSubcommands::"
+     "test_class_size_bounds_ipc_only_when_the_run_distills"),
+    ("src/ticketlab/cli.py", 'kind != "external" and len(self.diagnostics) == n',
+     'kind != "external"',
+     "tests/test_cli.py::TestSubcommands::"
+     "test_class_size_bounds_ipc_only_when_the_run_distills"),
     # a bias has no row of per-layer sparsity
     ("src/ticketlab/pruning.py", 'if e.kind != "weight":', "if False:",
      "tests/test_pruning.py::TestLayerStats::test_biases_have_no_row"),

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import ticketlab as tl
-from ticketlab.analysis import InterpolationCurve
+from ticketlab.analysis import InterpolationCurve, check_grid
 from ticketlab.nn import LayerEntry, ParameterVector
 
 
@@ -190,6 +190,28 @@ class TestWeightHistogram:
         spec, theta, mask, _, _, _ = setup
         with pytest.raises(ValueError, match="num_bins must be an integer >= 1"):
             tl.weight_histogram(theta, mask, "fc1", num_bins)
+
+
+@pytest.mark.parametrize("size", [2**60, 10**19, np.int64(2**61)],
+                         ids=["2**60", "10**19", "int64_2**61"])
+@pytest.mark.parametrize("name,analyse", [
+    ("num_points", lambda s, n: tl.interpolate_curve(s[0], s[1], s[1], s[2], s[4], n)),
+    ("num_bins", lambda s, n: tl.weight_histogram(s[1], s[2], "fc1", n))],
+    ids=["interpolate_curve", "weight_histogram"])
+def test_grid_past_numpy_largest_array_is_named(setup, name, analyse, size):
+    # refused before numpy is asked for the grid, whose own error names no argument
+    with pytest.raises(ValueError,
+                       match=f"^{name} {size} makes a grid past numpy's largest array$"):
+        analyse(setup, size)
+
+
+def test_largest_grid_fits_numpy_largest_array():
+    # a grid of n + 1 float64 values fits while 8 * (n + 1) <= np.iinfo(np.intp).max
+    largest = np.iinfo(np.intp).max // 8 - 1
+    check_grid(num_points=largest, num_bins=largest)
+    for name in ("num_points", "num_bins"):
+        with pytest.raises(ValueError, match=f"^{name} {largest + 1} makes a grid"):
+            check_grid(**{name: largest + 1})
 
 
 @pytest.mark.parametrize("analyse", [

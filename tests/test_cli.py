@@ -276,7 +276,7 @@ UNREAD_CASES = [
 CHOICE_CASES = [
     ("prune.scope must be one of global, layerwise", with_section("prune", {
         **BASE_CONFIG["prune"], "scope": "x"})),
-    ("distiller.iterations must be >= 0", with_section("distiller", {
+    ("distiller.iterations must be an integer >= 0", with_section("distiller", {
         "kind": "kmeansHerding", "ipc": 2, "iterations": -3})),
     ("prune.iteration_cap is never read", with_section("prune", {
         **BASE_CONFIG["prune"], "iteration_cap": 0})),
@@ -407,23 +407,40 @@ def field_paths(section, prefix=()):
 
 
 # fields whose value sets the size of the work (epochs, example counts, widths
-# and point counts) and the sections that hold them draw only small integers;
-# so do all top-level fields
+# and point counts), and the sections that hold them, draw small integers and,
+# but for the epoch counts, which set how long prune trains, sizes at and past
+# numpy's largest array; all top-level fields draw small integers only
 SIZE_FIELDS = {"mask_train_epochs", "finetune_epochs", "per_class", "test_per_class",
                "num_classes", "input_shape", "hidden", "channels", "lmc_points",
                "num_bins", "ipc", "iterations", "mask_train", "finetune"}
+EPOCH_FIELDS = {"mask_train_epochs", "finetune_epochs"}
+HUGE = st.sampled_from([2**59, 2**60, 2**63, 10**19])
+
+
+def mutated_values(path):
+    """The values the property sets the field at `path` to."""
+    if len(path) > 1 and path[-1] not in SIZE_FIELDS:
+        return json_values
+    if len(path) == 1 or path[-1] in EPOCH_FIELDS:
+        return json_of(st.integers(-2, 6))
+    return HUGE | json_of(st.integers(-2, 6) | HUGE)  # a scalar size, drawn often
+
+
 MUTATIONS = st.sampled_from(sorted(field_paths(TINY_CONFIG))).flatmap(
-    lambda path: st.tuples(st.just(path), json_of(st.integers(-2, 6))
-                           if len(path) == 1 or path[-1] in SIZE_FIELDS else json_values))
+    lambda path: st.tuples(st.just(path), mutated_values(path)))
 
 
 @settings(max_examples=100, deadline=None)
 @given(mutation=MUTATIONS)
+@example(mutation=(("report", "lmc_points"), 2**60))
+@example(mutation=(("report", "num_bins"), 10**19))
 def test_prune_is_total_on_one_mutated_field(mutation):
-    """A tiny valid config with any one field set to any JSON value: prune
-    returns a documented exit code and raises nothing."""
+    """A tiny valid config, with the LMC curve and histograms on, with any
+    one field set to any JSON value: prune returns a documented exit code
+    and raises nothing."""
     path, value = mutation
     raw = json.loads(json.dumps(TINY_CONFIG))
+    raw["report"].update(lmc=True, histograms=True)
     section = raw
     for key in path[:-1]:
         section = section[key]
@@ -862,8 +879,13 @@ class TestSubcommands:
         ("dataset", {"per_class": 10**19}, "dataset.per_class 10"),
         ("model", {"hidden": [10**19]}, "model: "),
         ("model", {"hidden": [2**62]}, "model: "),
+        ("report", {"lmc": True, "lmc_points": 2**60}, f"report.lmc_points: num_points {2**60}"),
+        ("report", {"lmc": True, "lmc_points": 10**19}, f"report.lmc_points: num_points {10**19}"),
+        ("report", {"histograms": True, "num_bins": 10**19},
+         f"report.num_bins: num_bins {10**19}"),
     ], ids=["per_class", "test_per_class", "per_class_past_int64", "hidden_past_int64",
-            "hidden_wraps_in_int64"])
+            "hidden_wraps_in_int64", "lmc_points", "lmc_points_past_int64",
+            "num_bins_past_int64"])
     def test_sizes_past_numpy_largest_array_are_config_errors(self, tmp_path, capsys,
                                                              section, values, named):
         # each is refused from the config, before numpy is asked for an array
@@ -874,6 +896,46 @@ class TestSubcommands:
         assert cli.main(["prune", "--config", str(path), "--out",
                          str(tmp_path / "out")]) == cli.EXIT_CONFIG
         assert capsys.readouterr().err == f"config error: {diagnostic}\n"
+        assert not (tmp_path / "out").exists()
+
+    # each rule is stated by the library function that uses the value; the
+    # config build runs it, and its diagnostic names the key, then the rule
+    @pytest.mark.parametrize("overrides,diagnostic", [
+        ({"dataset": {**BASE_CONFIG["dataset"], "test_per_class": 0}},
+         "dataset.test_per_class must be an integer >= 1"),
+        ({"report": {"lmc": True, "lmc_points": 1}},
+         "report.lmc_points: num_points must be an integer >= 2, got 1"),
+        ({"report": {"histograms": True, "num_bins": 0}},
+         "report.num_bins: num_bins must be an integer >= 1, got 0"),
+        ({"distiller": {"ipc": 0}}, "distiller.ipc must be an integer >= 1, got 0"),
+        ({"distiller": {"seed": -1}}, "distiller.seed must be an integer >= 0"),
+        ({"distiller": {"iterations": -1}},
+         "distiller.iterations must be an integer >= 0, got -1"),
+        ({"distiller": {"ipc": 99}, "method": "distilled"},
+         "distiller.ipc 99 exceeds the smallest class, of 60 examples"),
+    ], ids=["test_per_class", "lmc_points", "num_bins", "ipc", "seed", "iterations",
+            "ipc_past_smallest_class"])
+    def test_each_rule_names_its_key_then_its_owners_text(self, tmp_path, capsys, overrides,
+                                                          diagnostic):
+        path = write_config(tmp_path, overrides=overrides)
+        assert cli.main(["validate", "--config", str(path)]) == cli.EXIT_CONFIG
+        assert json.loads(capsys.readouterr().out) == {"diagnostics": [diagnostic]}
+        assert cli.main(["prune", "--config", str(path), "--out",
+                         str(tmp_path / "out")]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: {diagnostic}\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_class_size_bounds_ipc_only_when_the_run_distills(self, tmp_path):
+        path = write_config(tmp_path, overrides={"distiller": {"ipc": 99}})
+        assert cli.validate_config(path) == []
+        assert cli.main(["prune", "--config", str(path), "--method", "distilled", "--out",
+                         str(tmp_path / "out")]) == cli.EXIT_CONFIG
+        # and on an ipc read without fault: a faulty one reads as its default, 10
+        path = write_config(tmp_path, overrides={
+            "method": "distilled", "distiller": {"ipc": 2.5, "seed": -1},
+            "dataset": {**BASE_CONFIG["dataset"], "per_class": 8}})
+        assert cli.validate_config(path) == ["distiller.ipc must be an integer",
+                                             "distiller.seed must be an integer >= 0"]
 
     # 50 prunable weights reach 0.5 in 4 iterations; without finetune_each,
     # the first evaluation is the last iteration's

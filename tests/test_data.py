@@ -196,8 +196,18 @@ class TestDistillers:
         assert a.provenance == "random" and a.ipc == 4
 
     def test_random_ipc_too_large(self, dataset):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^ipc 21 exceeds the smallest class, of 20 "):
             tl.distill_random(dataset, ipc=21, seed=0)
+
+    @pytest.mark.parametrize("distill,message", [
+        (lambda d: tl.distill_kmeans_herding(d, 21, seed=0),
+         "ipc 21 exceeds the smallest class, of 20"),
+        # a fourth class, with no example
+        (lambda d: tl.distill_class_mean(tl.LabeledDataset(d.examples, d.labels, 4)),
+         "ipc 1 exceeds the smallest class, of 0")], ids=["kmeansHerding", "classMean"])
+    def test_ipc_past_the_smallest_class_rejected(self, dataset, distill, message):
+        with pytest.raises(ValueError, match=f"^{message} examples$"):
+            distill(dataset)
 
     def test_class_mean_identical_images(self):
         x = np.tile(np.array([[0.3, 0.7]]), (5, 1))
