@@ -13,6 +13,7 @@ import json
 import os
 import struct
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -350,31 +351,30 @@ def validate_config(path):
 # Experiment orchestration
 
 def run_experiment(config: ExperimentConfig, out_dir) -> dict:
-    """Run the configured engine over all seeds, write the report into
-    `out_dir` and return its summary."""
+    """Run the configured engine over all seeds, write the report into `out_dir`
+    and return its summary.  As each seed ends, its mask and the table so far are
+    written (an earlier run's summary.json removed first), so a failed run leaves
+    its finished seeds for `report`; the summary and the rest follow the last seed."""
     spec, cfg, method, opts = config.spec, config.cfg, config.method, config.report
     d_syn = config.distilled() if method == "distilled" else None
-    records = []
+    records, rows = [], []
     for seed in config.seeds:
         theta = nn.init_params(spec, seed)
         kw = dict(eval_data=config.test, finetune_each=opts["finetune_each"], seed=seed)
         # engines.<name> is looked up per call, so a rebound engine is the one run
         if method == "distilled":
-            records.append(engines.distilled_prune_run(spec, theta, d_syn, config.train,
-                                                       cfg, **kw)[2])
+            rec = engines.distilled_prune_run(spec, theta, d_syn, config.train, cfg, **kw)[2]
         else:
             run = engines.imp_run if method == "imp" else engines.random_prune_run
-            records.append(run(spec, theta, config.train, cfg, **kw))
-
-    rows = [(rec.method, rec.seed, it.index, it.sparsity, it.finetune_accuracy,
-             it.mask_phase_seconds, it.finetune_seconds)
-            for rec in records for it in rec.iterations]
-    atomic_write_text(os.path.join(out_dir, "iterations.csv"),
-                      csv_text(ITERATIONS_HEADER, rows))
-
-    for rec in records:
-        mask_path = os.path.join(out_dir, f"mask_{rec.method}_seed{rec.seed}.mask")
-        save_mask(mask_path, rec.final_mask, rec.method, rec.seed)
+            rec = run(spec, theta, config.train, cfg, **kw)
+        records.append(rec)
+        Path(out_dir, "summary.json").unlink(missing_ok=True)
+        save_mask(os.path.join(out_dir, f"mask_{rec.method}_seed{rec.seed}.mask"),
+                  rec.final_mask, rec.method, rec.seed)
+        rows += [(rec.method, rec.seed, it.index, it.sparsity, it.finetune_accuracy,
+                  it.mask_phase_seconds, it.finetune_seconds) for it in rec.iterations]
+        atomic_write_text(os.path.join(out_dir, "iterations.csv"),
+                          csv_text(ITERATIONS_HEADER, rows))
 
     summary = summarize(records)
     if opts["lmc"]:

@@ -158,6 +158,20 @@ MUTANTS = [
      'kind != "external"',
      "tests/test_cli.py::TestSubcommands::"
      "test_class_size_bounds_ipc_only_when_the_run_distills"),
+    # a run writes each seed's mask and the table so far as the seed ends, so a
+    # failed run keeps its finished seeds, and no earlier run's summary with them
+    ("src/ticketlab/cli.py", '        atomic_write_text(os.path.join(out_dir, "iterations.csv"),',
+     '        if seed == config.seeds[-1]: atomic_write_text(os.path.join(out_dir, '
+     '"iterations.csv"),',
+     "tests/test_cli.py::TestPartialRun::test_failed_run_keeps_the_finished_seeds"),
+    ("src/ticketlab/cli.py",
+     '        save_mask(os.path.join(out_dir, f"mask_{rec.method}_seed{rec.seed}.mask"),',
+     "        for rec in records if seed == config.seeds[-1] else ():\n"
+     '            save_mask(os.path.join(out_dir, f"mask_{rec.method}_seed{rec.seed}.mask"),',
+     "tests/test_cli.py::TestPartialRun::test_failed_run_keeps_the_finished_seeds"),
+    ("src/ticketlab/cli.py", '        Path(out_dir, "summary.json").unlink(missing_ok=True)\n',
+     "        pass\n",
+     "tests/test_cli.py::TestPartialRun::test_failed_rerun_leaves_no_earlier_summary"),
     # a bias has no row of per-layer sparsity
     ("src/ticketlab/pruning.py", 'if e.kind != "weight":', "if False:",
      "tests/test_pruning.py::TestLayerStats::test_biases_have_no_row"),

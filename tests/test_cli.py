@@ -357,11 +357,13 @@ CONFIG_KEYS = sorted({"dataset", "model", "prune", "distiller", "report", "seeds
 
 
 def json_of(integers):
-    """Any JSON value, with integers drawn from `integers`."""
-    return st.recursive(
-        st.none() | st.booleans() | integers | st.floats() | st.text(max_size=8)
-        | st.sampled_from(["idx", "synth", "external", "gaussianBlobs", "imp",
-                           "distilled", "random", "classMean", "spirals", "layerwise"]),
+    """Any JSON value, with integers drawn from `integers`; a bare scalar at
+    least half the time, as st.recursive alone draws almost only containers."""
+    leaves = (st.none() | st.booleans() | integers | st.floats() | st.text(max_size=8)
+              | st.sampled_from(["idx", "synth", "external", "gaussianBlobs", "imp",
+                                 "distilled", "random", "classMean", "spirals", "layerwise"]))
+    return leaves | st.recursive(
+        leaves,
         lambda inner: st.lists(inner, max_size=4)
         | st.dictionaries(st.sampled_from(CONFIG_KEYS) | st.text(max_size=6), inner,
                           max_size=6),
@@ -556,6 +558,76 @@ class TestRunExperiment:
         cli.run_experiment(config, tmp_path / "out")
         blob = (tmp_path / "out" / "iterations.csv").read_bytes()
         assert b"\r" not in blob
+
+
+def diverge_at(monkeypatch, failing_seed):
+    """Rebind engines.imp_run to diverge at `failing_seed` and run as it did at others."""
+    imp_run = engines.imp_run
+
+    def diverging(*args, seed, **kwargs):
+        if seed == failing_seed:
+            raise nn.TrainingDiverged(1, 0, float("nan"), 0.1, None)
+        return imp_run(*args, seed=seed, **kwargs)
+
+    monkeypatch.setattr(engines, "imp_run", diverging)
+
+
+class TestPartialRun:
+    """A prune that fails keeps what its finished seeds wrote: their masks
+    and their rows of iterations.csv, which report summarizes."""
+
+    @staticmethod
+    def prune(tmp_path, out, seeds, **report):
+        path = write_config(tmp_path, {"seeds": seeds,
+                                       "report": {**BASE_CONFIG["report"], **report}})
+        return cli.main(["prune", "--config", str(path), "--out", str(out)])
+
+    def test_failed_run_keeps_the_finished_seeds(self, tmp_path, monkeypatch, capsys):
+        full, partial = tmp_path / "full", tmp_path / "partial"
+        assert self.prune(tmp_path, full, [0, 1]) == 0
+        tables, atomic_write_text = [], cli.atomic_write_text
+
+        def counting(path, text):
+            if os.path.basename(path) == "iterations.csv":
+                tables.append(path)
+            atomic_write_text(path, text)
+
+        monkeypatch.setattr(cli, "atomic_write_text", counting)
+        diverge_at(monkeypatch, 2)
+        assert self.prune(tmp_path, partial, [0, 1, 2]) == cli.EXIT_RUNTIME
+        assert len(tables) == 2  # one per finished seed
+        masks = [f"mask_imp_seed{seed}{suffix}" for seed in (0, 1)
+                 for suffix in (".mask", ".mask.json")]
+        # no mask of seed 2 and no summary.json
+        assert sorted(p.name for p in partial.iterdir()) == sorted(["iterations.csv", *masks])
+        for name in masks:
+            assert (partial / name).read_bytes() == (full / name).read_bytes(), name
+        table, want = (cli.strip_timing_columns((out / "iterations.csv").read_text())
+                       for out in (partial, full))
+        assert table == want
+        capsys.readouterr()
+        assert cli.main(["report", "--out", str(partial)]) == 0
+        rebuilt = json.loads(capsys.readouterr().out)
+        written = json.loads((full / "summary.json").read_text())
+        assert rebuilt["seeds"] == written["seeds"] == [0, 1]
+        assert rebuilt["levels"] == written["levels"]
+
+    def test_failure_in_the_first_seed_writes_nothing(self, tmp_path, monkeypatch):
+        diverge_at(monkeypatch, 0)
+        assert self.prune(tmp_path, tmp_path / "out", [0, 1, 2]) == cli.EXIT_RUNTIME
+        assert not (tmp_path / "out").exists()
+
+    def test_failed_rerun_leaves_no_earlier_summary(self, tmp_path, monkeypatch):
+        # else report would merge the earlier run's lmc into the partial table's summary
+        out = tmp_path / "out"
+        assert self.prune(tmp_path, out, [0, 1], lmc=True, lmc_points=3) == 0
+        assert "lmc" in json.loads((out / "summary.json").read_text())
+        diverge_at(monkeypatch, 2)
+        assert self.prune(tmp_path, out, [0, 1, 2], lmc=True,
+                          lmc_points=3) == cli.EXIT_RUNTIME
+        assert not (out / "summary.json").exists()
+        assert cli.main(["report", "--out", str(out)]) == 0
+        assert "lmc" not in json.loads((out / "summary.json").read_text())
 
 
 class TestMaskFiles:
