@@ -9,6 +9,7 @@ codes: 0 ok, 2 config error, 3 runtime failure, 4 I/O failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import struct
@@ -305,37 +306,34 @@ class ExperimentConfig:
     def _distiller(self, smallest):
         """Read and check the distiller settings; if the method is distilled,
         check them against the data too, loading an external distilled set."""
-        get = self.get
         n = len(self.diagnostics)
-        get("distiller", {}, dict)
-        kind = get("distiller.kind", "kmeansHerding", str, choices=DISTILLERS)
-        # a kind reads only the fields it uses; classMean distills one per class
-        picks = kind in ("random", "kmeansHerding")
-        ipc = get("distiller.ipc", 10, int) if picks else 1
-        seed = get("distiller.seed", 0, int) if picks else _UNSET
-        iterations = get("distiller.iterations", 50, int) if kind == "kmeansHerding" else _UNSET
+        self.get("distiller", {}, dict)
+        kind = self.get("distiller.kind", "kmeansHerding", str, choices=DISTILLERS)
+        # per built-in kind: its distiller, looked up per build, and the fields it reads
+        function, fields = dict(
+            classMean=(data_mod.distill_class_mean, {}),  # one example per class
+            random=(data_mod.distill_random, dict(ipc=10, seed=0)),
+            kmeansHerding=(data_mod.distill_kmeans_herding, dict(ipc=10, seed=0, iterations=50)),
+        ).get(kind, (None, {}))
+        fields = {key: self.get(f"distiller.{key}", value, int) for key, value in fields.items()}
         path = self._file("distiller.path") if kind == "external" else None
-        # (distiller, its arguments after self.train): no closure over self to make a cycle
-        self._distill = {
-            "classMean": (data_mod.distill_class_mean,),
-            "random": (data_mod.distill_random, ipc, seed),
-            "kmeansHerding": (data_mod.distill_kmeans_herding, ipc, iterations, seed),
-        }.get(kind)
+        # bound by name, with no closure over self to make a cycle
+        self._distill = function and functools.partial(function, **fields)
         distills = self.method == "distilled"
         # every rule runs; the class bound only on a section read without a diagnostic
         bound = distills and kind != "external" and len(self.diagnostics) == n
-        self._make(len(self.diagnostics), "distiller.", data_mod.check_distiller, ipc=ipc,
-                   seed=seed, iterations=iterations, smallest=smallest if bound else None)
+        self._make(len(self.diagnostics), "distiller.", data_mod.check_distiller, **fields,
+                   smallest=smallest if bound else None)
         if distills and kind == "external" and len(self.diagnostics) == n:
             dsyn = data_mod.load_distilled(path)
-            self._distill = (lambda _: dsyn,)
+            self._distill = lambda _: dsyn
             if self.spec:
                 self._make(n, "distiller.path: ", nn.check_data, self.spec, dsyn.examples,
                            dsyn.labels)
 
     def distilled(self):
         """The set the mask trains on, made from self.train by the distiller."""
-        return self._distill[0](self.train, *self._distill[1:])
+        return self._distill(self.train)
 
 
 def validate_config(path):
@@ -353,7 +351,7 @@ def validate_config(path):
 def run_experiment(config: ExperimentConfig, out_dir) -> dict:
     """Run the configured engine over all seeds, write the report into `out_dir`
     and return its summary.  As each seed ends, its mask and the table so far are
-    written (an earlier run's summary.json removed first), so a failed run leaves
+    written (every file of an earlier prune removed first), so a failed run leaves
     its finished seeds for `report`; the summary and the rest follow the last seed."""
     spec, cfg, method, opts = config.spec, config.cfg, config.method, config.report
     d_syn = config.distilled() if method == "distilled" else None
@@ -368,7 +366,9 @@ def run_experiment(config: ExperimentConfig, out_dir) -> dict:
             run = engines.imp_run if method == "imp" else engines.random_prune_run
             rec = run(spec, theta, config.train, cfg, **kw)
         records.append(rec)
-        Path(out_dir, "summary.json").unlink(missing_ok=True)
+        for pattern in ("summary.json", "lmc.csv", "hist_*.csv", "mask_*.mask", "mask_*.mask.json"):
+            for path in Path(out_dir).glob(pattern) if len(records) == 1 else ():  # first write
+                path.unlink()
         save_mask(os.path.join(out_dir, f"mask_{rec.method}_seed{rec.seed}.mask"),
                   rec.final_mask, rec.method, rec.seed)
         rows += [(rec.method, rec.seed, it.index, it.sparsity, it.finetune_accuracy,

@@ -439,7 +439,8 @@ def _loss_and_grad(layers, effective, batch, labels, grad):
 def forward(spec: ModelSpec, params: ParameterVector, mask, batch) -> np.ndarray:
     """Logits for a batch, computed with effective weights (params * mask)."""
     batch, _ = _check_inputs(spec, params, mask, batch)
-    return _forward(_layers(spec), params.values * mask.bits, batch)
+    with np.errstate(over="ignore", invalid="ignore"):  # as in evaluate
+        return _forward(_layers(spec), params.values * mask.bits, batch)
 
 
 def backward(spec: ModelSpec, params: ParameterVector, mask, batch, labels) -> ParameterVector:

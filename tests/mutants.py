@@ -59,7 +59,7 @@ MUTANTS = [
     ("src/ticketlab/cli.py", "            if self.spec:\n                self._make(n, \"distiller",
      "            if not self.spec:\n                self._make(n, \"distiller",
      "tests/test_cli.py::TestConfigPaths::test_external_distilled_set_must_fit_model"),
-    # numpy's overflow and invalid-value warnings stay inside train and evaluate
+    # numpy's overflow and invalid-value warnings stay inside train, evaluate and forward
     ("src/ticketlab/nn.py",
      'with np.errstate(over="ignore", invalid="ignore"):  # the finite checks decide',
      "with np.errstate():  # the finite checks decide",
@@ -67,6 +67,10 @@ MUTANTS = [
     ("src/ticketlab/nn.py", 'with np.errstate(over="ignore", invalid="ignore"):  # as in train',
      "with np.errstate():  # as in train",
      "tests/test_cli.py::TestSubcommands::test_non_finite_logits_are_runtime_error"),
+    ("src/ticketlab/nn.py",
+     'with np.errstate(over="ignore", invalid="ignore"):  # as in evaluate',
+     "with np.errstate():  # as in evaluate",
+     "tests/test_nn.py::TestForward::test_overflow_is_the_documented_floating_point_error"),
     # inference runs the chain on blocks; training runs one block; every
     # layer's product goes through the aligned GEMM
     ("src/ticketlab/nn.py", "for start in range(0, n, step):",
@@ -145,7 +149,7 @@ MUTANTS = [
      'for key, grid in (("lmc_points", "num_points"), ("num_bins", "num_bins")):',
      "for key, grid in ():",
      "tests/test_cli.py::TestSubcommands::test_each_rule_names_its_key_then_its_owners_text"),
-    ("src/ticketlab/cli.py", "data_mod.check_distiller, ipc=ipc", "dict, ipc=ipc",
+    ("src/ticketlab/cli.py", "data_mod.check_distiller, **fields", "dict, **fields",
      "tests/test_cli.py::TestSubcommands::test_each_rule_names_its_key_then_its_owners_text"),
     ("src/ticketlab/cli.py", 'bound = distills and kind != "external" and',
      "bound = False and",
@@ -159,7 +163,7 @@ MUTANTS = [
      "tests/test_cli.py::TestSubcommands::"
      "test_class_size_bounds_ipc_only_when_the_run_distills"),
     # a run writes each seed's mask and the table so far as the seed ends, so a
-    # failed run keeps its finished seeds, and no earlier run's summary with them
+    # failed run keeps its finished seeds, and no file of an earlier prune with them
     ("src/ticketlab/cli.py", '        atomic_write_text(os.path.join(out_dir, "iterations.csv"),',
      '        if seed == config.seeds[-1]: atomic_write_text(os.path.join(out_dir, '
      '"iterations.csv"),',
@@ -169,9 +173,12 @@ MUTANTS = [
      "        for rec in records if seed == config.seeds[-1] else ():\n"
      '            save_mask(os.path.join(out_dir, f"mask_{rec.method}_seed{rec.seed}.mask"),',
      "tests/test_cli.py::TestPartialRun::test_failed_run_keeps_the_finished_seeds"),
-    ("src/ticketlab/cli.py", '        Path(out_dir, "summary.json").unlink(missing_ok=True)\n',
-     "        pass\n",
+    ("src/ticketlab/cli.py", '("summary.json", "lmc.csv", "hist_*.csv", "mask_*.mask", '
+     '"mask_*.mask.json")', "()",
      "tests/test_cli.py::TestPartialRun::test_failed_rerun_leaves_no_earlier_summary"),
+    ("src/ticketlab/cli.py", '("summary.json", "lmc.csv", "hist_*.csv", "mask_*.mask", '
+     '"mask_*.mask.json")', '("summary.json",)',
+     "tests/test_cli.py::TestPartialRun::test_failed_rerun_leaves_no_file_of_the_earlier_run"),
     # a bias has no row of per-layer sparsity
     ("src/ticketlab/pruning.py", 'if e.kind != "weight":', "if False:",
      "tests/test_pruning.py::TestLayerStats::test_biases_have_no_row"),
@@ -200,10 +207,14 @@ MUTANTS = [
     ("src/ticketlab/pruning.py", "self.bits = bits.astype(bool, copy=False)",
      "self.bits = bits.astype(np.float64)",
      "tests/test_engines.py::TestImpRun::test_record_masks_hold_one_byte_per_position"),
-    ("src/ticketlab/cli.py", '"classMean": (data_mod.distill_class_mean,),',
-     '"classMean": (lambda _: data_mod.distill_class_mean(self.train),),',
+    ("src/ticketlab/cli.py", "function and functools.partial(function, **fields)",
+     "function and (lambda _: function(self.train, **fields))",
      "tests/test_cli.py::TestRunExperiment::"
      "test_dropped_config_frees_its_data_without_the_cyclic_gc"),
+    # the distiller is bound to its fields by name, whatever their order
+    ("src/ticketlab/cli.py", "functools.partial(function, **fields)",
+     "functools.partial(function, *fields.values())",
+     "tests/test_artifacts.py::test_artifacts_match_the_fixture"),
     # equivalent: no result can change
     ("src/ticketlab/nn.py", "decay_sel[ws] = True", "decay_sel[ws] = mask.bits[ws] != 0.0",
      "equivalent: theta is +-0 at masked positions, so their decay term adds +-0 to a "

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import ticketlab as tl
-from ticketlab import cli, engines, nn
+from ticketlab import analysis, cli, engines, nn
 
 
 BASE_CONFIG = {
@@ -628,6 +628,43 @@ class TestPartialRun:
         assert not (out / "summary.json").exists()
         assert cli.main(["report", "--out", str(out)]) == 0
         assert "lmc" not in json.loads((out / "summary.json").read_text())
+
+    def test_failed_rerun_leaves_no_file_of_the_earlier_run(self, tmp_path, monkeypatch):
+        # else the earlier run's curve, histograms and seed-1 mask would sit
+        # beside a table that holds seed 0 only, read as this run's
+        out, report = tmp_path / "out", dict(lmc=True, lmc_points=3, histograms=True)
+        assert self.prune(tmp_path, out, [0, 1], **report) == 0
+        first = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert {"lmc.csv", "hist_fc1.csv", "hist_fc2.csv", "mask_imp_seed1.mask"} <= set(first)
+        (out / "dsyn.dstl").write_bytes(b"not written by prune")
+        diverge_at(monkeypatch, 1)
+        assert self.prune(tmp_path, out, [0, 1], **report) == cli.EXIT_RUNTIME
+        masks = ["mask_imp_seed0.mask", "mask_imp_seed0.mask.json"]
+        assert sorted(p.name for p in out.iterdir()) == sorted(
+            ["iterations.csv", "dsyn.dstl", *masks])
+        for name in masks:
+            assert (out / name).read_bytes() == first[name], name
+        assert {line.split(",")[1] for line in
+                (out / "iterations.csv").read_text().splitlines()[1:]} == {"0"}
+        assert cli.main(["report", "--out", str(out)]) == 0
+
+    def test_failure_after_the_last_seed_keeps_every_seed(self, tmp_path, monkeypatch, capsys):
+        # a divergence of the LMC twins comes after the seed loop: its message
+        # names no seed, iteration or phase, and every seed's files are kept
+        def diverging(*args, **kwargs):
+            raise nn.TrainingDiverged(0, 2, float("inf"), 0.1, 1.2)
+
+        monkeypatch.setattr(analysis, "train_twin", diverging)
+        out = tmp_path / "out"
+        assert self.prune(tmp_path, out, [0, 1], lmc=True, lmc_points=3) == cli.EXIT_RUNTIME
+        assert capsys.readouterr().err == (
+            "runtime failure: non-finite loss inf at epoch 0, batch 2 "
+            "(learning rate 0.1, last finite loss 1.2)\n")
+        masks = [f"mask_imp_seed{seed}{suffix}" for seed in (0, 1)
+                 for suffix in (".mask", ".mask.json")]
+        assert sorted(p.name for p in out.iterdir()) == sorted(["iterations.csv", *masks])
+        assert {line.split(",")[1] for line in
+                (out / "iterations.csv").read_text().splitlines()[1:]} == {"0", "1"}
 
 
 class TestMaskFiles:

@@ -208,6 +208,18 @@ class TestForward:
             tl.backward(tiny_mlp_spec, params, ones_mask(params), np.zeros((0, 5)),
                         np.zeros(0, dtype=int))
 
+    def test_overflow_is_the_documented_floating_point_error(self, tiny_mlp_spec):
+        # under the suite's filterwarnings = error, a numpy overflow warning
+        # would leave forward first, as it would under python -W error
+        params = tl.init_params(tiny_mlp_spec, 0)
+        params.values[:] = 1e308
+        x = np.ones((3, 5))
+        for run in (lambda: tl.forward(tiny_mlp_spec, params, ones_mask(params), x),
+                    lambda: tl.evaluate(tiny_mlp_spec, params, ones_mask(params),
+                                        tl.LabeledDataset(x, np.zeros(3, dtype=int), 3))):
+            with pytest.raises(FloatingPointError, match="^non-finite logits in forward pass$"):
+                run()
+
 
 def test_check_data_names_the_value_that_does_not_fit():
     """The one check of data against a model: a non-empty set of the
