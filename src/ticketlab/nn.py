@@ -13,6 +13,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -270,10 +271,10 @@ def check_aligned(params: ParameterVector, mask) -> None:
 # dense layers with a ReLU between them.  Every activation is kept
 # feature-major with the batch innermost: (C, H, W, N) in the conv blocks,
 # (features, N) in the dense layers.  Every layer's product is then one
-# (out, in) @ (in, columns) GEMM through _gemm, a conv bias gradient is a sum
-# over contiguous rows, and every window copy of im2col, col2im, pooling and
+# (out, in) @ (in, columns) GEMM, a conv bias gradient is a sum over
+# contiguous rows, and every window copy of im2col, col2im, pooling and
 # unpooling moves runs of W*N elements.  The last block's output, read as
-# (C*H*W, N), is the dense input.
+# (C*H*W, N), is the dense input.  A _Plan holds every buffer of a pass.
 
 def _layers(spec: ModelSpec):
     """(weight shape, weight slice, bias slice) per layer, input to output,
@@ -283,95 +284,149 @@ def _layers(spec: ModelSpec):
     return list(zip(wshapes, slices[0::2], slices[1::2]))
 
 
-def _im2col(x):
-    """(C, H, W, N) -> (C*k*k, H*W*N) patch matrix of a same-padded stride-1
-    conv; rows are ordered (c, ki, kj) like a flattened kernel, columns
-    (h, w, n) like the activations.  The patches are one strided view of
-    the padded input, copied once by the reshape."""
-    c, h, w, n = x.shape
-    pad = KSIZE // 2
-    xp = np.zeros((c, h + 2 * pad, w + 2 * pad, n))
-    xp[:, pad:pad + h, pad:pad + w] = x
-    sc, sh, sw, sn = xp.strides
-    windows = np.lib.stride_tricks.as_strided(
-        xp, (c, KSIZE, KSIZE, h, w, n), (sc, sh, sw, sh, sw, sn), writeable=False)
-    return windows.reshape(c * KSIZE * KSIZE, h * w * n)
+def _columns(m):
+    """m columns rounded up to whole groups of GEMM_ALIGN.  BLAS computes a
+    GEMM's columns in groups, with one kernel for whole groups and others,
+    whose bits differ, for a partial last group.  So each product of the
+    chain runs on whole groups, its input padded with columns that start at
+    zero, and a column's bits do not depend on the columns computed with it."""
+    return -(-m // GEMM_ALIGN) * GEMM_ALIGN
 
 
-def _gemm(w, x):
-    """w @ x for a contiguous x, each column with the bits it has in any
-    other product of w with it.  BLAS computes a GEMM's columns in groups,
-    with one kernel for whole groups and others, whose bits differ, for a
-    partial last group.  So x is padded with zero columns to whole groups
-    of GEMM_ALIGN, and the padding's columns are dropped from the product."""
-    m = x.shape[1]
-    if not m % GEMM_ALIGN:
-        return w @ x
-    padded = np.zeros((x.shape[0], -(-m // GEMM_ALIGN) * GEMM_ALIGN))
-    padded[:, :m] = x
-    return (w @ padded)[:, :m]
+class _Plan:
+    """Every buffer that a pass of the chain over a block of n examples
+    writes, and each layer's views of the flat vectors: its weight and bias
+    in ``effective`` and, given ``grad``, the slices of ``grad`` that
+    ``backward`` writes.  Only a plan given ``grad`` keeps ReLU masks and
+    the backward's buffers.  A pass writes every op into these buffers with
+    ``out=``, so a step allocates no array of the chain; a plan serves the
+    one call that built it.
 
+    Per layer, ``cols`` is the GEMM's input, (in, _columns(m)) for m
+    columns: the patch matrix of a conv block, gathered from ``xp``, its
+    input with a zero border, or a dense input.  Its first m columns are
+    ``x`` and those of the product ``z`` are ``zv``.  A ReLU works in place
+    on ``zv``; a dense layer's ``z`` is the next dense layer's ``cols``, and
+    a conv block pools into ``pooled``, the next layer's input."""
 
-def _col2im(dcols, shape):
-    """Adjoint of _im2col: scatter (C*k*k, H*W*N) patch gradients back onto
-    the (C, H, W, N) input."""
-    c, h, w, n = shape
-    pad = KSIZE // 2
-    dcols = dcols.reshape(c, KSIZE, KSIZE, h, w, n)
-    gxp = np.zeros((c, h + 2 * pad, w + 2 * pad, n))
-    for i in range(KSIZE):
-        for j in range(KSIZE):
-            gxp[:, i:i + h, j:j + w] += dcols[:, i, j]
-    return gxp[:, pad:pad + h, pad:pad + w]
-
-
-def _forward(layers, effective, batch, tape=None):
-    """(N, classes) logits of the chain.  Each layer's output column holds
-    one example and _gemm gives it the same bits in any product, so an
-    example's logits do not depend on the batch around it.  If ``tape`` is
-    a list, the whole batch is one block and one entry per layer is
-    appended for _backward: (dense input or conv patch matrix, boolean ReLU
-    mask of the layer's output or None).  Without one, no ReLU mask is
-    formed, non-finite logits are a FloatingPointError, and the chain runs
-    on blocks of CONV_BLOCK examples, each writing its logits into its
-    slice, so the temporaries stop growing with the batch."""
-    n = batch.shape[0]
-    step = n if tape is not None else CONV_BLOCK
-    logits = np.empty((n, layers[-1][0][0]))
-    last = len(layers) - 1
-    chain = [(len(wshape) == 4, effective[ws].reshape(wshape[0], -1), effective[bs][:, None])
-             for wshape, ws, bs in layers]
-    axes = (*range(1, batch.ndim), 0)
-    for start in range(0, n, step):
-        x = batch[start:start + step].transpose(axes)  # a view, batch innermost
-        for i, (conv, w, b) in enumerate(chain):
-            if conv:
-                _, h, wd, nb = x.shape
-                cols = _im2col(x)
-                z = _gemm(w, cols)
-                z += b
-                # np.maximum: about 10x faster than np.where at these sizes
-                a = np.maximum(z, 0.0, out=z).reshape(w.shape[0], h, wd, nb)
-                # the pool sums in the order (a00 + a01) + a10 + a11, then scales
-                x = a[:, 0::2, 0::2] + a[:, 0::2, 1::2]
-                x += a[:, 1::2, 0::2]
-                x += a[:, 1::2, 1::2]
-                x *= 0.25
-                if tape is not None:
-                    tape.append((cols, a > 0.0))
-                del cols, z, a  # freed before the next layer or block builds its own
+    def __init__(self, spec, effective, n, grad=None):
+        self.logits = np.empty((n, spec.num_classes))
+        self.layers, dims, layers = [], spec.input_shape, _layers(spec)
+        for i, (wshape, ws, bs) in enumerate(layers):
+            oc, last = wshape[0], self.layers[-1] if self.layers else None
+            L = SimpleNamespace(conv=len(wshape) == 4, relu=i < len(layers) - 1, keep=None,
+                                w=effective[ws].reshape(oc, -1), b=effective[bs][:, None])
+            if L.conv:
+                c, h, w = dims
+                m, L.xp = h * w * n, np.zeros((c, h + 2, w + 2, n))
+                into = L.xp[:, 1:h + 1, 1:w + 1]
+                sc, sh, sw, sn = L.xp.strides
+                L.windows = np.lib.stride_tricks.as_strided(
+                    L.xp, (c, KSIZE, KSIZE, h, w, n), (sc, sh, sw, sh, sw, sn), writeable=False)
+                L.cols = np.zeros((c * KSIZE ** 2, _columns(m)))
+                dims = (oc, h // 2, w // 2)
             else:
-                # (features, N); an MLP's input is copied, as _gemm needs
-                x = np.ascontiguousarray(x.reshape(-1, x.shape[-1]))
-                z = _gemm(w, x)
-                z += b
-                if i < last:
-                    np.maximum(z, 0.0, out=z)
-                if tape is not None:
-                    tape.append((x, z > 0.0 if i < last else None))
-                x = z
-        logits[start:start + step] = x.T
-    if tape is None and not np.all(np.isfinite(logits)):
+                m = n
+                L.cols = (last.z if last and not last.conv
+                          else np.zeros((math.prod(dims), _columns(n))))
+                into = L.cols[:, :n].reshape(*dims, n)
+                dims = (oc,)
+            if last is None:
+                self.input = into  # (*input_shape, n)
+            elif last.conv:
+                last.pooled = into
+            L.x, L.z = L.cols[:, :m], np.empty((oc, L.cols.shape[1]))
+            L.zv = L.z[:, :m]
+            if L.conv:
+                L.patches = L.x.reshape(c, KSIZE, KSIZE, h, w, n)
+                L.a = L.zv.reshape(oc, h, w, n)
+            if grad is not None:
+                L.gw, L.gb = grad[ws].reshape(L.w.shape), grad[bs]
+                if L.relu:
+                    L.keep = np.empty((oc, m), dtype=bool)
+                if L.conv:
+                    L.gq = np.empty((*dims, n))
+                    L.gz = np.empty((oc, m))
+                    L.keep6, L.gz6 = (a.reshape(oc, h // 2, 2, w // 2, 2, n)
+                                      for a in (L.keep, L.gz))
+                if i:  # the gradient w.r.t. the layer's input
+                    L.gx = np.empty_like(L.xp) if L.conv else np.empty((L.x.shape[0], n))
+            self.layers.append(L)
+
+    def forward(self, batch):
+        """The plan's (n, classes) logits of a batch of n examples.  Each
+        column of a layer's product holds one example, so an example's
+        logits do not depend on the batch around it."""
+        self.input[...] = batch.transpose(*range(1, batch.ndim), 0)
+        for L in self.layers:
+            if L.conv:
+                L.patches[...] = L.windows  # im2col: the nine shifted windows in one copy
+            np.matmul(L.w, L.cols, out=L.z)
+            L.zv += L.b
+            if L.relu:
+                # np.maximum: about 10x faster than np.where at these sizes
+                np.maximum(L.zv, 0.0, out=L.zv)
+                if L.keep is not None:
+                    np.greater(L.zv, 0.0, out=L.keep)
+            if L.conv:
+                # the pool sums in the order (a00 + a01) + a10 + a11, then scales
+                a, out = L.a, L.pooled
+                np.add(a[:, 0::2, 0::2], a[:, 0::2, 1::2], out=out)
+                out += a[:, 1::2, 0::2]
+                out += a[:, 1::2, 1::2]
+                out *= 0.25
+        self.logits[...] = L.zv.T
+        return self.logits
+
+    def backward(self, g):
+        """Backpropagate g = d loss / d logits, (classes, n), through the
+        chain, writing each layer's gradient into its slices of ``grad``.
+        The gradient w.r.t. the input batch is never formed."""
+        for i in range(len(self.layers) - 1, -1, -1):
+            L = self.layers[i]
+            if L.conv:
+                # unpool over each 2x2 window and apply the ReLU mask in one
+                # broadcast multiply
+                np.multiply(g.reshape(L.gq.shape), 0.25, out=L.gq)
+                np.multiply(L.gq[:, :, None, :, None], L.keep6, out=L.gz6)
+                g = L.gz
+            elif L.keep is not None:
+                g *= L.keep  # g is the next layer's gx here, never the caller's array
+            np.matmul(g, L.x.T, out=L.gw)
+            g.sum(axis=1, out=L.gb)
+            if not i:
+                break
+            if L.conv:
+                # col2im: the patch gradient, written over the patch matrix that
+                # this pass no longer reads, scattered back onto the input
+                _, _, _, h, w, _ = L.patches.shape
+                np.matmul(L.w.T, g, out=L.x)
+                L.gx.fill(0.0)
+                for ki in range(KSIZE):
+                    for kj in range(KSIZE):
+                        L.gx[:, ki:ki + h, kj:kj + w] += L.patches[:, ki, kj]
+                g = L.gx[:, 1:h + 1, 1:w + 1]
+            else:
+                g = np.matmul(L.w.T, g, out=L.gx)
+
+
+def _plans(spec, effective, n, block, grad=None):
+    """A plan per width of the blocks of `block` examples that cover n
+    examples: a full block and a partial last one."""
+    widths = {min(block, n), n % block} - {0}
+    return {width: _Plan(spec, effective, width, grad) for width in widths}
+
+
+def _infer(spec, effective, batch):
+    """(N, classes) logits of the chain, run on blocks of CONV_BLOCK
+    examples, each writing its logits into its slice, so the buffers stop
+    growing with the batch.  Non-finite logits are a FloatingPointError."""
+    n = batch.shape[0]
+    plans, logits = _plans(spec, effective, n, CONV_BLOCK), np.empty((n, spec.num_classes))
+    for start in range(0, n, CONV_BLOCK):
+        block = batch[start:start + CONV_BLOCK]
+        logits[start:start + CONV_BLOCK] = plans[block.shape[0]].forward(block)
+    if not np.all(np.isfinite(logits)):
         raise FloatingPointError("non-finite logits in forward pass")
     return logits
 
@@ -397,59 +452,26 @@ def _cross_entropy(logits, labels):
     return float(np.add.reduce(nll)) / n, p
 
 
-def _backward(layers, effective, tape, g, grad):
-    """Backpropagate g = d loss / d logits, (classes, N) like the tape,
-    through the chain, writing each layer's gradient into its slices of the
-    flat buffer ``grad``.  The gradient w.r.t. the input batch is never
-    formed."""
-    for i in range(len(layers) - 1, -1, -1):
-        wshape, ws, bs = layers[i]
-        x, keep = tape[i]
-        w = effective[ws].reshape(wshape[0], -1)
-        gw = grad[ws].reshape(w.shape)
-        if len(wshape) == 4:
-            oc, h, wd, n = keep.shape
-            if g.ndim == 2:
-                g = g.reshape(oc, h // 2, wd // 2, n)
-            # unpool over each 2x2 window and apply the ReLU mask in one multiply
-            gz = np.multiply((g * 0.25)[:, :, None, :, None],
-                             keep.reshape(oc, h // 2, 2, wd // 2, 2, n)).reshape(oc, -1)
-            np.matmul(gz, x.T, out=gw)
-            gz.sum(axis=1, out=grad[bs])
-            if i:
-                g = _col2im(w.T @ gz, (x.shape[0] // KSIZE ** 2, h, wd, n))
-        else:
-            if keep is not None:
-                g *= keep  # g is a fresh w.T @ g here, never the caller's array
-            np.matmul(g, x.T, out=gw)
-            g.sum(axis=1, out=grad[bs])
-            if i:
-                g = w.T @ g
-
-
-def _loss_and_grad(layers, effective, batch, labels, grad):
-    """Mean cross-entropy of a batch; its gradient w.r.t. the effective
-    weights is written into the flat buffer ``grad``."""
-    tape = []
-    loss, dlogits = _cross_entropy(_forward(layers, effective, batch, tape), labels)
-    _backward(layers, effective, tape, dlogits.T, grad)
-    return loss
-
-
 def forward(spec: ModelSpec, params: ParameterVector, mask, batch) -> np.ndarray:
     """Logits for a batch, computed with effective weights (params * mask)."""
     batch, _ = _check_inputs(spec, params, mask, batch)
     with np.errstate(over="ignore", invalid="ignore"):  # as in evaluate
-        return _forward(_layers(spec), params.values * mask.bits, batch)
+        return _infer(spec, params.values * mask.bits, batch)
 
 
 def backward(spec: ModelSpec, params: ParameterVector, mask, batch, labels) -> ParameterVector:
-    """Gradient of mean cross-entropy w.r.t. params; zero at masked positions."""
+    """Gradient of mean cross-entropy w.r.t. params; zero at masked positions.
+    A non-finite loss or gradient is a FloatingPointError."""
     batch, labels = _check_inputs(spec, params, mask, batch, labels)
     grad = np.empty_like(params.values)
-    _loss_and_grad(_layers(spec), params.values * mask.bits, batch, labels, grad)
-    # gradient w.r.t. params equals gradient w.r.t. effective weights times mask
-    grad *= mask.bits
+    with np.errstate(over="ignore", invalid="ignore"):  # as in forward and evaluate
+        plan = _Plan(spec, params.values * mask.bits, batch.shape[0], grad)  # one block
+        loss, dlogits = _cross_entropy(plan.forward(batch), labels)
+        plan.backward(dlogits.T)
+        # gradient w.r.t. params equals gradient w.r.t. effective weights times mask
+        grad *= mask.bits
+    if not (math.isfinite(loss) and np.all(np.isfinite(grad))):
+        raise FloatingPointError("non-finite loss or gradient in backward pass")
     return ParameterVector(grad, params.layer_map)
 
 
@@ -482,12 +504,13 @@ def train(spec, params, mask, data, cfg: TrainConfig, snapshots=None) -> Paramet
         snapshots[0] = theta.copy()
     if cfg.epochs == 0:
         return theta
-    layers = _layers(spec)
     grad = np.empty_like(theta.values)
+    # theta is kept masked, so it is its own effective weight vector
+    plans = _plans(spec, theta.values, data.size, cfg.batch_size, grad)
     velocity = np.zeros_like(theta.values)
     step = np.empty_like(theta.values)
     decay_sel = np.zeros(theta.values.size, dtype=bool)
-    for _, ws, _ in layers:
+    for _, ws, _ in _layers(spec):
         decay_sel[ws] = True  # theta is +-0 where masked: its decay term adds nothing
     lr = cfg.learning_rate
     last_loss = None
@@ -498,9 +521,9 @@ def train(spec, params, mask, data, cfg: TrainConfig, snapshots=None) -> Paramet
             perm = _epoch_order(cfg.shuffle_seed, epoch, data.size)
             for bi, start in enumerate(range(0, data.size, cfg.batch_size)):
                 idx = perm[start:start + cfg.batch_size]
-                # theta is kept masked, so it is its own effective weight vector
-                loss = _loss_and_grad(layers, theta.values, examples[idx],
-                                      data.labels[idx], grad)
+                plan = plans[idx.size]
+                loss, dlogits = _cross_entropy(plan.forward(examples[idx]), data.labels[idx])
+                plan.backward(dlogits.T)
                 if not math.isfinite(loss):
                     raise TrainingDiverged(epoch, bi, loss, lr, last_loss)
                 last_loss = loss
@@ -526,6 +549,6 @@ def evaluate(spec, params, mask, data):
     The inputs are checked, and the effective weights formed, once."""
     examples, labels = _check_inputs(spec, params, mask, data.examples, data.labels)
     with np.errstate(over="ignore", invalid="ignore"):  # as in train
-        logits = _forward(_layers(spec), params.values * mask.bits, examples)
+        logits = _infer(spec, params.values * mask.bits, examples)
         loss_sum = float(_nll(logits, labels)[0].sum())
     return int((logits.argmax(axis=1) == labels).sum()) / data.size, loss_sum / data.size

@@ -59,7 +59,8 @@ MUTANTS = [
     ("src/ticketlab/cli.py", "            if self.spec:\n                self._make(n, \"distiller",
      "            if not self.spec:\n                self._make(n, \"distiller",
      "tests/test_cli.py::TestConfigPaths::test_external_distilled_set_must_fit_model"),
-    # numpy's overflow and invalid-value warnings stay inside train, evaluate and forward
+    # numpy's overflow and invalid-value warnings stay inside train, evaluate,
+    # forward and backward, and backward names a non-finite result
     ("src/ticketlab/nn.py",
      'with np.errstate(over="ignore", invalid="ignore"):  # the finite checks decide',
      "with np.errstate():  # the finite checks decide",
@@ -71,20 +72,41 @@ MUTANTS = [
      'with np.errstate(over="ignore", invalid="ignore"):  # as in evaluate',
      "with np.errstate():  # as in evaluate",
      "tests/test_nn.py::TestForward::test_overflow_is_the_documented_floating_point_error"),
+    ("src/ticketlab/nn.py",
+     'with np.errstate(over="ignore", invalid="ignore"):  # as in forward and evaluate',
+     "with np.errstate():  # as in forward and evaluate",
+     "tests/test_nn.py::TestForward::test_overflow_is_the_documented_floating_point_error"),
+    ("src/ticketlab/nn.py",
+     "if not (math.isfinite(loss) and np.all(np.isfinite(grad))):", "if False:",
+     "tests/test_nn.py::TestForward::test_overflow_is_the_documented_floating_point_error"),
     # inference runs the chain on blocks; training runs one block; every
-    # layer's product goes through the aligned GEMM
-    ("src/ticketlab/nn.py", "for start in range(0, n, step):",
-     "for start in range(0, n - 1, step):",
+    # product's columns are whole groups of the GEMM alignment
+    ("src/ticketlab/nn.py", "for start in range(0, n, CONV_BLOCK):",
+     "for start in range(0, n - 1, CONV_BLOCK):",
      "tests/test_nn.py::TestChainOracle::test_inference_logits_equal_taped_logits"),
-    ("src/ticketlab/nn.py", "step = n if tape is not None else CONV_BLOCK",
-     "step = CONV_BLOCK",
+    ("src/ticketlab/nn.py", "_Plan(spec, params.values * mask.bits, batch.shape[0], grad)",
+     "_Plan(spec, params.values * mask.bits, min(batch.shape[0], CONV_BLOCK), grad)",
      "tests/test_nn.py::TestChainOracle::test_taped_pass_is_one_block"),
-    ("src/ticketlab/nn.py", "z = _gemm(w, cols)", "z = w @ cols",
+    ("src/ticketlab/nn.py", "L.cols = np.zeros((c * KSIZE ** 2, _columns(m)))",
+     "L.cols = np.zeros((c * KSIZE ** 2, m))",
      "tests/test_nn.py::TestChainOracle::test_inference_logits_equal_taped_logits"),
-    ("src/ticketlab/nn.py", "z = _gemm(w, x)", "z = w @ x",
+    ("src/ticketlab/nn.py", "else np.zeros((math.prod(dims), _columns(n))))",
+     "else np.zeros((math.prod(dims), n)))",
      "tests/test_nn.py::TestChainOracle::test_logits_do_not_depend_on_the_batch"),
     ("src/ticketlab/nn.py", "GEMM_ALIGN = 8  #", "GEMM_ALIGN = 4  #",
      "tests/test_nn.py::TestChainOracle::test_logits_do_not_depend_on_the_batch"),
+    # a training plan's buffers carry nothing from one step to the next: each
+    # step rewrites its ReLU masks, each batch width has its own plan, and the
+    # zero border of a conv block's padded input stays zero
+    ("src/ticketlab/nn.py",
+     "if L.keep is not None:\n                    np.greater(L.zv, 0.0, out=L.keep)",
+     "if L.keep is not None and not hasattr(L, 'seen'):\n"
+     "                    L.seen = np.greater(L.zv, 0.0, out=L.keep)",
+     "tests/test_nn.py::test_train_steps_carry_nothing_in_reused_buffers"),
+    ("src/ticketlab/nn.py", "plan = plans[idx.size]", "plan = plans[max(plans)]",
+     "tests/test_nn.py::test_train_steps_carry_nothing_in_reused_buffers"),
+    ("src/ticketlab/nn.py", "L.gx = np.empty_like(L.xp) if L.conv", "L.gx = L.xp if L.conv",
+     "tests/test_nn.py::test_train_steps_carry_nothing_in_reused_buffers"),
     # a failed run says where it failed, and a finetune stands in only for a
     # mask training that would repeat it
     ("src/ticketlab/engines.py", 'len(record.iterations) + 1, "mask training", 0.0',

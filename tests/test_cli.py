@@ -1053,12 +1053,11 @@ class TestSubcommands:
                              ids=["prune", "lmc"])
     def test_non_finite_logits_are_runtime_error(self, tmp_path, capsys, monkeypatch,
                                                  report, iteration):
-        # evaluation inputs that overflow the network: the chain, run
-        # without a tape, raises FloatingPointError on the non-finite logits
-        chain = nn._forward
-        monkeypatch.setattr(nn, "_forward", lambda layers, effective, batch, tape=None:
-                            chain(layers, effective,
-                                  batch * np.inf if tape is None else batch, tape))
+        # evaluation inputs that overflow the network: the chain's inference
+        # pass raises FloatingPointError on the non-finite logits
+        chain = nn._infer
+        monkeypatch.setattr(nn, "_infer", lambda spec, effective, batch:
+                            chain(spec, effective, batch * np.inf))
         path = write_config(tmp_path, overrides={"report": report})
         code = cli.main(["prune", "--config", str(path), "--out", str(tmp_path / "out")])
         assert code == cli.EXIT_RUNTIME

@@ -248,10 +248,9 @@ def test_non_finite_evaluation_names_seed_iteration_and_phase(spec, blobs, monke
 
     last = len(run().iterations)
     assert last > 1
-    chain = nn._forward
-    monkeypatch.setattr(nn, "_forward", lambda layers, effective, batch, tape=None:
-                        chain(layers, effective, batch * np.inf if tape is None else batch,
-                              tape))
+    chain = nn._infer
+    monkeypatch.setattr(nn, "_infer", lambda spec, effective, batch:
+                        chain(spec, effective, batch * np.inf))
     with pytest.raises(FloatingPointError) as info:
         run()
     assert str(info.value) == ("non-finite logits in forward pass "

@@ -219,6 +219,9 @@ class TestForward:
                                         tl.LabeledDataset(x, np.zeros(3, dtype=int), 3))):
             with pytest.raises(FloatingPointError, match="^non-finite logits in forward pass$"):
                 run()
+        with pytest.raises(FloatingPointError,
+                           match="^non-finite loss or gradient in backward pass$"):
+            tl.backward(tiny_mlp_spec, params, ones_mask(params), x, np.zeros(3, dtype=int))
 
 
 def test_check_data_names_the_value_that_does_not_fit():
@@ -454,12 +457,13 @@ class TestChainOracle:
     @example(spec=tl.ModelSpec("convnet", (2, 2, 2), 2, channels=(2,)), seed=0,
              batch=2 * nn.CONV_BLOCK + 1)
     def test_inference_logits_equal_taped_logits(self, spec, seed, batch):
-        # evaluate and forward run without a tape; their logits must be the
-        # bits of the taped pass that training takes, at any batch size
+        # evaluate and forward run on blocks of nn.CONV_BLOCK without ReLU
+        # masks; their logits must be the bits of the one-block pass that
+        # training takes, at any batch size
         params, mask, x, _ = chain_inputs(spec, seed, batch)
-        layers, effective = nn._layers(spec), params.values * mask.bits
-        taped = nn._forward(layers, effective, x, [])
-        assert nn._forward(layers, effective, x).tobytes() == taped.tobytes()
+        effective = params.values * mask.bits
+        taped = nn._Plan(spec, effective, batch, np.empty_like(effective)).forward(x)
+        assert nn._infer(spec, effective, x).tobytes() == taped.tobytes()
 
     @settings(max_examples=40, deadline=None)
     @given(spec=chain_specs(), seed=st.integers(0, 2 ** 16), batch=st.integers(1, 300))
@@ -490,6 +494,15 @@ GEMM_SHAPES = sorted({(wshape[0], int(np.prod(wshape[1:])))
                       for wshape, _, _ in nn._layers(spec)})
 
 
+def padded_product(w, x):
+    """w @ x as the chain computes it: x's columns padded with zero columns
+    to whole groups of nn.GEMM_ALIGN, the padding's columns dropped."""
+    m = x.shape[1]
+    padded = np.zeros((x.shape[0], -(-m // nn.GEMM_ALIGN) * nn.GEMM_ALIGN))
+    padded[:, :m] = x
+    return (w @ padded)[:, :m]
+
+
 @pytest.mark.parametrize("shape", GEMM_SHAPES, ids=str)
 def test_gemm_gives_any_aligned_column_range_the_bits_of_the_whole_product(shape):
     # the chain's batch invariance rests on this: a range of columns that
@@ -497,10 +510,10 @@ def test_gemm_gives_any_aligned_column_range_the_bits_of_the_whole_product(shape
     # own product gets the bits those columns have in the whole product
     rng = np.random.default_rng(0)
     w, x = rng.standard_normal(shape), rng.standard_normal((shape[1], 300))
-    whole = nn._gemm(w, x)
+    whole = padded_product(w, x)
     for start in range(0, 300, nn.GEMM_ALIGN):
         for stop in range(start + 1, 301):
-            part = nn._gemm(w, np.ascontiguousarray(x[:, start:stop]))
+            part = padded_product(w, x[:, start:stop])
             assert part.tobytes() == np.ascontiguousarray(whole[:, start:stop]).tobytes(), (
                 f"columns {start}..{stop - 1} of a {shape} @ {x.shape} product differ from "
                 f"the whole product's: this BLAS does not compute a GEMM's columns in "
@@ -508,7 +521,7 @@ def test_gemm_gives_any_aligned_column_range_the_bits_of_the_whole_product(shape
 
 
 def slice_loop_im2col(x):
-    """_im2col as nine slice copies of the padded (C, H, W, N) input."""
+    """The patch matrix as nine slice copies of the padded (C, H, W, N) input."""
     c, h, w, n = x.shape
     xp = np.zeros((c, h + 2, w + 2, n))
     xp[:, 1:1 + h, 1:1 + w] = x
@@ -519,15 +532,26 @@ def slice_loop_im2col(x):
     return cols.reshape(c * 9, h * w * n)
 
 
-@pytest.mark.parametrize("shape", [(1, 4, 4, 1), (3, 2, 6, 1), (2, 6, 4, 5), (3, 5, 3, 16)])
+# (C, H, W, N); H and W halve at the pool.  (2, 2, 2, 3) has 12 patch
+# columns, padded to 16
+@pytest.mark.parametrize("shape", [(1, 4, 4, 1), (3, 2, 6, 1), (2, 6, 4, 5), (3, 6, 2, 16),
+                                   (2, 2, 2, 3)])
 def test_im2col_matches_slice_loop(shape):
-    x = np.random.default_rng(0).standard_normal(shape)
-    x[0, 0, 0] = -0.0
-    # the first block's im2col gets the batch as a transposed, non-contiguous view
-    for view in (x, x.transpose(1, 2, 3, 0).copy().transpose(3, 0, 1, 2)):
-        cols = nn._im2col(view)
-        assert cols.shape == (shape[0] * 9, shape[1] * shape[2] * shape[3])
-        assert cols.tobytes() == slice_loop_im2col(view).tobytes()
+    c, h, w, n = shape
+    spec = tl.ModelSpec("convnet", (c, h, w), 2, channels=(2,))
+    params = tl.init_params(spec, 0)
+    plan = nn._Plan(spec, params.values, n, np.empty_like(params.values))
+    rng = np.random.default_rng(0)
+    # a plan's passes reuse its patch matrix: each holds its own batch's
+    # patches, and the padding's columns stay zero
+    for _ in range(2):
+        x = rng.standard_normal((c, h, w, n))
+        x[0, 0, 0] = -0.0
+        plan.forward(x.transpose(3, 0, 1, 2))
+        cols = plan.layers[0].cols
+        assert cols.shape == (c * 9, -(-h * w * n // nn.GEMM_ALIGN) * nn.GEMM_ALIGN)
+        assert cols[:, :h * w * n].tobytes() == slice_loop_im2col(x).tobytes()
+        assert not cols[:, h * w * n:].any()
 
 
 DECAYING = tl.TrainConfig(epochs=2, batch_size=3, weight_decay=1e-3, milestones=(1,),
@@ -604,6 +628,45 @@ def test_mask_given_as_float_or_bool_gives_the_same_bytes(spec, seed, entry):
         masks[-1].bits = bits
     results = [result_bytes(MASK_READERS[entry](spec, params, m, data)) for m in masks]
     assert all(r == results[0] for r in results)
+
+
+def sgd_by_backward_calls(spec, params, mask, data, cfg):
+    """train's documented update as a loop of public backward calls, each
+    building its own buffers: momentum SGD on the masked gradient plus
+    weight decay on the weights, the examples visited in the order
+    default_rng([shuffle_seed, epoch]).permutation draws."""
+    theta = params.values * mask.bits
+    weights = np.zeros(len(theta), dtype=bool)
+    for e in params.layer_map:
+        weights[e.offset:e.offset + e.length] = e.kind == "weight"
+    velocity, lr = np.zeros_like(theta), cfg.learning_rate
+    for epoch in range(cfg.epochs):
+        if epoch in cfg.milestones:
+            lr *= cfg.gamma
+        order = np.random.default_rng([cfg.shuffle_seed, epoch]).permutation(data.size)
+        for start in range(0, data.size, cfg.batch_size):
+            idx = order[start:start + cfg.batch_size]
+            g = tl.backward(spec, tl.ParameterVector(theta, params.layer_map), mask,
+                            data.examples[idx], data.labels[idx]).values
+            if cfg.weight_decay:
+                g = g + np.where(weights, cfg.weight_decay * theta, 0.0)
+            velocity = velocity * cfg.momentum + g
+            theta = theta - velocity * lr
+    return theta
+
+
+@pytest.mark.parametrize("spec", CHAIN_SPECS, ids=chain_spec_id)
+@pytest.mark.parametrize("weight_decay", [0.0, 1e-2])
+def test_train_steps_carry_nothing_in_reused_buffers(spec, weight_decay):
+    # train reuses one plan's buffers for every batch of a width; batches of
+    # 8, 8 and 5 examples, so the last is partial and not a whole GEMM group
+    params, mask, x, y = chain_inputs(spec, 0, batch=2 * nn.GEMM_ALIGN + 5)
+    data = tl.LabeledDataset(x, y, spec.num_classes)
+    cfg = tl.TrainConfig(epochs=2, batch_size=nn.GEMM_ALIGN, weight_decay=weight_decay,
+                         milestones=(1,), gamma=0.5, shuffle_seed=3)
+    trained = tl.train(spec, params, mask, data, cfg)
+    assert trained.values.tobytes() == sgd_by_backward_calls(spec, params, mask, data,
+                                                             cfg).tobytes()
 
 
 class TestTrain:
