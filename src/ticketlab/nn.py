@@ -310,7 +310,6 @@ class _Plan:
     a conv block pools into ``pooled``, the next layer's input."""
 
     def __init__(self, spec, effective, n, grad=None):
-        self.logits = np.empty((n, spec.num_classes))
         self.layers, dims, layers = [], spec.input_shape, _layers(spec)
         for i, (wshape, ws, bs) in enumerate(layers):
             oc, last = wshape[0], self.layers[-1] if self.layers else None
@@ -354,9 +353,10 @@ class _Plan:
             self.layers.append(L)
 
     def forward(self, batch):
-        """The plan's (n, classes) logits of a batch of n examples.  Each
-        column of a layer's product holds one example, so an example's
-        logits do not depend on the batch around it."""
+        """The plan's (n, classes) logits of a batch of n examples, a
+        transposed view of the last product.  Each column of a layer's
+        product holds one example, so an example's logits do not depend on
+        the batch around it."""
         self.input[...] = batch.transpose(*range(1, batch.ndim), 0)
         for L in self.layers:
             if L.conv:
@@ -375,8 +375,7 @@ class _Plan:
                 out += a[:, 1::2, 0::2]
                 out += a[:, 1::2, 1::2]
                 out *= 0.25
-        self.logits[...] = L.zv.T
-        return self.logits
+        return L.zv.T
 
     def backward(self, g):
         """Backpropagate g = d loss / d logits, (classes, n), through the
@@ -433,9 +432,11 @@ def _infer(spec, effective, batch):
 
 def _nll(logits, labels):
     """(per-example softmax cross-entropy, exp(logits - row max), its row
-    sums): the softmax is the second over the third."""
+    sums): the softmax is the second over the third.  On a plan's logits,
+    a view of its (classes, n) product, the max runs over whole rows of
+    it; the sums run along rows of a C-ordered copy whatever the layout."""
     zmax = np.maximum.reduce(logits, axis=1, keepdims=True)
-    p = logits - zmax
+    p = np.subtract(logits, zmax, order="C")
     np.exp(p, out=p)
     total = np.add.reduce(p, axis=1, keepdims=True)
     nll = zmax[:, 0] + np.log(total[:, 0]) - logits[np.arange(len(labels)), labels]

@@ -95,6 +95,10 @@ MUTANTS = [
      "tests/test_nn.py::TestChainOracle::test_logits_do_not_depend_on_the_batch"),
     ("src/ticketlab/nn.py", "GEMM_ALIGN = 8  #", "GEMM_ALIGN = 4  #",
      "tests/test_nn.py::TestChainOracle::test_logits_do_not_depend_on_the_batch"),
+    # a plan's logits are a view of its product: the softmax's row sums run
+    # along C-ordered rows, as they do on contiguous logits
+    ("src/ticketlab/nn.py", 'p = np.subtract(logits, zmax, order="C")', "p = logits - zmax",
+     "tests/test_nn.py::test_cross_entropy_of_a_plan_view_has_the_bits_of_contiguous_logits"),
     # a training plan's buffers carry nothing from one step to the next: each
     # step rewrites its ReLU masks, each batch width has its own plan, and the
     # zero border of a conv block's padded input stays zero

@@ -962,3 +962,16 @@ def test_reference_loss_matches_internal(tiny_mlp_spec):
     data = tl.LabeledDataset(x, y, 3)
     _, internal = tl.evaluate(tiny_mlp_spec, params, mask, data)
     assert np.isclose(internal, reference_loss(tiny_mlp_spec, params, mask, x, y))
+
+
+@pytest.mark.parametrize("classes", [2, 4, 8, 10, 33])
+def test_cross_entropy_of_a_plan_view_has_the_bits_of_contiguous_logits(classes):
+    # a plan's logits are a transposed view of its (classes, n) product; the
+    # loss and its gradient must have the bits they have on C-ordered
+    # logits, whose row sums numpy takes pairwise from 8 classes on
+    rng = np.random.default_rng(classes)
+    z = 3.0 * rng.standard_normal((classes, 20))
+    y = rng.integers(0, classes, 20)
+    loss, grad = nn._cross_entropy(z.T, y)
+    want_loss, want_grad = nn._cross_entropy(np.ascontiguousarray(z.T), y)
+    assert loss == want_loss and grad.tobytes() == want_grad.tobytes()
