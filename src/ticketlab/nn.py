@@ -18,7 +18,7 @@ from types import SimpleNamespace
 import numpy as np
 
 KSIZE = 3  # convolution kernel size used by the convnet architecture
-CONV_BLOCK = 64  # examples per pass of a forward without a tape
+CONV_BLOCK = 64  # examples per block of an inference pass (forward, evaluate)
 GEMM_ALIGN = 8  # a GEMM's columns are computed in groups of this many
 
 
@@ -297,23 +297,24 @@ class _Plan:
     """Every buffer that a pass of the chain over a block of n examples
     writes, and each layer's views of the flat vectors: its weight and bias
     in ``effective`` and, given ``grad``, the slices of ``grad`` that
-    ``backward`` writes.  Only a plan given ``grad`` keeps ReLU masks and
-    the backward's buffers.  A pass writes every op into these buffers with
-    ``out=``, so a step allocates no array of the chain; a plan serves the
-    one call that built it.
+    ``step`` writes, with the step's ReLU masks and input gradients.  A pass
+    writes every op into these buffers with ``out=``, so a step allocates no
+    array of the chain; a plan serves the one call that built it.
 
     Per layer, ``cols`` is the GEMM's input, (in, _columns(m)) for m
     columns: the patch matrix of a conv block, gathered from ``xp``, its
     input with a zero border, or a dense input.  Its first m columns are
     ``x`` and those of the product ``z`` are ``zv``.  A ReLU works in place
     on ``zv``; a dense layer's ``z`` is the next dense layer's ``cols``, and
-    a conv block pools into ``pooled``, the next layer's input."""
+    a conv block pools ``zv``, seen by 2x2 window as ``a6``, into ``pooled``,
+    the next layer's input.  The step reads each ReLU mask off ``zv``; a
+    conv block then writes its gradients over ``zv`` and ``x``."""
 
     def __init__(self, spec, effective, n, grad=None):
         self.layers, dims, layers = [], spec.input_shape, _layers(spec)
         for i, (wshape, ws, bs) in enumerate(layers):
             oc, last = wshape[0], self.layers[-1] if self.layers else None
-            L = SimpleNamespace(conv=len(wshape) == 4, relu=i < len(layers) - 1, keep=None,
+            L = SimpleNamespace(conv=len(wshape) == 4, relu=i < len(layers) - 1,
                                 w=effective[ws].reshape(oc, -1), b=effective[bs][:, None])
             if L.conv:
                 c, h, w = dims
@@ -338,16 +339,12 @@ class _Plan:
             L.zv = L.z[:, :m]
             if L.conv:
                 L.patches = L.x.reshape(c, KSIZE, KSIZE, h, w, n)
-                L.a = L.zv.reshape(oc, h, w, n)
+                L.a6 = L.zv.reshape(oc, h // 2, 2, w // 2, 2, n)
             if grad is not None:
                 L.gw, L.gb = grad[ws].reshape(L.w.shape), grad[bs]
                 if L.relu:
                     L.keep = np.empty((oc, m), dtype=bool)
-                if L.conv:
-                    L.gq = np.empty((*dims, n))
-                    L.gz = np.empty((oc, m))
-                    L.keep6, L.gz6 = (a.reshape(oc, h // 2, 2, w // 2, 2, n)
-                                      for a in (L.keep, L.gz))
+                    L.keep6 = L.keep.reshape(L.a6.shape) if L.conv else None
                 if i:  # the gradient w.r.t. the layer's input
                     L.gx = np.empty_like(L.xp) if L.conv else np.empty((L.x.shape[0], n))
             self.layers.append(L)
@@ -366,31 +363,34 @@ class _Plan:
             if L.relu:
                 # np.maximum: about 10x faster than np.where at these sizes
                 np.maximum(L.zv, 0.0, out=L.zv)
-                if L.keep is not None:
-                    np.greater(L.zv, 0.0, out=L.keep)
             if L.conv:
                 # the pool sums in the order (a00 + a01) + a10 + a11, then scales
-                a, out = L.a, L.pooled
-                np.add(a[:, 0::2, 0::2], a[:, 0::2, 1::2], out=out)
-                out += a[:, 1::2, 0::2]
-                out += a[:, 1::2, 1::2]
+                a, out = L.a6, L.pooled
+                np.add(a[:, :, 0, :, 0], a[:, :, 0, :, 1], out=out)
+                out += a[:, :, 1, :, 0]
+                out += a[:, :, 1, :, 1]
                 out *= 0.25
         return L.zv.T
 
-    def backward(self, g):
-        """Backpropagate g = d loss / d logits, (classes, n), through the
-        chain, writing each layer's gradient into its slices of ``grad``.
-        The gradient w.r.t. the input batch is never formed."""
+    def step(self, batch, labels):
+        """The mean cross-entropy of a batch of n examples, backpropagated
+        through the chain into each layer's slices of ``grad``.  The
+        gradient w.r.t. the input batch is never formed."""
+        loss, g = _cross_entropy(self.forward(batch), labels)
+        g = g.T
         for i in range(len(self.layers) - 1, -1, -1):
             L = self.layers[i]
+            if L.relu:  # then g is the next layer's gx, never the caller's array
+                np.greater(L.zv, 0.0, out=L.keep)  # zv holds the ReLU's output
             if L.conv:
                 # unpool over each 2x2 window and apply the ReLU mask in one
-                # broadcast multiply
-                np.multiply(g.reshape(L.gq.shape), 0.25, out=L.gq)
-                np.multiply(L.gq[:, :, None, :, None], L.keep6, out=L.gz6)
-                g = L.gz
-            elif L.keep is not None:
-                g *= L.keep  # g is the next layer's gx here, never the caller's array
+                # broadcast multiply, over the activation the pool has read
+                g = g.reshape(L.pooled.shape)
+                g *= 0.25
+                np.multiply(g[:, :, None, :, None], L.keep6, out=L.a6)
+                g = L.zv
+            elif L.relu:
+                g *= L.keep
             np.matmul(g, L.x.T, out=L.gw)
             g.sum(axis=1, out=L.gb)
             if not i:
@@ -407,6 +407,7 @@ class _Plan:
                 g = L.gx[:, 1:h + 1, 1:w + 1]
             else:
                 g = np.matmul(L.w.T, g, out=L.gx)
+        return loss
 
 
 def _plans(spec, effective, n, block, grad=None):
@@ -467,8 +468,7 @@ def backward(spec: ModelSpec, params: ParameterVector, mask, batch, labels) -> P
     grad = np.empty_like(params.values)
     with np.errstate(over="ignore", invalid="ignore"):  # as in forward and evaluate
         plan = _Plan(spec, params.values * mask.bits, batch.shape[0], grad)  # one block
-        loss, dlogits = _cross_entropy(plan.forward(batch), labels)
-        plan.backward(dlogits.T)
+        loss = plan.step(batch, labels)
         # gradient w.r.t. params equals gradient w.r.t. effective weights times mask
         grad *= mask.bits
     if not (math.isfinite(loss) and np.all(np.isfinite(grad))):
@@ -510,9 +510,6 @@ def train(spec, params, mask, data, cfg: TrainConfig, snapshots=None) -> Paramet
     plans = _plans(spec, theta.values, data.size, cfg.batch_size, grad)
     velocity = np.zeros_like(theta.values)
     step = np.empty_like(theta.values)
-    decay_sel = np.zeros(theta.values.size, dtype=bool)
-    for _, ws, _ in _layers(spec):
-        decay_sel[ws] = True  # theta is +-0 where masked: its decay term adds nothing
     lr = cfg.learning_rate
     last_loss = None
     with np.errstate(over="ignore", invalid="ignore"):  # the finite checks decide
@@ -523,19 +520,18 @@ def train(spec, params, mask, data, cfg: TrainConfig, snapshots=None) -> Paramet
             for bi, start in enumerate(range(0, data.size, cfg.batch_size)):
                 idx = perm[start:start + cfg.batch_size]
                 plan = plans[idx.size]
-                loss, dlogits = _cross_entropy(plan.forward(examples[idx]), data.labels[idx])
-                plan.backward(dlogits.T)
+                loss = plan.step(examples[idx], data.labels[idx])
                 if not math.isfinite(loss):
                     raise TrainingDiverged(epoch, bi, loss, lr, last_loss)
                 last_loss = loss
                 grad *= keep
-                g = grad
                 if cfg.weight_decay:
-                    g = g + np.where(decay_sel, cfg.weight_decay * theta.values, 0.0)
+                    for L in plan.layers:  # theta is +-0 where masked: its decay adds nothing
+                        L.gw += cfg.weight_decay * L.w
                 velocity *= cfg.momentum
-                velocity += g
+                velocity += grad
                 np.multiply(velocity, lr, out=step)
-                # g is +-0 at masked positions, so the velocity (from +0) and the
+                # grad is +-0 at masked positions, so the velocity (from +0) and the
                 # step stay +0 there and theta keeps its masked start, sign and all
                 theta.values -= step
             if epoch + 1 in snapshots:

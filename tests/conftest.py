@@ -1,7 +1,44 @@
+import ctypes
+import glob
+import os
+
 import numpy as np
 import pytest
 
 import ticketlab as tl
+
+
+def _read(lookup):
+    """lookup(), or "unknown" if it fails in any way: a line of the test log
+    must not fail the session."""
+    try:
+        return lookup()
+    except Exception:
+        return "unknown"
+
+
+def blas_line():
+    """numpy's version, the BLAS it was built with, and the kernel and thread
+    count that OpenBLAS reports, the last two read from the OpenBLAS under
+    numpy.libs: a test of bits can depend on all four."""
+    blas = _read(lambda: "{name} {version}".format(
+        **np.show_config(mode="dicts")["Build Dependencies"]["blas"]))
+    lib = _read(lambda: ctypes.CDLL(glob.glob(os.path.join(
+        os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs", "*openblas*"))[0]))
+
+    def call(name, restype):
+        function = getattr(lib, name)
+        function.argtypes, function.restype = [], restype
+        return function()
+
+    core = _read(lambda: call("scipy_openblas_get_corename64_", ctypes.c_char_p).decode())
+    threads = _read(lambda: call("scipy_openblas_get_num_threads64_", ctypes.c_int))
+    return f"numpy {np.__version__}, BLAS {blas}, OpenBLAS kernel {core}, threads {threads}"
+
+
+def pytest_terminal_summary(terminalreporter):
+    # a pytest_report_header line would not show under -q
+    terminalreporter.write_line(blas_line())
 
 
 @pytest.fixture

@@ -102,14 +102,22 @@ MUTANTS = [
     # a training plan's buffers carry nothing from one step to the next: each
     # step rewrites its ReLU masks, each batch width has its own plan, and the
     # zero border of a conv block's padded input stays zero
-    ("src/ticketlab/nn.py",
-     "if L.keep is not None:\n                    np.greater(L.zv, 0.0, out=L.keep)",
-     "if L.keep is not None and not hasattr(L, 'seen'):\n"
-     "                    L.seen = np.greater(L.zv, 0.0, out=L.keep)",
+    ("src/ticketlab/nn.py", "                np.greater(L.zv, 0.0, out=L.keep)",
+     "                if not hasattr(L, 'seen'): L.seen = np.greater(L.zv, 0.0, out=L.keep)",
      "tests/test_nn.py::test_train_steps_carry_nothing_in_reused_buffers"),
     ("src/ticketlab/nn.py", "plan = plans[idx.size]", "plan = plans[max(plans)]",
      "tests/test_nn.py::test_train_steps_carry_nothing_in_reused_buffers"),
     ("src/ticketlab/nn.py", "L.gx = np.empty_like(L.xp) if L.conv", "L.gx = L.xp if L.conv",
+     "tests/test_nn.py::test_train_steps_carry_nothing_in_reused_buffers"),
+    # the step's backprop: a ReLU passes the gradient only where its output is
+    # positive, the pool's backward scales by a quarter, and the weight decay
+    # goes into the weights' gradient only
+    ("src/ticketlab/nn.py", "np.greater(L.zv, 0.0, out=L.keep)",
+     "np.greater_equal(L.zv, 0.0, out=L.keep)",
+     "tests/test_nn.py::TestChainOracle::test_backward_matches_tape"),
+    ("src/ticketlab/nn.py", "                g *= 0.25\n", "",
+     "tests/test_nn.py::TestChainOracle::test_backward_matches_tape"),
+    ("src/ticketlab/nn.py", "L.gw += cfg.weight_decay * L.w", "L.gb += cfg.weight_decay * L.b[:, 0]",
      "tests/test_nn.py::test_train_steps_carry_nothing_in_reused_buffers"),
     # a failed run says where it failed, and a finetune stands in only for a
     # mask training that would repeat it
@@ -242,9 +250,18 @@ MUTANTS = [
      "functools.partial(function, *fields.values())",
      "tests/test_artifacts.py::test_artifacts_match_the_fixture"),
     # equivalent: no result can change
-    ("src/ticketlab/nn.py", "decay_sel[ws] = True", "decay_sel[ws] = mask.bits[ws] != 0.0",
-     "equivalent: theta is +-0 at masked positions, so their decay term adds +-0 to a "
-     "+-0 gradient and the velocity there stays +0"),
+    ("src/ticketlab/nn.py",
+     "                grad *= keep\n                if cfg.weight_decay:\n"
+     "                    for L in plan.layers:  # theta is +-0 where masked: its decay adds "
+     "nothing\n                        L.gw += cfg.weight_decay * L.w\n",
+     "                if cfg.weight_decay:\n                    for L in plan.layers:\n"
+     "                        L.gw += cfg.weight_decay * L.w\n                grad *= keep\n",
+     "equivalent: theta is +-0 at masked positions, so their decay term adds +-0 to the "
+     "gradient there before or after the mask makes it +-0, and the velocity there stays "
+     "+0"),
+    ("src/ticketlab/nn.py", "for L in plan.layers:", "for L in plans[max(plans)].layers:",
+     "equivalent: every plan of a train call views the same theta and grad vectors, each "
+     "layer's weight at the same offset and shape, whatever the plan's batch width"),
     ("src/ticketlab/pruning.py", 'for e in mask.layer_map if e.kind == "weight"]',
      "for e in mask.layer_map]",
      "equivalent: a bias pool holds no candidate, so it prunes nothing"),
