@@ -252,15 +252,13 @@ def distill_class_mean(data: LabeledDataset) -> DistilledDataset:
                       lambda c, idx: data.examples[idx].mean(axis=0, keepdims=True))
 
 
-def _sq_dists(points, centers, columns=None, out=None):
-    """(n, k) squared distances, written one center column at a time (all k,
-    or those listed in `columns`) through one reused (n, d) buffer.  Each
-    sum runs in the same order as in an (n, k, d) broadcast, so near-ties
-    in argmin resolve as they would there."""
-    if out is None:
-        out = np.empty((points.shape[0], centers.shape[0]))
-    buf = np.empty_like(points)
-    for j in range(centers.shape[0]) if columns is None else columns:
+def _sq_dists(points, centers):
+    """(n, k) squared distances, one center column at a time through one
+    reused (n, d) buffer.  Each row's sums run in the order of an (n, k, d)
+    broadcast, whatever the other rows, so the exact path of `_kmeans`
+    settles every near-tie on the broadcast's bits."""
+    out, buf = np.empty((points.shape[0], centers.shape[0])), np.empty_like(points)
+    for j in range(centers.shape[0]):
         np.subtract(points, centers[j], out=buf)
         np.square(buf, out=buf)
         buf.sum(axis=1, out=out[:, j])
@@ -268,17 +266,21 @@ def _sq_dists(points, centers, columns=None, out=None):
 
 
 def _kmeans_plus_plus(points, k, rng):
-    """k-means++ style seeding; deterministic given the rng state."""
+    """k-means++ style seeding; deterministic given the rng state.  Each
+    draw's distances, the bits of ((points - c) ** 2).sum(axis=1), and their
+    running sum reuse one (n, d) buffer and one (n,) column."""
     centers = [points[rng.integers(points.shape[0])]]
     d2 = np.full(points.shape[0], np.inf)  # to the nearest chosen center
+    buf, col = np.empty_like(points), np.empty_like(d2)
     for _ in range(1, k):
-        d2 = np.minimum(d2, ((points - centers[-1]) ** 2).sum(axis=1))
+        np.square(np.subtract(points, centers[-1], out=buf), out=buf)
+        np.minimum(d2, np.add.reduce(buf, axis=1, out=col), out=d2)
         total = d2.sum()
         if total == 0.0:
             centers.append(points[int(np.argmin(d2))])
             continue
         r = rng.random() * total
-        centers.append(points[int(np.searchsorted(np.cumsum(d2), r))])
+        centers.append(points[int(np.searchsorted(np.cumsum(d2, out=col), r))])
     return np.stack(centers)
 
 
@@ -286,25 +288,48 @@ def _kmeans(points, k, iterations, rng):
     """Lloyd's algorithm from k-means++ seeds, for at most `iterations`
     rounds.  A round maps centers to centers without touching the rng, so
     once a round leaves the centers unchanged every later round would too,
-    and the loop stops there.  Each round recomputes the distance columns
-    of the centers that the previous round moved, and only those."""
+    and the loop stops there.  One GEMM screens every point: a point left
+    with one candidate center takes it, any other the argmin of its exact
+    distances (`_sq_dists`), where the screened points would go too.  Only
+    clusters whose members changed get a new mean (the same members in the
+    same order give the same one), and every empty one is re-seeded."""
+    n, d = points.shape
     centers = _kmeans_plus_plus(points, k, rng)
-    d2 = np.empty((points.shape[0], k))
-    moved = None  # all centers
+    xt = np.vstack([points.T, np.ones(n)])  # feature-major, over a row of ones
+    xx = np.einsum("ij,ij->i", points, points)
+    tally = np.stack([np.ones(k), np.arange(k)])  # candidates and their index sum
+    assign = np.full(n, k)  # no cluster, so round 1 recomputes every center
     for _ in range(iterations):
-        _sq_dists(points, centers, moved, out=d2)
-        assign = np.argmin(d2, axis=1)  # ties go to the lowest center index
-        previous = centers.copy()
-        for j in range(k):
-            members = points[assign == j]
-            if members.shape[0] == 0:
-                # re-seed an empty cluster from the farthest point
-                far = int(np.argmax(np.min(d2, axis=1)))
-                centers[j] = points[far]
-            else:
-                centers[j] = members.mean(axis=0)
-        moved = np.flatnonzero((centers != previous).any(axis=1))
-        if moved.size == 0:
+        cc = np.einsum("ij,ij->i", centers, centers)
+        f = np.hstack([-2.0 * centers, cc[:, None]]) @ xt  # |x - c|^2 - |x|^2
+        # With u = 2^-53, P = |x|^2 + |c|^2 and to first order in (d+2)u, f
+        # is within 3(d+2)uP of its real value (any summation order, FMA or
+        # not) and the exact path's sum of d rounded squares within 2(d+2)uP
+        # of the real |x - c|^2, each plus 2^-1075 per underflowed product or
+        # square (3d+1 in all).  `gap` is over three times their sum for two
+        # centers, with P at most |x|^2 + max |c|^2: a center whose f exceeds
+        # the least by more is farther by the exact path too.  From 2^1021 on
+        # a step could overflow, so there `gap` is NaN, as for an inf or NaN,
+        # and no center is a candidate.
+        scale = xx + cc.max()
+        gap = np.where(scale < 2.0 ** 1021,
+                       scale * (d + 2) * 2.0 ** -48 + (d + 2) * 2.0 ** -1070, np.nan)
+        count, pick = tally @ (f <= f.min(axis=0) + gap)
+        new = pick.astype(np.intp)  # the candidate, where there is one
+        near = np.flatnonzero(count != 1)
+        if near.size:
+            new[near] = np.argmin(_sq_dists(points[near], centers), axis=1)
+        empty = np.bincount(new, minlength=k) == 0
+        if empty.any():  # re-seeded at the farthest point, by exact distances
+            far = points[int(np.argmax(np.min(_sq_dists(points, centers), axis=1)))]
+        redo = np.zeros(k + 1, dtype=bool)
+        moved = new != assign
+        redo[assign[moved]] = redo[new[moved]] = True
+        redo[:k] |= empty
+        assign, previous = new, centers.copy()
+        for j in np.flatnonzero(redo[:k]):
+            centers[j] = far if empty[j] else points[assign == j].mean(axis=0)
+        if np.array_equal(centers, previous):
             break
     return centers
 

@@ -136,10 +136,21 @@ MUTANTS = [
      "test_record_refuses_equal_consecutive_sparsities"),
     ("src/ticketlab/analysis.py", "barrier <= threshold", "barrier < threshold",
      "tests/test_analysis.py::TestInstability::test_barrier_equal_to_threshold_is_stable"),
-    ("src/ticketlab/data.py", "far = int(np.argmax(np.min(d2, axis=1)))",
-     "far = int(np.argmin(np.min(d2, axis=1)))",
+    ("src/ticketlab/data.py", "far = points[int(np.argmax(", "far = points[int(np.argmin(",
      "tests/test_data.py::TestHerdingOracle::"
      "test_empty_cluster_reseeded_from_the_farthest_point"),
+    # herding's screen: its rounding bound, the one-candidate test, and the
+    # re-seed of a cluster that stays empty
+    ("src/ticketlab/data.py",
+     "scale * (d + 2) * 2.0 ** -48 + (d + 2) * 2.0 ** -1070, np.nan)",
+     "0 * (scale * (d + 2) * 2.0 ** -48 + (d + 2) * 2.0 ** -1070), np.nan)",
+     "tests/test_data.py::TestHerdingOracle::test_grid_points_with_distance_ties"),
+    ("src/ticketlab/data.py", "near = np.flatnonzero(count != 1)",
+     "near = np.flatnonzero(count > 1)",
+     "tests/test_data.py::TestHerdingOracle::"
+     "test_points_past_the_screen_take_the_exact_path"),
+    ("src/ticketlab/data.py", "        redo[:k] |= empty\n", "",
+     "tests/test_data.py::TestHerdingOracle::test_cluster_empty_two_rounds_running"),
     # a distilled set is class-major by construction, so a DSTL file is too
     ("src/ticketlab/data.py", "if np.any(np.diff(self.labels) < 0):",
      "if np.any(np.diff(self.labels) < 0) and False:",

@@ -1,4 +1,7 @@
+import os
 import struct
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -8,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import ticketlab as tl
-from ticketlab import cli
+from ticketlab import cli, data as tl_data
 from ticketlab.data import (FormatError, kmeans_objective, _kmeans, _kmeans_plus_plus,
                             DSTL_MAGIC)
 
@@ -347,6 +350,23 @@ def _reference_herding(data, ipc, iterations=50, seed=0):
     return np.concatenate(images)
 
 
+def test_herding_oracle_under_a_blas_thread_split():
+    # OpenBLAS's Haswell kernel at 2 threads gives a product's columns bits
+    # that follow how the threads split it (the chain's batch invariance
+    # fails there, in test_nn.py).  Herding's screen bounds the error of any
+    # summation order, so its results must keep every bit there.  The child
+    # alone runs with these settings, and its log names the kernel and thread
+    # count OpenBLAS reports (tests/conftest.py), so a BLAS that ignores them
+    # shows
+    env = dict(os.environ, OPENBLAS_CORETYPE="Haswell", OPENBLAS_NUM_THREADS="2")
+    run = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                          f"{__file__}::TestHerdingOracle"],
+                         cwd=Path(__file__).resolve().parent.parent, env=env,
+                         capture_output=True, text=True, timeout=600)
+    print(*[line for line in run.stdout.splitlines() if "OpenBLAS kernel" in line])
+    assert run.returncode == 0, run.stdout[-4000:] + run.stderr[-2000:]
+
+
 def _naive_lloyd(points, centers, iterations):
     """Lloyd's rounds as first written: every round recomputes every
     distance on an (n, k, d) broadcast, and all `iterations` rounds run.
@@ -455,7 +475,7 @@ class TestHerdingOracle:
     @pytest.mark.parametrize("seed", range(4))
     def test_lloyd_matches_naive_loop(self, seed):
         # stretched gaussian clouds, where some centers settle rounds before
-        # others, so the recompute of only the moved centers' columns is used
+        # others, so the recompute of only the changed clusters' centers is used
         rng = np.random.default_rng(seed)
         points = rng.standard_normal((80, 5)) * rng.uniform(0.2, 3.0, 5)
         partial = []
@@ -466,6 +486,77 @@ class TestHerdingOracle:
             assert got.tobytes() == want.tobytes()
             partial.append(moved_some)
         assert any(partial)
+
+    @settings(max_examples=60, deadline=None)
+    @given(dim=st.integers(1, 64), size=st.integers(1, 24), draw=st.data(),
+           layout=st.sampled_from(["gaussian", "duplicates", "grid"]),
+           scale=st.sampled_from([2.0 ** -1074, 1e-310, 1e-300, 1e-150, 1e-8, 1.0, 1e8,
+                                  1e150]),
+           seed=st.integers(0, 2 ** 16))
+    def test_matches_reference_property(self, dim, size, draw, layout, scale, seed):
+        # two classes of `size` points: gaussian, a few distinct points each
+        # repeated, or a 0.1 grid, whose distances tie; all scaled, from
+        # subnormal to 1e150
+        rng = np.random.default_rng(seed)
+        if layout == "gaussian":
+            x = rng.standard_normal((2 * size, dim))
+        elif layout == "duplicates":
+            x = rng.standard_normal((3, dim))[rng.integers(0, 3, 2 * size)]
+        else:
+            x = rng.integers(0, 7, size=(2 * size, dim)) * 0.1 + 0.3
+        ds = tl.LabeledDataset(x * scale, np.repeat([0, 1], size), 2)
+        ipc = draw.draw(st.integers(1, size), label="ipc")
+        got = tl.distill_kmeans_herding(ds, ipc=ipc, seed=seed)
+        assert got.examples.tobytes() == _reference_herding(ds, ipc, seed=seed).tobytes()
+
+    def test_desk_fixture_size(self):
+        # classes of 500 points of 64 features and 10 centers: a product big
+        # enough for a BLAS to split between threads
+        ds = tl.synth_dataset("gaussianBlobs", 2, 500, 0.8, seed=7, input_shape=(1, 8, 8))
+        got = tl.distill_kmeans_herding(ds, ipc=10, seed=3)
+        assert got.examples.tobytes() == _reference_herding(ds, 10, seed=3).tobytes()
+
+    def test_cluster_empty_two_rounds_running(self):
+        # three distinct values for four centers: the fourth seed repeats
+        # 0.5, so its cluster is empty in round 1 and is re-seeded at the
+        # farthest point, 0.5 again (every distance is 0).  The mean of the
+        # three 0.1s rounds up, so in round 2 those points are the farthest,
+        # and the still empty cluster is re-seeded there
+        x = np.array([[0.5], [0.1], [0.1], [0.1], [3.0]])
+        seeds = _kmeans_plus_plus(x, 4, np.random.default_rng([0, 0]))
+        assert seeds[3, 0] == 0.5
+        assert _kmeans(x, 4, 1, np.random.default_rng([0, 0]))[3, 0] == 0.5
+        assert _kmeans(x, 4, 2, np.random.default_rng([0, 0]))[3, 0] == 0.1
+        ds = tl.LabeledDataset(x, np.zeros(5, dtype=int), 1)
+        for seed in range(3):
+            got = tl.distill_kmeans_herding(ds, ipc=4, seed=seed)
+            assert got.examples.tobytes() == _reference_herding(ds, 4, seed=seed).tobytes()
+
+    def test_equidistant_point_goes_to_the_lower_index_by_exact_distances(self, monkeypatch):
+        # seeds 2 and 0: the point 1 is exactly 1 from both, so the screen
+        # leaves it two candidates and the exact path gives it center 0
+        x = np.array([[0.0], [1.0], [2.0]])
+        assert _kmeans_plus_plus(x, 2, np.random.default_rng(2)).ravel().tolist() == [2.0, 0.0]
+        exact = []
+        sq_dists = tl_data._sq_dists
+        monkeypatch.setattr(tl_data, "_sq_dists", lambda p, c: exact.append(p.copy()) or
+                            sq_dists(p, c))
+        centers = _kmeans(x, 2, 1, np.random.default_rng(2))
+        assert [p.ravel().tolist() for p in exact] == [[1.0]]
+        assert centers.ravel().tolist() == [1.5, 0.0]
+
+    def test_points_past_the_screen_take_the_exact_path(self):
+        # norms past 2^1021, inf and NaN leave the screen no candidate; the
+        # exact distances of the naive loop decide, overflowing as it does
+        x = np.array([[-1e154], [-1.1e154], [1e154], [1.2e154], [0.0], [np.inf], [np.nan]])
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k in (2, 3):
+                for rows in (5, 6, 7):
+                    for seed in range(4):
+                        start = _kmeans_plus_plus(x[:rows], k, np.random.default_rng(seed))
+                        want, _ = _naive_lloyd(x[:rows], start, 5)
+                        got = _kmeans(x[:rows], k, 5, np.random.default_rng(seed))
+                        assert got.tobytes() == want.tobytes()
 
     def test_objective_matches_broadcast(self):
         ds = tl.synth_dataset("gaussianBlobs", 1, 30, 0.9, seed=5, input_shape=(3,))
