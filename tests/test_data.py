@@ -350,23 +350,6 @@ def _reference_herding(data, ipc, iterations=50, seed=0):
     return np.concatenate(images)
 
 
-def test_herding_oracle_under_a_blas_thread_split():
-    # OpenBLAS's Haswell kernel at 2 threads gives a product's columns bits
-    # that follow how the threads split it (the chain's batch invariance
-    # fails there, in test_nn.py).  Herding's screen bounds the error of any
-    # summation order, so its results must keep every bit there.  The child
-    # alone runs with these settings, and its log names the kernel and thread
-    # count OpenBLAS reports (tests/conftest.py), so a BLAS that ignores them
-    # shows
-    env = dict(os.environ, OPENBLAS_CORETYPE="Haswell", OPENBLAS_NUM_THREADS="2")
-    run = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
-                          f"{__file__}::TestHerdingOracle"],
-                         cwd=Path(__file__).resolve().parent.parent, env=env,
-                         capture_output=True, text=True, timeout=600)
-    print(*[line for line in run.stdout.splitlines() if "OpenBLAS kernel" in line])
-    assert run.returncode == 0, run.stdout[-4000:] + run.stderr[-2000:]
-
-
 def _naive_lloyd(points, centers, iterations):
     """Lloyd's rounds as first written: every round recomputes every
     distance on an (n, k, d) broadcast, and all `iterations` rounds run.
@@ -563,6 +546,23 @@ class TestHerdingOracle:
         centers = ds.examples[:4] + 0.1
         d2 = ((ds.examples[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
         assert kmeans_objective(ds.examples, centers) == float(d2.min(axis=1).sum())
+
+
+def test_herding_oracle_under_a_blas_thread_split():
+    # OpenBLAS's Haswell kernel at 2 threads gives a product's columns bits
+    # that follow how the threads split it (the chain's batch invariance
+    # fails there, in test_nn.py).  Herding's screen bounds the error of any
+    # summation order, so its results must keep every bit there.  Only the
+    # child runs with these settings; its log names the kernel and thread
+    # count that OpenBLAS reports (tests/conftest.py), printed here, so a BLAS
+    # that ignores them is seen
+    env = dict(os.environ, OPENBLAS_CORETYPE="Haswell", OPENBLAS_NUM_THREADS="2")
+    run = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                          f"{__file__}::TestHerdingOracle"],
+                         cwd=Path(__file__).resolve().parent.parent, env=env,
+                         capture_output=True, text=True, timeout=600)
+    print(*[line for line in run.stdout.splitlines() if "OpenBLAS kernel" in line])
+    assert run.returncode == 0, run.stdout[-4000:] + run.stderr[-2000:]
 
 
 class TestDstlFormat:
